@@ -15,6 +15,7 @@ projection that the corresponding convergence-rate derivations use).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -68,16 +69,6 @@ class RateRow:
     solution_error_bound: float
 
 
-@dataclass
-class RateTable:
-    rows: list = field(default_factory=list)
-
-    def slope(self, value_field: str, param_field: str = "parameter") -> float:
-        xs = np.array([getattr(r, param_field) for r in self.rows], dtype=float)
-        ys = np.array([getattr(r, value_field) for r in self.rows], dtype=float)
-        return fit_loglog_slope(xs, ys)
-
-
 def fit_loglog_slope(params, values) -> float:
     """Least-squares slope of log10(values) against log10(params)."""
     params = np.asarray(params, dtype=float)
@@ -90,144 +81,230 @@ def fit_loglog_slope(params, values) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact distance to a product of 1-D monotone graphs
+# Halton points
+
+
+@functools.lru_cache(maxsize=16)
+def _halton_unit(d: int, count: int) -> np.ndarray:
+    """The first count unscrambled Halton points of [0, 1)^d, read-only."""
+    u = qmc.Halton(d=d, scramble=False).random(count)
+    u.flags.writeable = False
+    return u
+
+
+def _within(P, radius):
+    """Mask of the rows p of P with np.linalg.norm(p) <= radius.
+
+    The rowwise norms below may differ from np.linalg.norm in the last bits,
+    so rows within a relative 1e-9 of the radius are decided by that call.
+    """
+    norms = np.sqrt(np.einsum("ij,ij->i", P, P))
+    keep = norms <= radius
+    for k in np.flatnonzero(np.abs(norms - radius) <= 1e-9 * (1.0 + abs(radius))):
+        keep[k] = np.linalg.norm(P[k]) <= radius
+    return keep
+
+
+# ---------------------------------------------------------------------------
+# exact distance to a product of 1-D monotone graphs, for a batch of points
+#
+# Every function below works on arrays over sample rows and performs, row by
+# row, the float operations of a scalar evaluation in the same order, so the
+# results do not depend on how the rows are batched. Coordinates a mask leaves
+# out contribute an exact 0.0 to the sums.
+
+
+def _where_gt(a, b):
+    """Python's max(a, b), elementwise: b where b > a, else a."""
+    return np.where(b > a, b, a)
+
+
+def _where_lt(a, b):
+    """Python's min(a, b), elementwise: b where b < a, else a."""
+    return np.where(b < a, b, a)
+
+
+@dataclass(frozen=True)
+class _ClippedPiece:
+    """One graph piece clipped at a per-row radius, as GraphPiece.clip does.
+
+    ``ok`` is False on rows where the clipped piece is empty; ``sloped`` marks
+    rows where it is neither vertical nor flat, i.e. where the distance needs
+    the scalarization of _combo_minmax rather than two interval distances.
+    """
+
+    ok: np.ndarray
+    z_lo: np.ndarray
+    z_hi: np.ndarray
+    v_lo: np.ndarray
+    v_hi: np.ndarray
+    sloped: np.ndarray
+    intercept: float
+    slope: float
+
+
+def _clip_rows(graph: SubdifferentialGraph1D, bound):
+    out = []
+    for p in graph.pieces:
+        z_lo, z_hi = _where_gt(p.z_lo, -bound), _where_lt(p.z_hi, bound)
+        v_lo, v_hi = _where_gt(p.v_lo, -bound), _where_lt(p.v_hi, bound)
+        ok = ~((z_lo > z_hi) | (v_lo > v_hi))
+        if not (p.is_vertical or p.is_flat):
+            z_lo = _where_gt(z_lo, (v_lo - p.intercept) / p.slope)
+            z_hi = _where_lt(z_hi, (v_hi - p.intercept) / p.slope)
+            ok &= ~(z_lo > z_hi)
+            v_lo = p.intercept + p.slope * z_lo
+            v_hi = p.intercept + p.slope * z_hi
+        out.append(_ClippedPiece(ok, z_lo, z_hi, v_lo, v_hi,
+                                 ok & (z_lo != z_hi) & (v_lo != v_hi), p.intercept, p.slope))
+    return out
 
 
 def _interval_sqdist(t, lo, hi):
-    if t < lo:
-        return (lo - t) ** 2
-    if t > hi:
-        return (t - hi) ** 2
-    return 0.0
+    return np.where(t < lo, (lo - t) ** 2, np.where(t > hi, (t - hi) ** 2, 0.0))
 
 
-def _piece_terms(piece, zb, vb):
-    """('fixed', dz2, dv2) for box pieces, ('sloped', zlo, zhi, a, b) otherwise."""
-    if piece.is_vertical or piece.is_flat or piece.z_lo == piece.z_hi:
-        return ("fixed",
-                _interval_sqdist(zb, piece.z_lo, piece.z_hi),
-                _interval_sqdist(vb, piece.v_lo, piece.v_hi))
-    return ("sloped", piece.z_lo, piece.z_hi, piece.intercept, piece.slope)
+def _sloped_terms(mu, zb, vb, zlo, zhi, a, b):
+    """(dz^2, dv^2) at the minimizer z' of (1-mu) dz^2 + mu dv^2 on a sloped piece.
 
-
-def _minmax_over_combo(terms, zbar, vbar, coords):
-    """min over the combo's pieces of max{sum dz^2, sum dv^2} (exact).
-
-    Box pieces contribute independent minima; the sloped ones are resolved by
-    the weighted scalarization s(mu) = argmin (1-mu) Qz + mu Qv, whose
-    per-coordinate solution is closed form, followed by a bisection on
-    Qz(s(mu)) - Qv(s(mu)) (monotone in mu).
+    dz = zb - z' and dv = vb - a - b z', with z' in [zlo, zhi].
     """
-    fz = fv = 0.0
-    sloped = []
-    for term, i in zip(terms, coords):
-        if term[0] == "fixed":
-            fz += term[1]
-            fv += term[2]
-        else:
-            _, zlo, zhi, a, b = term
-            sloped.append((zlo, zhi, a, b, zbar[i], vbar[i]))
-    if not sloped:
-        return max(fz, fv)
+    denom = (1.0 - mu) + mu * b * b
+    zp = ((1.0 - mu) * zb + mu * b * (vb - a)) / denom
+    zp = np.minimum(np.maximum(zp, zlo), zhi)
+    return (zb - zp) ** 2, (vb - a - b * zp) ** 2
 
-    def at(mu):
-        qz, qv = fz, fv
-        for zlo, zhi, a, b, zb, vb in sloped:
-            denom = (1.0 - mu) + mu * b * b
-            zp = ((1.0 - mu) * zb + mu * b * (vb - a)) / denom
-            zp = min(max(zp, zlo), zhi)
-            qz += (zb - zp) ** 2
-            qv += (vb - a - b * zp) ** 2
+
+def _combo_minmax(fz, fv, sloped):
+    """Rowwise min over the combo's pieces of max{sum dz^2, sum dv^2} (exact).
+
+    fz, fv sum the box pieces' independent minima. ``sloped`` lists
+    (mask, zlo, zhi, a, b, zb, vb) per coordinate whose piece is sloped on the
+    rows of mask; those are resolved by the weighted scalarization
+    s(mu) = argmin (1-mu) Qz + mu Qv, closed form per coordinate, and a
+    bisection on Qz(s(mu)) - Qv(s(mu)) (monotone in mu).
+    """
+    out = np.maximum(fz, fv)
+    if not sloped:
+        return out
+    has = np.logical_or.reduce([t[0] for t in sloped])
+
+    def at(mu, rows):
+        qz, qv = fz[rows], fv[rows]
+        for mask, zlo, zhi, a, b, zb, vb in sloped:
+            tz, tv = _sloped_terms(mu, zb[rows], vb[rows], zlo[rows], zhi[rows], a, b)
+            qz = qz + np.where(mask[rows], tz, 0.0)
+            qv = qv + np.where(mask[rows], tv, 0.0)
         return qz, qv
 
-    qz0, qv0 = at(0.0)
-    if qz0 >= qv0:
-        return qz0
-    qz1, qv1 = at(1.0)
-    if qv1 >= qz1:
-        return qv1
-    lo, hi = 0.0, 1.0
-    best = min(max(qz0, qv0), max(qz1, qv1))
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        qz, qv = at(mid)
-        best = min(best, max(qz, qv))
-        if qz < qv:
-            lo = mid
-        else:
-            hi = mid
-    return best
+    rows = np.flatnonzero(has)
+    qz0, qv0 = at(0.0, rows)
+    qz1, qv1 = at(1.0, rows)
+    done0, done1 = qz0 >= qv0, qv1 >= qz1
+    out[rows] = np.where(done0, qz0, qv1)
+    need = ~(done0 | done1)
+    rows = rows[need]
+    if rows.size:
+        best = np.minimum(np.maximum(qz0, qv0), np.maximum(qz1, qv1))[need]
+        lo, hi = np.zeros(rows.size), np.ones(rows.size)
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            qz, qv = at(mid, rows)
+            best = np.minimum(best, np.maximum(qz, qv))
+            left = qz < qv
+            lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+        out[rows] = best
+    return out
 
 
-def _quick_candidate(per_coord_pieces, zbar, vbar):
-    """Upper bound: per coordinate, the piece point minimizing max(|dz|, |dv|)."""
-    dz2 = dv2 = 0.0
-    for i, pieces in enumerate(per_coord_pieces):
-        best = math.inf
-        pick = (0.0, 0.0)
-        for p in pieces:
-            val = _minmax_over_combo([_piece_terms(p, zbar[i], vbar[i])],
-                                     zbar, vbar, [i])
-            if val < best:
-                best = val
-                term = _piece_terms(p, zbar[i], vbar[i])
-                if term[0] == "fixed":
-                    pick = (term[1], term[2])
-                else:
-                    # recover the split for the sloped winner at its own optimum
-                    _, zlo, zhi, a, b = term
-                    pick = _sloped_split(zlo, zhi, a, b, zbar[i], vbar[i])
-        dz2 += pick[0]
-        dv2 += pick[1]
-    return math.sqrt(max(dz2, dv2))
-
-
-def _sloped_split(zlo, zhi, a, b, zb, vb):
-    best = (math.inf, 0.0, 0.0)
-    lo, hi = 0.0, 1.0
+def _sloped_pick(zb, vb, zlo, zhi, a, b):
+    """(dz^2, dv^2) at the bisection's best point of one sloped piece."""
+    best = np.full(zb.shape, math.inf)
+    qz_best, qv_best = np.zeros(zb.shape), np.zeros(zb.shape)
+    lo, hi = np.zeros(zb.shape), np.ones(zb.shape)
     for _ in range(80):
         mu = 0.5 * (lo + hi)
-        denom = (1.0 - mu) + mu * b * b
-        zp = min(max(((1.0 - mu) * zb + mu * b * (vb - a)) / denom, zlo), zhi)
-        qz = (zb - zp) ** 2
-        qv = (vb - a - b * zp) ** 2
-        if max(qz, qv) < best[0]:
-            best = (max(qz, qv), qz, qv)
-        if qz < qv:
-            lo = mu
-        else:
-            hi = mu
-    return best[1], best[2]
+        qz, qv = _sloped_terms(mu, zb, vb, zlo, zhi, a, b)
+        top = np.maximum(qz, qv)
+        better = top < best
+        best = np.where(better, top, best)
+        qz_best, qv_best = np.where(better, qz, qz_best), np.where(better, qv, qv_best)
+        left = qz < qv
+        lo, hi = np.where(left, mu, lo), np.where(left, hi, mu)
+    return qz_best, qv_best
 
 
-def distance_to_product_graph(zbar, vbar, graphs, clip_hint: float = None) -> float:
-    """Exact distance from (zbar, vbar) to the product of 1-D graphs.
+def _box_terms(Z, V, clipped):
+    """Per coordinate and piece, the interval distances (dz^2, dv^2) of every row."""
+    return [[(_interval_sqdist(Z[:, i], c.z_lo, c.z_hi), _interval_sqdist(V[:, i], c.v_lo, c.v_hi))
+             for c in pieces] for i, pieces in enumerate(clipped)]
+
+
+def _quick_bound(Z, V, clipped):
+    """Upper bound: per coordinate, the piece point minimizing max(|dz|, |dv|)."""
+    dz2 = np.zeros(len(Z))
+    dv2 = np.zeros(len(Z))
+    for i, (pieces, terms) in enumerate(zip(clipped, _box_terms(Z, V, clipped))):
+        zb, vb = Z[:, i], V[:, i]
+        best = np.full(len(Z), math.inf)
+        pick_z, pick_v = np.zeros(len(Z)), np.zeros(len(Z))
+        for c, (tz, tv) in zip(pieces, terms):
+            val = np.maximum(tz, tv)
+            r = np.flatnonzero(c.sloped)
+            if r.size:
+                zlo, zhi, a, b = c.z_lo[r], c.z_hi[r], c.intercept, c.slope
+                zero = np.zeros(r.size)
+                sloped = (np.ones(r.size, dtype=bool), zlo, zhi, a, b, zb[r], vb[r])
+                val[r] = _combo_minmax(zero, zero, [sloped])
+                tz, tv = tz.copy(), tv.copy()
+                tz[r], tv[r] = _sloped_pick(zb[r], vb[r], zlo, zhi, a, b)
+            better = c.ok & (val < best)
+            best = np.where(better, val, best)
+            pick_z, pick_v = np.where(better, tz, pick_z), np.where(better, tv, pick_v)
+        dz2 = dz2 + pick_z
+        dv2 = dv2 + pick_v
+    return np.sqrt(np.maximum(dz2, dv2))
+
+
+def _all_coords_hit(clipped):
+    return np.logical_and.reduce([np.logical_or.reduce([c.ok for c in pieces])
+                                  for pieces in clipped])
+
+
+def _graph_distances(Z, V, graphs, hint):
+    """Exact distance from each row (Z[k], V[k]) to the product of 1-D graphs.
 
     Distance under max{||z - z'||_2, ||v - v'||_2}. The target is not
     truncated: pieces are clipped only at a radius beyond which no point can
     beat the cheap per-coordinate candidate, keeping the result exact.
+    ``hint`` (one value per row) widens the radius of that candidate search.
     """
-    zbar = np.asarray(zbar, dtype=float)
-    vbar = np.asarray(vbar, dtype=float)
-    m = len(graphs)
-    reach = float(max(np.max(np.abs(zbar)), np.max(np.abs(vbar))))
-    probe = reach + (clip_hint if clip_hint is not None else 0.0) + 1.0
-    pieces0 = [g.clipped(probe) for g in graphs]
-    if any(len(p) == 0 for p in pieces0):
-        probe = reach + 1e6
-        pieces0 = [g.clipped(probe) for g in graphs]
-    d0 = _quick_candidate(pieces0, zbar, vbar)
-    clip = reach + d0 + 1.0
-    per_coord = [g.clipped(clip) for g in graphs]
-    if any(len(p) == 0 for p in per_coord):
-        return d0
+    reach = np.maximum(np.max(np.abs(Z), axis=1), np.max(np.abs(V), axis=1))
+    probe = reach + hint + 1.0
+    clipped = [_clip_rows(g, probe) for g in graphs]
+    missed = ~_all_coords_hit(clipped)
+    if missed.any():
+        probe = np.where(missed, reach + 1e6, probe)
+        clipped = [_clip_rows(g, probe) for g in graphs]
+    d0 = _quick_bound(Z, V, clipped)
+    clipped = [_clip_rows(g, reach + d0 + 1.0) for g in graphs]
     best = d0 * d0
-    for combo in itertools.product(*per_coord):
-        terms = [_piece_terms(p, zbar[i], vbar[i]) for i, p in enumerate(combo)]
-        val = _minmax_over_combo(terms, zbar, vbar, range(m))
-        if val < best:
-            best = val
-    return math.sqrt(best)
+    terms = _box_terms(Z, V, clipped)
+    for combo in itertools.product(*(range(len(g.pieces)) for g in graphs)):
+        ok = np.ones(len(Z), dtype=bool)
+        fz = fv = np.zeros(len(Z))
+        sloped = []
+        for i, j in enumerate(combo):
+            c = clipped[i][j]
+            tz, tv = terms[i][j]
+            ok &= c.ok
+            fz = fz + np.where(c.sloped, 0.0, tz)
+            fv = fv + np.where(c.sloped, 0.0, tv)
+            if c.sloped.any():
+                sloped.append((c.sloped, c.z_lo, c.z_hi, c.intercept, c.slope, Z[:, i], V[:, i]))
+        val = _combo_minmax(fz, fv, sloped)
+        best = np.where(ok & (val < best), val, best)
+    return np.where(_all_coords_hit(clipped), np.sqrt(best), d0)
 
 
 # ---------------------------------------------------------------------------
@@ -240,50 +317,58 @@ def _piece_measure(p):
     return max(math.hypot(dz, dv), 1e-9)
 
 
+def _sample_product_arrays(graphs, bound: float, count: int):
+    """Arrays (Z, V) of shape (k, m) behind sample_product_graph."""
+    m = len(graphs)
+    clipped = [g.clipped(bound) for g in graphs]
+    if any(len(p) == 0 for p in clipped):
+        return np.empty((0, m)), np.empty((0, m))
+    u = _halton_unit(m, count)
+    Z = np.empty((count, m))
+    V = np.empty((count, m))
+    for i, pieces in enumerate(clipped):
+        lengths = [_piece_measure(p) for p in pieces]
+        tot = sum(lengths)
+        starts, ends = [], []
+        acc = 0.0
+        for lp in lengths:
+            starts.append(acc)
+            ends.append(acc + lp)
+            acc += lp
+        target = u[:, i] * tot
+        # the first piece whose arclength range reaches the target, else the last
+        k = np.minimum(np.searchsorted(ends, target, side="left"), len(pieces) - 1)
+        s = (target - np.take(starts, k)) / np.take(lengths, k)
+        s = _where_lt(_where_gt(s, 0.0), 1.0)
+        for j, p in enumerate(pieces):
+            rows = k == j
+            sj = s[rows]
+            if p.is_vertical:
+                Z[rows, i] = p.z_lo
+                V[rows, i] = p.v_lo + sj * (p.v_hi - p.v_lo)
+                continue
+            z = p.z_lo + sj * (p.z_hi - p.z_lo)
+            Z[rows, i] = z
+            V[rows, i] = p.v_lo if p.is_flat else p.intercept + p.slope * z
+    breaks = [sorted({(p.z_lo, p.v_lo) for p in pieces} | {(p.z_hi, p.v_hi) for p in pieces})
+              for pieces in clipped]
+    combos = np.array(list(itertools.islice(itertools.product(*breaks), _BREAKPOINT_COMBO_CAP)),
+                      dtype=float).reshape(-1, m, 2)
+    Z = np.concatenate([Z, combos[:, :, 0]])
+    V = np.concatenate([V, combos[:, :, 1]])
+    keep = _within(Z, bound + 1e-12) & _within(V, bound + 1e-12)
+    return Z[keep], V[keep]
+
+
 def sample_product_graph(graphs, bound: float, count: int = 2000):
     """Deterministic samples of the product graph inside the ball of radius bound.
 
     Low-discrepancy (Halton) points drive per-coordinate arclength positions;
     every combination of piece breakpoints is added (capped), since staircase
     extrema sit at breakpoints. Points are filtered to ||z||_2 <= bound and
-    ||v||_2 <= bound.
+    ||v||_2 <= bound. Returns a list of (z, v) pairs.
     """
-    m = len(graphs)
-    clipped = [g.clipped(bound) for g in graphs]
-    if any(len(p) == 0 for p in clipped):
-        return []
-    lengths = [[_piece_measure(p) for p in pieces] for pieces in clipped]
-    totals = [sum(ls) for ls in lengths]
-    sampler = qmc.Halton(d=m, scramble=False)
-    u = sampler.random(count)
-    out = []
-    for row in u:
-        z = np.empty(m)
-        v = np.empty(m)
-        for i, (pieces, ls, tot) in enumerate(zip(clipped, lengths, totals)):
-            target = row[i] * tot
-            acc = 0.0
-            for p, lp in zip(pieces, ls):
-                if target <= acc + lp or p is pieces[-1]:
-                    s = (target - acc) / lp
-                    z[i], v[i] = p.point_at(min(max(s, 0.0), 1.0))
-                    break
-                acc += lp
-        out.append((z, v))
-    breaks = [sorted({(p.z_lo, p.v_lo) for p in pieces} | {(p.z_hi, p.v_hi) for p in pieces})
-              for pieces in clipped]
-    n_combos = 1
-    for b in breaks:
-        n_combos *= len(b)
-    combos = itertools.product(*breaks)
-    if n_combos > _BREAKPOINT_COMBO_CAP:
-        combos = itertools.islice(combos, _BREAKPOINT_COMBO_CAP)
-    for combo in combos:
-        z = np.array([c[0] for c in combo])
-        v = np.array([c[1] for c in combo])
-        out.append((z, v))
-    return [(z, v) for (z, v) in out
-            if np.linalg.norm(z) <= bound + 1e-12 and np.linalg.norm(v) <= bound + 1e-12]
+    return list(zip(*_sample_product_arrays(graphs, bound, count)))
 
 
 def _require_separable(h: OuterFunction, role: str):
@@ -293,19 +378,31 @@ def _require_separable(h: OuterFunction, role: str):
 
 def graph_excess_measured(h_from: OuterFunction, h_to: OuterFunction, rho: float,
                           samples: int = 2000) -> float:
-    """Sampled lower bound on exs_{2 rho}(gph dh_from ; gph dh_to)."""
+    """Sampled lower bound on exs_{2 rho}(gph dh_from ; gph dh_to).
+
+    Each sample's distance search is seeded with the largest distance of the
+    samples before it. That makes sample k depend on samples 0..k-1; the batch
+    resolves the dependency by fixed-point iteration, recomputing the rows
+    whose seed changed until no seed changes. The first pass settles sample
+    0 and each further pass at least one more, so the result is that of
+    visiting the samples in order.
+    """
     _require_separable(h_from, "source")
     _require_separable(h_to, "target")
-    bound = 2.0 * rho
     graphs_from = [h_from.graph_1d(i) for i in range(h_from.m)]
     graphs_to = [h_to.graph_1d(i) for i in range(h_to.m)]
-    best = 0.0
-    hint = None
-    for z, v in sample_product_graph(graphs_from, bound, samples):
-        d = distance_to_product_graph(z, v, graphs_to, clip_hint=hint)
-        hint = max(hint or 0.0, d)
-        best = max(best, d)
-    return best
+    Z, V = _sample_product_arrays(graphs_from, 2.0 * rho, samples)
+    if len(Z) == 0:
+        return 0.0
+    hint = np.zeros(len(Z))
+    d = _graph_distances(Z, V, graphs_to, hint)
+    while True:
+        seen = np.maximum.accumulate(np.concatenate([[0.0], d[:-1]]))
+        stale = seen != hint
+        if not stale.any():
+            return float(max(0.0, np.max(d)))
+        hint = seen
+        d[stale] = _graph_distances(Z[stale], V[stale], graphs_to, hint[stale])
 
 
 def _graphs_identical(ha: OuterFunction, hb: OuterFunction) -> bool:
@@ -414,15 +511,23 @@ def support_set_excess(A, A_approx) -> float:
 # eta estimates and the solution-error bound
 
 
-def low_discrepancy_points(n: int, rho: float, count: int):
+def low_discrepancy_points(n: int, rho: float, count: int) -> np.ndarray:
     """Unscrambled Halton points in the Euclidean rho-ball of R^n.
 
-    Deterministic; also serves as the anchor sequence for cutting-plane
-    models, whose pointwise convergence needs a dense countable anchor set.
+    The rows of the first count Halton points of [-rho, rho]^n that lie in
+    the ball, as a read-only array cached per (n, rho, count). Deterministic;
+    also serves as the anchor sequence for cutting-plane models, whose
+    pointwise convergence needs a dense countable anchor set.
     """
-    sampler = qmc.Halton(d=n, scramble=False)
-    pts = rho * (2.0 * sampler.random(count) - 1.0)
-    return [p for p in pts if np.linalg.norm(p) <= rho]
+    return _ball_rows(n, rho, count)
+
+
+@functools.lru_cache(maxsize=16)
+def _ball_rows(n, rho, count):
+    pts = rho * (2.0 * _halton_unit(n, count) - 1.0)
+    pts = pts[_within(pts, rho)]
+    pts.flags.writeable = False
+    return pts
 
 
 _ball_samples = low_discrepancy_points
@@ -481,18 +586,20 @@ def solution_error_bound(eta0: float, eta: float, graph_excess: float,
 
 def uniform_outer_gap(h_a: OuterFunction, h_b: OuterFunction, rho: float,
                       samples: int = 2000) -> float:
-    """Sampled sup over the rho-ball of |h_a - h_b| (finite points only)."""
+    """Sampled sup over the rho-ball of |h_a - h_b| (finite points only).
+
+    inf when at some sample exactly one of the two values is infinite.
+    """
     if h_a.m != h_b.m:
         raise ValueError("outer functions must share dimension")
-    gap = 0.0
-    for z in _ball_samples(h_a.m, rho, samples):
-        va, vb = h_a.value(z), h_b.value(z)
-        if math.isinf(va) or math.isinf(vb):
-            if math.isinf(va) != math.isinf(vb):
-                return math.inf
-            continue
-        gap = max(gap, abs(va - vb))
-    return gap
+    pts = _ball_samples(h_a.m, rho, samples)
+    va, vb = h_a.value_batch(pts), h_b.value_batch(pts)
+    inf_a = np.isinf(va)
+    if np.any(inf_a != np.isinf(vb)):
+        return math.inf
+    finite = ~inf_a
+    # a NaN difference does not count toward the gap (fmax ignores it)
+    return float(np.fmax.reduce(np.abs(va[finite] - vb[finite]), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -587,12 +694,11 @@ def _graph_nearest_1d(graph: SubdifferentialGraph1D, zb: float, vb: float, clip:
     """Nearest point of one 1-D graph under max(|dz|, |dv|)."""
     best = (math.inf, zb, vb)
     for p in graph.clipped(clip):
-        term = _piece_terms(p, zb, vb)
-        if term[0] == "fixed":
+        if p.is_vertical or p.is_flat:
             zp = min(max(zb, p.z_lo), p.z_hi)
             vp = min(max(vb, p.v_lo), p.v_hi)
         else:
-            _, zlo, zhi, a, b = term
+            zlo, zhi, a, b = p.z_lo, p.z_hi, p.intercept, p.slope
             # minimize max(|zb - z'|, |vb - a - b z'|): coarse scan + refine
             grid = np.linspace(zlo, zhi, 65)
             vals = np.maximum(np.abs(zb - grid), np.abs(vb - a - b * grid))

@@ -9,6 +9,7 @@ find before raising, so a broken file reports all problems at once.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -266,6 +267,8 @@ def _validate_epca(epca, n, errors):
         errors.append("epca: x0 must be a numeric list")
     elif n is not None and len(x0) != n:
         errors.append(f"epca: x0 has length {len(x0)}, problem dimension is {n}")
+    elif not all(isinstance(v, (int, float)) and math.isfinite(v) for v in x0):
+        errors.append("epca: x0 entries must be finite numbers")
     if not epca.get("tau", 0) > 1:
         errors.append("epca: tau must satisfy tau > 1")
     sigma = epca.get("sigma")
@@ -308,8 +311,15 @@ def validate_config(doc, base_dir=".") -> list:
     if "epca" in doc:
         _validate_epca(doc["epca"], n, errors)
     diag = doc.get("diagnostics", {})
-    if diag and (not isinstance(diag.get("rho", 1.0), (int, float)) or diag.get("rho", 1.0) <= 0):
+    if not isinstance(diag, dict):
+        errors.append("diagnostics: must be an object")
+        return errors
+    rho = diag.get("rho", 1.0)
+    if not isinstance(rho, (int, float)) or rho <= 0:
         errors.append("diagnostics: rho must be positive")
+    samples = diag.get("samples", 2000)
+    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
+        errors.append("diagnostics: samples must be an integer >= 1")
     return errors
 
 

@@ -629,7 +629,11 @@ def _run_artifact_check(check, tables):
 
 
 def verify_summary(summary_path) -> int:
-    """Re-check a summary against its stored artifacts; 0 ok, 1 mismatch."""
+    """Re-check a summary against its stored artifacts.
+
+    0 ok, 1 mismatch, 2 the summary records an incomplete run (for example
+    nonconvergence), 3 the summary or its artifacts cannot be loaded.
+    """
     summary_path = pathlib.Path(summary_path)
     try:
         with open(summary_path, "r", encoding="utf-8") as fh:
@@ -640,6 +644,10 @@ def verify_summary(summary_path) -> int:
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"verify: cannot load artifacts: {exc}")
         return 3
+    status = summary.get("status")
+    if status != "complete":
+        print(f"verify: {summary['name']}: summary status is {status!r}, not 'complete'")
+        return 2
     failures = []
     for name, record in summary.get("assertions", {}).items():
         recomputed = _check_assertion(record)

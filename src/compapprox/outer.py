@@ -184,11 +184,25 @@ class OuterFunction:
     def value(self, z) -> float:
         raise NotImplementedError
 
+    def value_batch(self, Z) -> np.ndarray:
+        """Values at the rows of Z, shape (N, m).
+
+        Must equal ``value`` row by row, bit for bit; overrides vectorize
+        only where that holds. The default loops over ``value``.
+        """
+        return np.array([self.value(z) for z in self._check_batch(Z)], dtype=float)
+
     def _check(self, z):
         z = np.asarray(z, dtype=float)
         if z.shape != (self.m,):
             raise ValueError(f"z has shape {z.shape}, expected ({self.m},)")
         return z
+
+    def _check_batch(self, Z):
+        Z = np.asarray(Z, dtype=float)
+        if Z.ndim != 2 or Z.shape[1] != self.m:
+            raise ValueError(f"Z has shape {Z.shape}, expected (N, {self.m})")
+        return Z
 
     def grad(self, z) -> np.ndarray:
         raise CapabilityError(f"{type(self).__name__} has no gradient query")
@@ -256,6 +270,10 @@ class GoalOuter(OuterFunction):
         z = self._check(z)
         return float(np.sum(self.alpha * np.maximum(0.0, z - self.tau)))
 
+    def value_batch(self, Z):
+        Z = self._check_batch(Z)
+        return np.sum(self.alpha * np.maximum(0.0, Z - self.tau), axis=1)
+
     def subdiff_1d(self, i, t, slack=0.0):
         a, tau = self.alpha[i], self.tau[i]
         lo = 0.0 if t - slack <= tau else a
@@ -305,6 +323,10 @@ class SoftplusGoalOuter(OuterFunction):
     def value(self, z):
         z = self._check(z)
         return float(np.sum(self.alpha * softplus(self.theta, z - self.tau)))
+
+    def value_batch(self, Z):
+        Z = self._check_batch(Z)
+        return np.sum(self.alpha * softplus(self.theta, Z - self.tau), axis=1)
 
     def grad(self, z):
         z = self._check(z)
@@ -764,6 +786,10 @@ class SupportOuter(OuterFunction):
     def value(self, z):
         z = self._check(z)
         return float(np.max(self.points @ z))
+
+    def value_batch(self, Z):
+        # one product per row: a single points @ Z.T rounds differently
+        return np.array([np.max(self.points @ z) for z in self._check_batch(Z)], dtype=float)
 
     def _active(self, z, slack):
         vals = self.points @ z

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from compapprox.consistency import (epi_probe,
-                                    estimate_eta, fit_loglog_slope,
+from compapprox.consistency import (_graph_distances, epi_probe, estimate_eta, fit_loglog_slope,
                                     graph_excess_measured,
                                     graph_excess_separable,
-                                    homotopy_graph_excess, near_solution_transfer,
+                                    homotopy_graph_excess, low_discrepancy_points,
+                                    near_solution_transfer,
                                     sample_product_graph, solution_error_bound,
                                     support_set_excess, uniform_outer_gap)
 from compapprox.errors import CapabilityError
@@ -17,8 +17,8 @@ from compapprox.model import CompositeProblem, StationarityTriple
 from compapprox.outer import (AugLagrangianOuter, EqualityIndicatorOuter,
                               ExactPenaltyOuter, GoalOuter,
                               InequalityIndicatorOuter, LinearOuter,
-                              QuadPenaltyOuter, SoftplusGoalOuter, SupportOuter,
-                              softplus)
+                              QuadPenaltyOuter, SoftplusGoalOuter,
+                              SquaredErrorOuter, SupportOuter, softplus)
 
 
 # ---------------------------------------------------------------------------
@@ -354,3 +354,118 @@ def test_excess_report_ordering_invariant():
         assert rep.measured_lower <= rep.certified_upper + 1e-10
         if rep.paper_bound is not None:
             assert rep.certified_upper <= rep.paper_bound + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# golden values: the batched diagnostics reproduce the per-sample evaluation
+# bit for bit (reprs recorded from the per-sample implementation)
+
+
+_EXCESS_GOLDEN = [
+    # pairs the bundled fixtures use
+    (lambda: (AugLagrangianOuter([0.0], 10.0), EqualityIndicatorOuter(2), 1.0, 2000),
+     "0.1731138545953361"),
+    (lambda: (AugLagrangianOuter([0.0], 1e3), EqualityIndicatorOuter(2), 1.0, 2000),
+     "0.0017311385459533608"),
+    (lambda: (AugLagrangianOuter([0.0], 1e6), EqualityIndicatorOuter(2), 1.0, 2000),
+     "1.7311385459533608e-06"),
+    (lambda: (AugLagrangianOuter([0.37], 100.0), EqualityIndicatorOuter(2), 1.0, 2000),
+     "0.02101138545953361"),
+    (lambda: (AugLagrangianOuter([-0.2], 1e3), EqualityIndicatorOuter(2), 6.0, 2000),
+     "0.012156104252400546"),
+    (lambda: (AugLagrangianOuter(np.zeros(3), 10.0), EqualityIndicatorOuter(4), 1.0, 2000),
+     "0.17312236059535027"),
+    (lambda: (AugLagrangianOuter(np.zeros(3), 1e4), EqualityIndicatorOuter(4), 1.0, 2000),
+     "0.00017312236059535026"),
+    (lambda: (ExactPenaltyOuter(1.0, 2), EqualityIndicatorOuter(2), 2.0, 2000),
+     "3.9771376314586178"),
+    (lambda: (ExactPenaltyOuter(2.0, 2), EqualityIndicatorOuter(2), 2.0, 2000),
+     "3.972565157750342"),
+    (lambda: (ExactPenaltyOuter(8.0, 2), EqualityIndicatorOuter(2), 2.0, 2000), "0.0"),
+    (lambda: (QuadPenaltyOuter(10.0, 3), InequalityIndicatorOuter(3), 1.0, 2000),
+     "0.08659005197943304"),
+    (lambda: (QuadPenaltyOuter(1e3, 3), InequalityIndicatorOuter(3), 1.0, 2000),
+     "0.0008655605610173051"),
+    # sloped targets
+    (lambda: (EqualityIndicatorOuter(2), AugLagrangianOuter([0.0], 10.0), 1.0, 2000),
+     "0.15737623145030555"),
+    (lambda: (AugLagrangianOuter([0.3, -0.1], 5.0), AugLagrangianOuter([-0.2, 0.4], 2.0),
+              1.5, 2000),
+     "0.7449244985313755"),
+    (lambda: (InequalityIndicatorOuter(3), QuadPenaltyOuter(4.0, 3), 1.0, 2000),
+     "0.19234678376767209"),
+    (lambda: (SquaredErrorOuter([0.2, -0.5], 0.7), SquaredErrorOuter([0.0, 0.3], 2.0), 1.0, 500),
+     "1.3952897445407701"),
+    # staircase targets
+    (lambda: (GoalOuter([1.0, 0.5], [0.0, 0.3]), GoalOuter([1.2, 0.8], [0.1, -0.4]), 1.0, 2000),
+     "0.7071067811865475"),
+    (lambda: (AugLagrangianOuter([0.2], 3.0), GoalOuter([1.0, 0.6], [0.2, 0.0]), 1.0, 2000),
+     "1.936328125"),
+    (lambda: (ExactPenaltyOuter(0.7, 3), GoalOuter([1.0, 0.5, 2.0], [0.0, 0.1, -0.2]), 1.0, 600),
+     "1.47648230602334"),
+]
+
+
+@pytest.mark.parametrize("case, expected", _EXCESS_GOLDEN)
+def test_graph_excess_golden(case, expected):
+    h_from, h_to, rho, samples = case()
+    assert repr(graph_excess_measured(h_from, h_to, rho, samples)) == expected
+
+
+@pytest.mark.parametrize("base, lam, expected", [
+    (LinearOuter([1.0]), 0.5, "0.7071067811865476"),
+    (LinearOuter([1.0]), 0.1, "0.1414213562373095"),
+    (LinearOuter([1.0]), 0.01, "0.014142135623730958"),
+    (GoalOuter([1.0], [0.0]), 0.4, "0.5656854249492381"),
+    (GoalOuter([1.0], [0.0]), 0.05, "0.07071067811865478"),
+])
+def test_homotopy_excess_golden(base, lam, expected):
+    assert repr(homotopy_graph_excess(base, lam, 1.0).measured_lower) == expected
+
+
+_SIMPLEX = [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("case, expected", [
+    (lambda: (SoftplusGoalOuter([1.0], [1.0], 2.0), GoalOuter([1.0], [1.0]), 1.0, 2000),
+     "0.34559798145368276"),
+    (lambda: (SoftplusGoalOuter([1.0], [1.0], 64.0), GoalOuter([1.0], [1.0]), 1.0, 2000),
+     "0.009884359926830765"),
+    (lambda: (SoftplusGoalOuter([1.0], [1.0], 1024.0), GoalOuter([1.0], [1.0]), 1.0, 2000),
+     "0.00012395313578415283"),
+    (lambda: (SoftplusGoalOuter([1.0, 0.5, 2.0], [0.2, -0.1, 0.4], 7.0),
+              GoalOuter([1.0, 0.5, 2.0], [0.2, -0.1, 0.4]), 1.5, 1500),
+     "0.2862313430763602"),
+    (lambda: (SupportOuter(_SIMPLEX), SupportOuter([[0.9, 0.1], [0.1, 0.9]]), 1.0, 2000),
+     "0.14111363847450842"),
+    (lambda: (SupportOuter(_SIMPLEX), SupportOuter([[0.999, 0.001], [0.001, 0.999]]), 1.0, 2000),
+     "0.0014111363847451042"),
+    (lambda: (SupportOuter([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3]]),
+              SupportOuter([[0.25, 0.25, 0.5], [0.5, 0.2, 0.3], [1.0, 0.0, 0.0]]), 2.0, 1000),
+     "0.9402697894375858"),
+    (lambda: (EqualityIndicatorOuter(2), LinearOuter([1.0, 0.0]), 1.0, 100), "inf"),
+    (lambda: (InequalityIndicatorOuter(2), InequalityIndicatorOuter(2), 1.0, 100), "0.0"),
+])
+def test_uniform_outer_gap_golden(case, expected):
+    h_a, h_b, rho, samples = case()
+    assert repr(uniform_outer_gap(h_a, h_b, rho, samples)) == expected
+
+
+def test_graph_distances_do_not_depend_on_batching():
+    h_from, h_to = AugLagrangianOuter([0.3, -0.1], 5.0), GoalOuter([1.2, 0.8, 0.5], [0.1, -0.4, 0.0])
+    graphs_to = [h_to.graph_1d(i) for i in range(h_to.m)]
+    pts = sample_product_graph([h_from.graph_1d(i) for i in range(h_from.m)], 2.0, count=64)
+    Z, V = np.array([z for z, _ in pts]), np.array([v for _, v in pts])
+    hint = np.linspace(0.0, 3.0, len(Z))
+    batch = _graph_distances(Z, V, graphs_to, hint)
+    one_by_one = [_graph_distances(Z[k:k + 1], V[k:k + 1], graphs_to, hint[k:k + 1])[0]
+                  for k in range(len(Z))]
+    assert batch.tobytes() == np.array(one_by_one).tobytes()
+
+
+def test_ball_points_are_cached_and_read_only():
+    pts = low_discrepancy_points(3, 1.5, 200)
+    assert pts is low_discrepancy_points(3, 1.5, 200)
+    assert not pts.flags.writeable
+    assert np.all(np.linalg.norm(pts, axis=1) <= 1.5)
+    assert 0 < len(pts) < 200

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -212,6 +213,39 @@ def test_nonconvergence_exit_code_with_partial_artifacts(tmp_path):
     assert (tmp_path / "exact_penalty_trace.csv").exists()
     summary = json.loads((tmp_path / "exact_penalty_summary.json").read_text())
     assert summary["status"] == "nonconvergence"
+
+
+def test_verify_rejects_nonconvergent_summary(tmp_path, capsys):
+    doc = json.loads(json.dumps(FIXTURES["exact_penalty"]))
+    doc["epca"]["inner_iteration_cap"] = 1
+    doc["family"]["delta0"] = 1e-12
+    assert run_experiment(config_from_dict(doc), output_dir=tmp_path) == 2
+    capsys.readouterr()
+    assert verify_summary(tmp_path / "exact_penalty_summary.json") == 2
+    assert "'nonconvergence'" in capsys.readouterr().out
+
+
+def _cli_run_doc(tmp_path, doc):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    return cli_main(["run", str(p), "--output-dir", str(tmp_path)])
+
+
+@pytest.mark.parametrize("samples", [-5, 0, 2.5, True])
+def test_cli_rejects_bad_diagnostics_samples(tmp_path, capsys, samples):
+    doc = json.loads(json.dumps(FIXTURES["goal_softplus"]))
+    doc["diagnostics"]["samples"] = samples
+    assert _cli_run_doc(tmp_path, doc) == 3
+    assert "samples must be an integer >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "goal_softplus_summary.json").exists()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cli_rejects_nonfinite_x0(tmp_path, capsys, bad):
+    doc = json.loads(json.dumps(FIXTURES["goal_softplus"]))
+    doc["epca"]["x0"][0] = bad
+    assert _cli_run_doc(tmp_path, doc) == 3
+    assert "x0 entries must be finite" in capsys.readouterr().err
 
 
 def test_trace_csv_schema(tmp_path):

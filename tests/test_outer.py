@@ -56,6 +56,25 @@ def test_support_value_example():
     assert outer_value(h, [3.0, 1.0]) == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 8, 9, 33])
+def test_value_batch_matches_value_bit_for_bit(m):
+    rng = np.random.default_rng(m)
+    Z = rng.normal(0.0, 3.0, size=(257, m))
+    Z[::5] = np.round(Z[::5])          # hit kinks and exact zeros
+    alpha, tau = rng.uniform(0.0, 2.0, m), rng.normal(size=m)
+    points = rng.dirichlet(np.ones(m), size=4)
+    for h in (GoalOuter(alpha, tau), SoftplusGoalOuter(alpha, tau, 7.5),
+              SoftplusGoalOuter(alpha, tau, 1e4), SupportOuter(points), LinearOuter(tau)):
+        expected = np.array([h.value(z) for z in Z])
+        assert h.value_batch(Z).tobytes() == expected.tobytes(), type(h).__name__
+    for h in catalogue():
+        Zc = rng.normal(0.0, 2.0, size=(40, h.m))
+        expected = np.array([h.value(z) for z in Zc])
+        assert h.value_batch(Zc).tobytes() == expected.tobytes(), type(h).__name__
+    with pytest.raises(ValueError):
+        GoalOuter(alpha, tau).value_batch(Z[:, :-1] if m > 1 else Z[0])
+
+
 def test_equality_indicator_value():
     h = EqualityIndicatorOuter(2)
     assert outer_value(h, [4.0, 0.0]) == 4.0
