@@ -16,17 +16,14 @@ from .geometry import (Ball, Box, ClosedSet, HalfspaceIntersection, WholeSpace,
 from .inner import (Activation, AffineMapping, InnerMapping, MinSmoothMapping,
                     NetworkForwardMapping, NetworkLiftMapping,
                     QuadraticArrayMapping, SampleAverageMapping,
-                    build_network_lift, inner_eval, inner_jacobian_element,
-                    resample)
-from .model import (ApproximationSchedule, CompositeProblem, ResidualTriple,
-                    ScheduleEntry, StationarityTriple, eval_phi,
+                    build_network_lift, resample)
+from .model import (CompositeProblem, ResidualTriple, StationarityTriple, eval_phi,
                     stationarity_residual)
 from .outer import (AugLagrangianOuter, BlockSeparableOuter, CuttingPlaneOuter,
                     EqualityIndicatorOuter, ExactPenaltyOuter, GoalOuter,
                     HomotopyOuter, InequalityIndicatorOuter, LinearOuter,
                     LogBarrierOuter, OuterFunction, QuadPenaltyOuter,
                     SoftplusGoalOuter, SquaredErrorOuter, SupportOuter,
-                    add_cut, outer_prox, outer_subdiff_1d, outer_value,
-                    softplus, softplus_grad, subdiff_graph_1d)
+                    add_cut, softplus, softplus_grad)
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ import sys
 
 from ..errors import ConfigError, NonconvergenceError
 from .config import load_config
-from .fixtures import FIXTURES, fixture_config, fixture_path, list_fixtures
+from .fixtures import FIXTURE_ORDER, fixture_config, fixture_path, list_fixtures
 from .runner import run_experiment, verify_summary
 
 
@@ -27,7 +27,7 @@ def _cmd_run(args) -> int:
     try:
         if os.path.exists(args.config):
             cfg = load_config(args.config)
-        elif args.config in FIXTURES:
+        elif args.config in FIXTURE_ORDER:
             cfg = fixture_config(args.config)
         else:
             print(f"run: {args.config!r} is neither a file nor a bundled fixture name",

@@ -9,7 +9,6 @@ find before raising, so a broken file reports all problems at once.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,10 +21,9 @@ from ..inner import (Activation, AffineMapping, MinSmoothMapping,
 from ..model import CompositeProblem
 from ..outer import (EqualityIndicatorOuter, GoalOuter, InequalityIndicatorOuter,
                      LinearOuter, SquaredErrorOuter, SupportOuter)
+from .families import FAMILIES, check_number, is_number
 
-FAMILY_NAMES = ("softplus_goal", "aug_lagrangian", "quad_penalty", "exact_penalty",
-                "log_barrier", "homotopy", "support_perturb", "min_smoothing",
-                "sample_average", "network_softplus", "identity")
+FAMILY_NAMES = tuple(FAMILIES)
 
 SET_KINDS = ("whole", "box", "ball", "halfspaces")
 OUTER_VARIANTS = ("goal", "linear", "support", "equality_indicator",
@@ -225,37 +223,25 @@ def _validate_problem(problem, errors, outer_dim_offset=0, base_dir="."):
     return n, m
 
 
-def _validate_family(family, errors):
+def _validate_family(family, entry, problem, errors):
     if not isinstance(family, dict):
         errors.append("family: must be an object")
         return
-    name = family.get("name")
-    if name not in FAMILY_NAMES:
-        errors.append(f"family: unknown name {name!r} (expected one of {FAMILY_NAMES})")
     length = family.get("length")
-    if not isinstance(length, int) or length < 1:
+    if not isinstance(length, int) or isinstance(length, bool) or length < 1:
         errors.append("family: length must be a positive integer")
-    if not isinstance(family.get("delta0"), (int, float)) or family.get("delta0", 0) <= 0:
-        errors.append("family: delta0 must be positive")
-    decay = family.get("delta_decay", 0.5)
-    if not (0 < decay < 1):
-        errors.append("family: delta_decay must lie in (0, 1)")
-    if name in ("softplus_goal", "aug_lagrangian", "quad_penalty", "exact_penalty",
-                "log_barrier", "min_smoothing", "network_softplus"):
-        if family.get("theta0", 0) <= 0:
-            errors.append(f"family {name}: theta0 must be positive")
-        if family.get("theta_growth", 0) <= 1:
-            errors.append(f"family {name}: theta_growth must exceed 1")
-    if name == "homotopy":
-        if not (0 < family.get("lam0", 0) < 1):
-            errors.append("family homotopy: lam0 must lie in (0, 1)")
-        if not (0 < family.get("lam_decay", 0) < 1):
-            errors.append("family homotopy: lam_decay must lie in (0, 1)")
-    if name == "support_perturb" and "alphas" not in family:
-        errors.append("family support_perturb: needs the perturbation list 'alphas'")
-    if name == "sample_average":
-        if family.get("count0", 0) < 1 or family.get("count_growth", 0) <= 1:
-            errors.append("family sample_average: needs count0 >= 1 and count_growth > 1")
+    check_number(family, "delta0", errors, "family", 0)
+    check_number(family, "delta_decay", errors, "family", 0, 1, default=0.5)
+    if entry is None:
+        errors.append(f"family: unknown name {family.get('name')!r} "
+                      f"(expected one of {FAMILY_NAMES})")
+    else:
+        entry.validate(family, problem, errors)
+
+
+def _family_entry(family):
+    name = family.get("name") if isinstance(family, dict) else None
+    return FAMILIES.get(name) if isinstance(name, str) else None
 
 
 def _validate_epca(epca, n, errors):
@@ -267,22 +253,16 @@ def _validate_epca(epca, n, errors):
         errors.append("epca: x0 must be a numeric list")
     elif n is not None and len(x0) != n:
         errors.append(f"epca: x0 has length {len(x0)}, problem dimension is {n}")
-    elif not all(isinstance(v, (int, float)) and math.isfinite(v) for v in x0):
+    elif not all(is_number(v) for v in x0):
         errors.append("epca: x0 entries must be finite numbers")
-    if not epca.get("tau", 0) > 1:
-        errors.append("epca: tau must satisfy tau > 1")
-    sigma = epca.get("sigma")
-    if not isinstance(sigma, (int, float)) or not 0 < sigma < 1:
-        errors.append("epca: sigma must lie in (0, 1)")
-    lam_bar = epca.get("lambda_bar", 0)
-    if lam_bar <= 0:
-        errors.append("epca: lambda_bar must be positive")
-    lam0 = epca.get("lambda0", 0)
-    if not (0 < lam0 <= lam_bar or lam_bar <= 0):
+    check_number(epca, "tau", errors, "epca", 1)
+    check_number(epca, "sigma", errors, "epca", 0, 1)
+    check_number(epca, "lambda_bar", errors, "epca", 0)
+    check_number(epca, "subproblem_tolerance_factor", errors, "epca", 0, 1, default=0.1)
+    lam_bar, lam0 = epca.get("lambda_bar"), epca.get("lambda0")
+    if not (is_number(lam0) and lam0 > 0
+            and (not is_number(lam_bar) or lam_bar <= 0 or lam0 <= lam_bar)):
         errors.append("epca: lambda0 must lie in (0, lambda_bar]")
-    factor = epca.get("subproblem_tolerance_factor", 0.1)
-    if not 0 < factor < 1:
-        errors.append("epca: subproblem_tolerance_factor must lie in (0, 1)")
 
 
 def validate_config(doc, base_dir=".") -> list:
@@ -299,15 +279,13 @@ def validate_config(doc, base_dir=".") -> list:
     if not isinstance(seed, int):
         errors.append("seed must be an integer")
     n = m = None
-    family_name = doc.get("family", {}).get("name") if isinstance(doc.get("family"), dict) else None
+    entry = _family_entry(doc.get("family"))
     if "problem" in doc:
-        # the homotopy family's outer function is the base over the first m-1
-        # coordinates; the last inner component is the homotopy term
-        offset = 1 if family_name == "homotopy" else 0
+        offset = entry.outer_dim_offset if entry is not None else 0
         n, m = _validate_problem(doc["problem"], errors, outer_dim_offset=offset,
                                  base_dir=base_dir)
     if "family" in doc:
-        _validate_family(doc["family"], errors)
+        _validate_family(doc["family"], entry, doc.get("problem"), errors)
     if "epca" in doc:
         _validate_epca(doc["epca"], n, errors)
     diag = doc.get("diagnostics", {})

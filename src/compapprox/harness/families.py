@@ -1,23 +1,57 @@
-"""Approximation-family builders.
+"""Approximation families: one ``FAMILIES`` entry per family.
 
-Each family turns the configured actual problem into the outer schedule of
+A family turns the configured actual problem into the outer schedule of
 approximating problems (X^nu, h^nu, F^nu) consumed by the solver, together
-with the per-index driving parameter reported in the artifacts.
+with the per-index driving parameter reported in the artifacts. Its entry
+also holds everything else that depends on the family: the parameter checks
+run at config validation, the per-stage rate diagnostic and the number of
+trailing inner components the actual outer function does not see.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
+from .. import consistency as cons
 from ..epca import Stage
-from ..errors import ConfigError
-from ..inner import SampleAverageMapping
-from ..model import ApproximationSchedule, CompositeProblem, ScheduleEntry
+from ..inner import Activation, NetworkForwardMapping, SampleAverageMapping
+from ..model import CompositeProblem
 from ..outer import (AugLagrangianOuter, ExactPenaltyOuter, HomotopyOuter,
                      LogBarrierOuter, QuadPenaltyOuter, SoftplusGoalOuter,
                      SupportOuter)
 from ..rng import stream
-from .config import ExperimentConfig
+
+
+@dataclass(frozen=True)
+class Family:
+    """Everything one approximation family does differently from the others.
+
+    * ``validate(family, problem, errors)`` appends one message per broken
+      family parameter or unmet requirement on the actual problem; together
+      with the checks common to all families it guarantees theta
+      nondecreasing, homotopy lambda nonincreasing in (0, 1) and delta
+      nonincreasing along the schedule;
+    * ``build(cfg, X, h, F)`` returns (actual CompositeProblem, [Stage, ...]);
+    * ``rate(stage, actual, rho, samples)`` returns the stage's
+      (excess_lower, excess_upper, paper_bound, eta0, eta);
+    * ``outer_dim_offset`` counts the trailing inner components that the
+      actual outer function does not see.
+    """
+
+    validate: Callable
+    build: Callable
+    rate: Callable
+    outer_dim_offset: int = 0
+
+
+def build_stages(cfg):
+    """Return (actual CompositeProblem, [Stage, ...]) for a validated config."""
+    family = FAMILIES[cfg.family["name"]]
+    return family.build(cfg, cfg.build_set(), cfg.build_outer(), cfg.build_inner())
 
 
 def perturb_support_points(points, alpha):
@@ -41,140 +75,226 @@ def perturb_support_points(points, alpha):
     return np.array(out)
 
 
-def build_stages(cfg: ExperimentConfig):
-    """Return (actual CompositeProblem, [Stage, ...]) for the configured family.
+# ---------------------------------------------------------------------------
+# validation
 
-    The schedule's monotonicity invariants (theta nondecreasing, delta
-    nonincreasing, homotopy lambda nonincreasing) are validated on the way out.
+
+def is_number(v):
+    """A finite real number; bools are not numbers here."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def check_number(doc, key, errors, ctx, lo, hi=math.inf, closed=False, default=None):
+    """Append an error unless doc[key] is a number in (lo, hi), or [lo, hi) if closed."""
+    v = doc.get(key, default)
+    if is_number(v) and (lo <= v if closed else lo < v) and v < hi:
+        return
+    if hi < math.inf:
+        rule = f"in ({lo}, {hi})"
+    else:
+        rule = f">= {lo}" if closed else f"> {lo}"
+    errors.append(f"{ctx}: {key} must be a number {rule}")
+
+
+def _needs(problem, part, variant, name, errors):
+    """Append an error unless problem[part] has the given variant; return the spec."""
+    spec = problem.get(part) if isinstance(problem, dict) else None
+    spec = spec if isinstance(spec, dict) else {}
+    if spec.get("variant") != variant:
+        errors.append(f"family {name}: needs problem.{part} of variant {variant!r}, "
+                      f"got {spec.get('variant')!r}")
+    return spec
+
+
+def _theta_checks(outer=None, inner=None):
+    """Validator of a theta-driven family that needs the given problem variants."""
+    def validate(fam, problem, errors):
+        name = fam["name"]
+        check_number(fam, "theta0", errors, f"family {name}", 0)
+        check_number(fam, "theta_growth", errors, f"family {name}", 1)
+        if outer is not None:
+            _needs(problem, "outer", outer, name, errors)
+        if inner is not None:
+            _needs(problem, "inner", inner, name, errors)
+    return validate
+
+
+def _validate_aug_lagrangian(fam, problem, errors):
+    _theta_checks()(fam, problem, errors)
+    m = _needs(problem, "outer", "equality_indicator", "aug_lagrangian", errors).get("m")
+    if "y_estimate" in fam:
+        y = fam["y_estimate"]
+        if not (isinstance(y, list) and all(is_number(t) for t in y)
+                and (not isinstance(m, int) or len(y) == m - 1)):
+            errors.append("family aug_lagrangian: y_estimate must be a list of "
+                          "m - 1 finite numbers")
+
+
+def _validate_min_smoothing(fam, problem, errors):
+    _theta_checks()(fam, problem, errors)
+    spec = _needs(problem, "inner", "min_smooth", "min_smoothing", errors)
+    if spec.get("theta") is not None:
+        errors.append("family min_smoothing: the min_smooth inner mapping must be "
+                      "exact (no theta)")
+
+
+def _validate_homotopy(fam, problem, errors):
+    check_number(fam, "lam0", errors, "family homotopy", 0, 1)
+    check_number(fam, "lam_decay", errors, "family homotopy", 0, 1)
+
+
+def _validate_support_perturb(fam, problem, errors):
+    _needs(problem, "outer", "support", "support_perturb", errors)
+    alphas, length = fam.get("alphas"), fam.get("length")
+    if not (isinstance(alphas, list) and len(alphas) == length
+            and all(is_number(a) and a > 0 for a in alphas)
+            and all(b <= a for a, b in zip(alphas, alphas[1:]))):
+        errors.append(f"family support_perturb: alphas must be a list of length "
+                      f"{length!r} of finite numbers > 0, nonincreasing")
+
+
+def _validate_sample_average(fam, problem, errors):
+    check_number(fam, "count0", errors, "family sample_average", 1, closed=True)
+    check_number(fam, "count_growth", errors, "family sample_average", 1)
+    _needs(problem, "inner", "sample_average", "sample_average", errors)
+
+
+# ---------------------------------------------------------------------------
+# stage builders
+
+
+def _stages(params, make):
+    """Builder of a family whose stage at parameter p is make(h, F, p, family).
+
+    ``params(family)`` lists the per-stage parameters; ``make`` returns the
+    stage's (h^nu, F^nu). The actual problem is the configured one.
     """
-    actual, stages = _build_stages(cfg)
-    _schedule_for(cfg, stages)   # raises on a broken schedule
-    return actual, stages
+    def build(cfg, X, h, F):
+        stages = [Stage(X, *make(h, F, p, cfg.family), parameter=p)
+                  for p in params(cfg.family)]
+        return CompositeProblem(X, h, F), stages
+    return build
 
 
-def _schedule_for(cfg: ExperimentConfig, stages) -> ApproximationSchedule:
-    name = cfg.family["name"]
-    deltas = cfg.delta_schedule()
-    entries = []
-    for stage, delta in zip(stages, deltas):
-        theta, lam, size = 1.0, 0.0, None
-        if name == "homotopy":
-            lam = stage.parameter
-        elif name == "support_perturb":
-            theta = 1.0 / stage.parameter
-        elif name == "sample_average":
-            theta = stage.parameter
-            size = int(stage.parameter)
-        elif name != "identity":
-            theta = stage.parameter
-        entries.append(ScheduleEntry(theta=theta, lam_homotopy=lam, delta=delta,
-                                     sample_size=size))
-    return ApproximationSchedule(entries)
+def _thetas(fam):
+    return [fam["theta0"] * fam["theta_growth"] ** k for k in range(fam["length"])]
 
 
-def _build_stages(cfg: ExperimentConfig):
-    X = cfg.build_set()
-    h = cfg.build_outer()
-    F = cfg.build_inner()
+def _aug_lagrangian_stage(h, F, theta, fam):
+    y = np.asarray(fam.get("y_estimate", [0.0] * (h.m - 1)), dtype=float)
+    return AugLagrangianOuter(y, theta), F
+
+
+def _support_stage(h, F, alpha, fam):
+    return SupportOuter(perturb_support_points(h.points, alpha)), F
+
+
+def _softened_network(F, theta):
+    nets = [([A for A, _ in layers], [b for _, b in layers]) for layers in F.networks]
+    return NetworkForwardMapping(nets, Activation("softplus", theta))
+
+
+def _build_homotopy(cfg, X, h, F):
     fam = cfg.family
-    name = fam["name"]
-    length = fam["length"]
-
-    def thetas():
-        return [fam["theta0"] * fam["theta_growth"] ** k for k in range(length)]
-
-    if name == "identity":
-        actual = CompositeProblem(X, h, F)
-        stages = [Stage(X, h, F, parameter=float(k + 1)) for k in range(length)]
-        return actual, stages
-
-    if name == "softplus_goal":
-        _require(h, "GoalOuter", name)
-        actual = CompositeProblem(X, h, F)
-        stages = [Stage(X, SoftplusGoalOuter(h.alpha, h.tau, th), F, parameter=th)
-                  for th in thetas()]
-        return actual, stages
-
-    if name == "aug_lagrangian":
-        _require(h, "EqualityIndicatorOuter", name)
-        y_est = np.asarray(fam.get("y_estimate", [0.0] * (h.m - 1)), dtype=float)
-        actual = CompositeProblem(X, h, F)
-        stages = [Stage(X, AugLagrangianOuter(y_est, th), F, parameter=th)
-                  for th in thetas()]
-        return actual, stages
-
-    if name == "quad_penalty":
-        _require(h, "InequalityIndicatorOuter", name)
-        actual = CompositeProblem(X, h, F)
-        stages = [Stage(X, QuadPenaltyOuter(th, h.m), F, parameter=th) for th in thetas()]
-        return actual, stages
-
-    if name == "exact_penalty":
-        _require(h, "EqualityIndicatorOuter", name)
-        actual = CompositeProblem(X, h, F)
-        stages = [Stage(X, ExactPenaltyOuter(th, h.m), F, parameter=th) for th in thetas()]
-        return actual, stages
-
-    if name == "log_barrier":
-        _require(h, "InequalityIndicatorOuter", name)
-        actual = CompositeProblem(X, h, F)
-        stages = [Stage(X, LogBarrierOuter(th, h.m), F, parameter=th) for th in thetas()]
-        return actual, stages
-
-    if name == "homotopy":
-        # actual problem: the base objective with the homotopy term switched off
-        actual = CompositeProblem(X, HomotopyOuter(h, 0.0), F)
-        lams = [fam["lam0"] * fam["lam_decay"] ** k for k in range(length)]
-        stages = [Stage(X, HomotopyOuter(h, lam), F, parameter=lam) for lam in lams]
-        return actual, stages
-
-    if name == "support_perturb":
-        _require(h, "SupportOuter", name)
-        alphas = list(fam["alphas"])
-        if len(alphas) != length:
-            raise ConfigError([f"family {name}: alphas length must equal the family length"])
-        actual = CompositeProblem(X, h, F)
-        stages = [Stage(X, SupportOuter(perturb_support_points(h.points, a)), F,
-                        parameter=float(a))
-                  for a in alphas]
-        return actual, stages
-
-    if name == "min_smoothing":
-        if F.__class__.__name__ != "MinSmoothMapping" or F.theta is not None:
-            raise ConfigError([f"family {name}: inner mapping must be an exact min_smooth"])
-        actual = CompositeProblem(X, h, F)
-        stages = [Stage(X, h, F.with_theta(th), parameter=th) for th in thetas()]
-        return actual, stages
-
-    if name == "sample_average":
-        if not isinstance(F, SampleAverageMapping):
-            raise ConfigError([f"family {name}: inner mapping must be sample_average"])
-        mean = F.mean_mapping()
-        actual = CompositeProblem(X, h, mean)
-        counts = [int(round(fam["count0"] * fam["count_growth"] ** k)) for k in range(length)]
-        stages = []
-        for k, count in enumerate(counts):
-            seed = int(stream(cfg.seed, "sample-average-family", str(k)).integers(2**62))
-            Fk = SampleAverageMapping(F.base.A, F.base.b, F.noise.A, F.noise.b,
-                                      dist=F.dist, count=count, seed=seed)
-            stages.append(Stage(X, h, Fk, parameter=float(count)))
-        return actual, stages
-
-    if name == "network_softplus":
-        if F.__class__.__name__ != "NetworkForwardMapping":
-            raise ConfigError([f"family {name}: inner mapping must be a network"])
-        from ..inner import Activation, NetworkForwardMapping
-        nets = [([A for A, _ in layers], [b for _, b in layers]) for layers in F.networks]
-        actual = CompositeProblem(X, h, F)
-        stages = [Stage(X, h, NetworkForwardMapping(nets, Activation("softplus", th)),
-                        parameter=th)
-                  for th in thetas()]
-        return actual, stages
-
-    raise ConfigError([f"unknown family {name!r}"])
+    lams = [fam["lam0"] * fam["lam_decay"] ** k for k in range(fam["length"])]
+    stages = [Stage(X, HomotopyOuter(h, lam), F, parameter=lam) for lam in lams]
+    # actual problem: the base objective with the homotopy term switched off
+    return CompositeProblem(X, HomotopyOuter(h, 0.0), F), stages
 
 
-def _require(h, class_name, family):
-    if h.__class__.__name__ != class_name:
-        raise ConfigError([f"family {family!r} requires the actual outer function "
-                           f"to be {class_name}, got {h.__class__.__name__}"])
+def _build_sample_average(cfg, X, h, F):
+    fam = cfg.family
+    stages = []
+    for k in range(fam["length"]):
+        count = int(round(fam["count0"] * fam["count_growth"] ** k))
+        seed = int(stream(cfg.seed, "sample-average-family", str(k)).integers(2**62))
+        Fk = SampleAverageMapping(F.base.A, F.base.b, F.noise.A, F.noise.b,
+                                  dist=F.dist, count=count, seed=seed)
+        stages.append(Stage(X, h, Fk, parameter=float(count)))
+    return CompositeProblem(X, h, F.mean_mapping()), stages
+
+
+# ---------------------------------------------------------------------------
+# per-stage rate diagnostics
+
+
+def _separable_rate(st, actual, rho, samples):
+    rep = cons.graph_excess_separable(st.h, actual.h, rho, samples)
+    bound = rep.paper_bound if rep.paper_bound is not None else math.nan
+    return rep.measured_lower, rep.certified_upper, bound, 0.0, 0.0
+
+
+def _softplus_goal_rate(st, actual, rho, samples):
+    gap = cons.uniform_outer_gap(st.h, actual.h, rho, samples)
+    bound = math.log(2.0) / st.parameter * float(np.sum(actual.h.alpha))
+    return math.sqrt(gap), math.sqrt(bound), math.nan, 0.0, 0.0
+
+
+def _homotopy_rate(st, actual, rho, samples):
+    rep = cons.homotopy_graph_excess(st.h.base, st.parameter, rho, samples)
+    return rep.measured_lower, rep.certified_upper, rep.paper_bound, 0.0, 0.0
+
+
+def _support_perturb_rate(st, actual, rho, samples):
+    gap = cons.uniform_outer_gap(st.h, actual.h, rho, samples)
+    alpha = cons.support_set_excess(actual.h.points, st.h.points)
+    return math.sqrt(gap), math.sqrt(rho * alpha), math.nan, 0.0, 0.0
+
+
+def _eta_rate(st, actual, rho, samples):
+    rep = cons.estimate_eta(st.F, actual.F, st.X, rho, samples=min(samples, 500))
+    return 0.0, 0.0, math.nan, rep.eta0, rep.eta
+
+
+def _identity_rate(st, actual, rho, samples):
+    return 0.0, 0.0, 0.0, 0.0, 0.0
+
+
+def _no_rate(st, actual, rho, samples):
+    # no closed-form rate in the source material
+    return math.nan, math.nan, math.nan, 0.0, 0.0
+
+
+FAMILIES = {
+    "softplus_goal": Family(
+        _theta_checks(outer="goal"),
+        _stages(_thetas, lambda h, F, th, fam: (SoftplusGoalOuter(h.alpha, h.tau, th), F)),
+        _softplus_goal_rate),
+    "aug_lagrangian": Family(
+        _validate_aug_lagrangian,
+        _stages(_thetas, _aug_lagrangian_stage),
+        _separable_rate),
+    "quad_penalty": Family(
+        _theta_checks(outer="inequality_indicator"),
+        _stages(_thetas, lambda h, F, th, fam: (QuadPenaltyOuter(th, h.m), F)),
+        _separable_rate),
+    "exact_penalty": Family(
+        _theta_checks(outer="equality_indicator"),
+        _stages(_thetas, lambda h, F, th, fam: (ExactPenaltyOuter(th, h.m), F)),
+        _separable_rate),
+    "log_barrier": Family(
+        _theta_checks(outer="inequality_indicator"),
+        _stages(_thetas, lambda h, F, th, fam: (LogBarrierOuter(th, h.m), F)),
+        _no_rate),
+    # h acts on the first m-1 inner components; the last is the homotopy term
+    "homotopy": Family(_validate_homotopy, _build_homotopy, _homotopy_rate,
+                       outer_dim_offset=1),
+    "support_perturb": Family(
+        _validate_support_perturb,
+        _stages(lambda fam: [float(a) for a in fam["alphas"]], _support_stage),
+        _support_perturb_rate),
+    "min_smoothing": Family(
+        _validate_min_smoothing,
+        _stages(_thetas, lambda h, F, th, fam: (h, F.with_theta(th))),
+        _eta_rate),
+    "sample_average": Family(_validate_sample_average, _build_sample_average, _eta_rate),
+    "network_softplus": Family(
+        _theta_checks(inner="network"),
+        _stages(_thetas, lambda h, F, th, fam: (h, _softened_network(F, th))),
+        _eta_rate),
+    "identity": Family(
+        lambda fam, problem, errors: None,
+        _stages(lambda fam: [float(k + 1) for k in range(fam["length"])],
+                lambda h, F, p, fam: (h, F)),
+        _identity_rate),
+}

@@ -1,9 +1,12 @@
 """Bundled reproduction suites.
 
 Eleven experiment configurations covering every approximation family in the
-catalogue. Each is shipped as a JSON file next to this module (regenerated by
-``python -m compapprox.harness.fixtures``) and loads through the ordinary
-config loader, so the bundled suites double as schema examples.
+catalogue. Each is defined only by its JSON file in ``fixtures/`` next to this
+module and loads through the ordinary config loader, so the bundled suites
+double as schema examples.
+
+network_inverse: weights drawn from stream(20260811, "fixture", "network-inverse")
+rounded to 4 decimals; target = the relu net at x = (0.7, -0.4), so optimum 0.
 """
 
 from __future__ import annotations
@@ -13,248 +16,31 @@ import json
 
 from .config import ExperimentConfig, load_config
 
-_EPCA_DEFAULTS = {"tau": 2.0, "sigma": 0.5, "lambda_bar": 1.0, "lambda0": 1.0,
-                  "inner_iteration_cap": 300, "subproblem_tolerance_factor": 0.1}
-
-
-def _epca(x0, **over):
-    out = dict(_EPCA_DEFAULTS)
-    out["x0"] = x0
-    out.update(over)
-    return out
-
-
-# network-inverse weights: fixed draws from stream(20260811, "fixture",
-# "network-inverse"), rounded to 4 decimals; the target is the relu forward
-# pass at x = (0.7, -0.4), so the inversion optimum has objective zero.
-_NET_W1 = [[-1.0156, -0.513], [-0.7503, 0.0549], [-0.2199, 0.1732]]
-_NET_B1 = [-0.0658, -0.3223, 0.2887]
-_NET_W2 = [[-0.6807, -0.5666, -0.8817], [-0.27, -0.6979, -0.3299]]
-_NET_B2 = [-0.3639, 0.6363]
-_NET_TARGET = [0.0, 0.6146948489999999]
-
-FIXTURES = {
-    "goal_softplus": {
-        "name": "goal_softplus",
-        "description": "softplus-smoothed goal family on min max{0, x^2 - 1} over [-5, 5]",
-        "seed": 20260811,
-        "problem": {
-            "set": {"kind": "box", "lower": [-5.0], "upper": [5.0]},
-            "outer": {"variant": "goal", "alpha": [1.0], "tau": [1.0]},
-            "inner": {"variant": "quadratic",
-                      "components": [{"Q": [[2.0]], "q": [0.0], "c": 0.0}]},
-        },
-        "family": {"name": "softplus_goal", "length": 20, "theta0": 2.0,
-                   "theta_growth": 2.0, "delta0": 5e-5, "delta_decay": 0.5},
-        "epca": _epca([3.0]),
-        "diagnostics": {"rho": 1.0, "samples": 2000, "grid_resolution": 1e-3},
-        "output": "goal_softplus",
-    },
-    "aug_lagrangian": {
-        "name": "aug_lagrangian",
-        "description": "augmented-Lagrangian family on min (x-2)^2 s.t. x = 0",
-        "seed": 20260811,
-        "problem": {
-            "set": {"kind": "box", "lower": [-10.0], "upper": [10.0]},
-            "outer": {"variant": "equality_indicator", "m": 2},
-            "inner": {"variant": "quadratic",
-                      "components": [{"Q": [[2.0]], "q": [-4.0], "c": 4.0},
-                                     {"Q": [[0.0]], "q": [1.0], "c": 0.0}]},
-        },
-        "family": {"name": "aug_lagrangian", "length": 6, "theta0": 10.0,
-                   "theta_growth": 10.0, "delta0": 1e-2, "delta_decay": 0.3},
-        "epca": _epca([3.0]),
-        "diagnostics": {"rho": 1.0, "samples": 2000, "grid_resolution": 1e-3},
-        "output": "aug_lagrangian",
-    },
-    "quad_penalty": {
-        "name": "quad_penalty",
-        "description": "quadratic penalty on min x s.t. x = 1/2 (as an inequality pair) over [-2, 2]",
-        "seed": 20260811,
-        "problem": {
-            "set": {"kind": "box", "lower": [-2.0], "upper": [2.0]},
-            "outer": {"variant": "inequality_indicator", "m": 3},
-            "inner": {"variant": "affine", "A": [[1.0], [1.0], [-1.0]],
-                      "b": [0.0, -0.5, 0.5]},
-        },
-        "family": {"name": "quad_penalty", "length": 6, "theta0": 10.0,
-                   "theta_growth": 10.0, "delta0": 1e-2, "delta_decay": 0.3},
-        "epca": _epca([1.5]),
-        "diagnostics": {"rho": 1.0, "samples": 2000, "grid_resolution": 1e-3,
-                        "probe_tolerance": 1e-4},
-        "output": "quad_penalty",
-    },
-    "exact_penalty": {
-        "name": "exact_penalty",
-        "description": "exact (absolute-value) penalty on min (x-2)^2 s.t. x = 0",
-        "seed": 20260811,
-        "problem": {
-            "set": {"kind": "box", "lower": [-10.0], "upper": [10.0]},
-            "outer": {"variant": "equality_indicator", "m": 2},
-            "inner": {"variant": "quadratic",
-                      "components": [{"Q": [[2.0]], "q": [-4.0], "c": 4.0},
-                                     {"Q": [[0.0]], "q": [1.0], "c": 0.0}]},
-        },
-        "family": {"name": "exact_penalty", "length": 6, "theta0": 1.0,
-                   "theta_growth": 2.0, "delta0": 1e-3, "delta_decay": 0.5},
-        "epca": _epca([3.0]),
-        "diagnostics": {"rho": 2.0, "samples": 2000, "grid_resolution": 1e-3},
-        "output": "exact_penalty",
-    },
-    "log_barrier": {
-        "name": "log_barrier",
-        "description": "interior-point barrier on min -x s.t. x <= 1 over [-5, 5]",
-        "seed": 20260811,
-        "problem": {
-            "set": {"kind": "box", "lower": [-5.0], "upper": [5.0]},
-            "outer": {"variant": "inequality_indicator", "m": 2},
-            "inner": {"variant": "affine", "A": [[-1.0], [1.0]], "b": [0.0, -1.0]},
-        },
-        "family": {"name": "log_barrier", "length": 8, "theta0": 4.0,
-                   "theta_growth": 4.0, "delta0": 1e-2, "delta_decay": 0.3},
-        "epca": _epca([0.0]),
-        "diagnostics": {"rho": 1.0, "samples": 2000, "grid_resolution": 1e-3,
-                        "probe_tolerance": 1e-2},
-        "output": "log_barrier",
-    },
-    "homotopy": {
-        "name": "homotopy",
-        "description": "homotopy from (x-2)^2 toward min x^2 over [-3, 3]",
-        "seed": 20260811,
-        "problem": {
-            "set": {"kind": "box", "lower": [-3.0], "upper": [3.0]},
-            "outer": {"variant": "linear", "p": [1.0]},
-            "inner": {"variant": "quadratic",
-                      "components": [{"Q": [[2.0]], "q": [0.0], "c": 0.0},
-                                     {"Q": [[2.0]], "q": [-4.0], "c": 4.0}]},
-        },
-        "family": {"name": "homotopy", "length": 12, "lam0": 0.5, "lam_decay": 0.5,
-                   "delta0": 1e-3, "delta_decay": 0.5},
-        "epca": _epca([2.0]),
-        "diagnostics": {"rho": 1.0, "samples": 2000, "grid_resolution": 1e-3},
-        "output": "homotopy",
-    },
-    "distributionally_robust": {
-        "name": "distributionally_robust",
-        "description": "two-point ambiguity set on min max{(x-1)^2, (x+1)^2} over [-2, 2]",
-        "seed": 20260811,
-        "problem": {
-            "set": {"kind": "box", "lower": [-2.0], "upper": [2.0]},
-            "outer": {"variant": "support", "points": [[1.0, 0.0], [0.0, 1.0]]},
-            "inner": {"variant": "quadratic",
-                      "components": [{"Q": [[2.0]], "q": [-2.0], "c": 1.0},
-                                     {"Q": [[2.0]], "q": [2.0], "c": 1.0}]},
-        },
-        "family": {"name": "support_perturb", "length": 5,
-                   "alphas": [1e-1, 1e-2, 1e-3, 1e-4, 1e-5],
-                   "delta0": 1e-3, "delta_decay": 0.5},
-        "epca": _epca([1.5]),
-        "diagnostics": {"rho": 1.0, "samples": 2000, "grid_resolution": 1e-3},
-        "output": "distributionally_robust",
-    },
-    "min_smoothing": {
-        "name": "min_smoothing",
-        "description": "log-sum-exp smoothing of min{(x-1)^2, (x+1)^2 + 1/2} over [-2, 2]",
-        "seed": 20260811,
-        "problem": {
-            "set": {"kind": "box", "lower": [-2.0], "upper": [2.0]},
-            "outer": {"variant": "linear", "p": [1.0]},
-            "inner": {"variant": "min_smooth", "theta": None,
-                      "components": [[{"Q": [[2.0]], "q": [-2.0], "c": 1.0},
-                                      {"Q": [[2.0]], "q": [2.0], "c": 1.5}]]},
-        },
-        "family": {"name": "min_smoothing", "length": 14, "theta0": 2.0,
-                   "theta_growth": 2.0, "delta0": 1e-3, "delta_decay": 0.5},
-        "epca": _epca([1.5]),
-        "diagnostics": {"rho": 1.0, "samples": 2000, "grid_resolution": 1e-3},
-        "output": "min_smoothing",
-    },
-    "sample_average": {
-        "name": "sample_average",
-        "description": "sample averages of g(xi, x) = x + xi*x against the exact mean",
-        "seed": 20260811,
-        "problem": {
-            "set": {"kind": "box", "lower": [-1.0], "upper": [1.0]},
-            "outer": {"variant": "linear", "p": [1.0]},
-            "inner": {"variant": "sample_average", "A0": [[1.0]], "b0": [0.0],
-                      "A1": [[1.0]], "b1": [0.0], "dist": ["two_point"], "count": 4},
-        },
-        "family": {"name": "sample_average", "length": 6, "count0": 4,
-                   "count_growth": 4, "delta0": 1e-2, "delta_decay": 0.5},
-        "epca": _epca([0.5]),
-        "diagnostics": {"rho": 1.0, "samples": 2000, "grid_resolution": 1e-3},
-        "output": "sample_average",
-    },
-    "network_inverse": {
-        "name": "network_inverse",
-        "description": "softplus-relaxed inversion of a 2-layer relu network",
-        "seed": 20260811,
-        "problem": {
-            "set": {"kind": "box", "lower": [-2.0, -2.0], "upper": [2.0, 2.0]},
-            "outer": {"variant": "squared_error", "target": _NET_TARGET, "weight": 1.0},
-            "inner": {"variant": "network",
-                      "networks": [{"weights": [_NET_W1, _NET_W2],
-                                    "biases": [_NET_B1, _NET_B2]}],
-                      "activation": {"kind": "relu"}},
-        },
-        "family": {"name": "network_softplus", "length": 8, "theta0": 4.0,
-                   "theta_growth": 2.0, "delta0": 1e-2, "delta_decay": 0.5},
-        "epca": _epca([0.0, 0.0]),
-        "diagnostics": {"rho": 1.0, "samples": 200, "grid_resolution": 1e-3},
-        "output": "network_inverse",
-    },
-    "convex_sanity": {
-        "name": "convex_sanity",
-        "description": "identity family on a convex goal instance, checked against direct solves",
-        "seed": 20260811,
-        "problem": {
-            "set": {"kind": "box", "lower": [0.0, 0.0], "upper": [2.0, 2.0]},
-            "outer": {"variant": "goal", "alpha": [1.0, 1.0], "tau": [0.0, 0.0]},
-            "inner": {"variant": "affine", "A": [[1.0, 0.0], [0.0, 1.0]],
-                      "b": [0.0, 0.0]},
-        },
-        "family": {"name": "identity", "length": 4, "delta0": 1e-7, "delta_decay": 0.5},
-        "epca": _epca([1.5, 1.0]),
-        "diagnostics": {"rho": 1.0, "samples": 2000, "grid_resolution": 1e-4},
-        "output": "convex_sanity",
-    },
-}
-
 FIXTURE_ORDER = ("goal_softplus", "aug_lagrangian", "quad_penalty", "exact_penalty",
                  "log_barrier", "homotopy", "distributionally_robust", "min_smoothing",
                  "sample_average", "network_inverse", "convex_sanity")
 
 
+def _resource(name):
+    return importlib.resources.files("compapprox.harness") / "fixtures" / f"{name}.json"
+
+
+def fixture_document(name: str) -> dict:
+    """The bundled JSON document of a fixture, freshly parsed."""
+    return json.loads(_resource(name).read_text(encoding="utf-8"))
+
+
 def list_fixtures():
     """(name, one-line description) pairs for every bundled suite."""
-    return [(name, FIXTURES[name]["description"]) for name in FIXTURE_ORDER]
+    return [(name, fixture_document(name)["description"]) for name in FIXTURE_ORDER]
 
 
 def fixture_config(name: str) -> ExperimentConfig:
     """Load a bundled fixture through the ordinary config loader."""
-    res = importlib.resources.files("compapprox.harness") / "fixtures" / f"{name}.json"
-    with importlib.resources.as_file(res) as path:
+    with importlib.resources.as_file(_resource(name)) as path:
         return load_config(path)
 
 
 def fixture_path(name: str):
-    res = importlib.resources.files("compapprox.harness") / "fixtures" / f"{name}.json"
-    with importlib.resources.as_file(res) as path:
+    with importlib.resources.as_file(_resource(name)) as path:
         return path
-
-
-def write_fixture_files(directory=None):
-    """Regenerate the bundled JSON files from the in-code definitions."""
-    import pathlib
-    if directory is None:
-        directory = pathlib.Path(__file__).parent / "fixtures"
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for name in FIXTURE_ORDER:
-        with open(directory / f"{name}.json", "w", encoding="utf-8") as fh:
-            json.dump(FIXTURES[name], fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-if __name__ == "__main__":
-    write_fixture_files()

@@ -40,7 +40,8 @@ from ..outer import (AugLagrangianOuter, EqualityIndicatorOuter, ExactPenaltyOut
                      LinearOuter, softplus)
 from ..rng import stream
 from .config import ExperimentConfig
-from .families import build_stages
+from .families import FAMILIES, build_stages
+from .fixtures import fixture_document
 
 TRACE_COLUMNS = ("nu", "theta", "lambda_final", "inner_iters", "res_u", "res_v",
                  "res_w", "res_combined", "delta", "phi_approx", "phi_actual",
@@ -106,41 +107,16 @@ def _check_assertion(record):
 
 
 def _rate_rows(cfg: ExperimentConfig, actual: CompositeProblem, stages):
-    family = cfg.family["name"]
+    rate = FAMILIES[cfg.family["name"]].rate
     rho = cfg.diagnostics.rho
     samples = cfg.diagnostics.samples
     rows = []
     for nu, st in enumerate(stages, start=1):
-        excess_lower = excess_upper = known_bound = math.nan
-        eta0 = eta = 0.0
-        if family in ("aug_lagrangian", "exact_penalty", "quad_penalty"):
-            rep = cons.graph_excess_separable(st.h, actual.h, rho, samples)
-            excess_lower, excess_upper = rep.measured_lower, rep.certified_upper
-            known_bound = rep.paper_bound if rep.paper_bound is not None else math.nan
-        elif family == "softplus_goal":
-            gap = cons.uniform_outer_gap(st.h, actual.h, rho, samples)
-            bound = math.log(2.0) / st.parameter * float(np.sum(actual.h.alpha))
-            excess_lower, excess_upper = math.sqrt(gap), math.sqrt(bound)
-        elif family == "homotopy":
-            base = st.h.base
-            rep = cons.homotopy_graph_excess(base, st.parameter, rho, samples)
-            excess_lower, excess_upper = rep.measured_lower, rep.certified_upper
-            known_bound = rep.paper_bound
-        elif family == "support_perturb":
-            gap = cons.uniform_outer_gap(st.h, actual.h, rho, samples)
-            alpha = cons.support_set_excess(actual.h.points, st.h.points)
-            excess_lower, excess_upper = math.sqrt(gap), math.sqrt(rho * alpha)
-        elif family in ("min_smoothing", "sample_average", "network_softplus"):
-            rep = cons.estimate_eta(st.F, actual.F, st.X, rho,
-                                    samples=min(samples, 500))
-            eta0, eta = rep.eta0, rep.eta
-            excess_lower = excess_upper = 0.0
-        elif family == "identity":
-            excess_lower = excess_upper = known_bound = 0.0
-        ex_for_bound = excess_upper if math.isfinite(excess_upper) else 0.0
+        lower, upper, paper_bound, eta0, eta = rate(st, actual, rho, samples)
+        ex_for_bound = upper if math.isfinite(upper) else 0.0
         bound = cons.solution_error_bound(eta0, eta, ex_for_bound, rho, actual.m)
-        rows.append(cons.RateRow(nu, st.parameter, excess_lower, excess_upper,
-                                 known_bound, eta0, eta, bound))
+        rows.append(cons.RateRow(nu, st.parameter, lower, upper, paper_bound,
+                                 eta0, eta, bound))
     return rows
 
 
@@ -358,12 +334,12 @@ def _min_smoothing_assertions(cfg, actual, stages, trace, rate_rows):
 
 def _sample_average_assertions(cfg, actual, stages, trace, rate_rows):
     spec = cfg.problem["inner"]
-    base = SampleAverageMapping(spec["A0"], spec["b0"], spec["A1"], spec["b1"],
-                                dist=tuple(spec.get("dist", ["two_point"])),
-                                count=64, seed=cfg.seed)
-    twin = SampleAverageMapping(spec["A0"], spec["b0"], spec["A1"], spec["b1"],
-                                dist=tuple(spec.get("dist", ["two_point"])),
-                                count=64, seed=cfg.seed)
+
+    def mapping(count, seed):
+        return SampleAverageMapping(spec["A0"], spec["b0"], spec["A1"], spec["b1"],
+                                    dist=tuple(spec.get("dist", ["two_point"])),
+                                    count=count, seed=seed)
+    base, twin = mapping(64, cfg.seed), mapping(64, cfg.seed)
     rng = stream(cfg.seed, "acceptance", "sample-average-determinism")
     xs = rng.normal(size=(100, base.n))
     gap = max(float(np.max(np.abs(base.eval(x) - twin.eval(x)))) for x in xs)
@@ -376,10 +352,7 @@ def _sample_average_assertions(cfg, actual, stages, trace, rate_rows):
         vals = []
         for k in range(64):
             seed = int(stream(cfg.seed, "variance-probe", str(count), str(k)).integers(2**62))
-            m = SampleAverageMapping(spec["A0"], spec["b0"], spec["A1"], spec["b1"],
-                                     dist=tuple(spec.get("dist", ["two_point"])),
-                                     count=count, seed=seed)
-            vals.append(float(m.eval(x_probe)[0]))
+            vals.append(float(mapping(count, seed).eval(x_probe)[0]))
         variances[count] = float(np.var(vals))
     ratio = variances[4] / max(variances[256], 1e-300)
     info = {"variance_ratio_4_vs_256": ratio, "variances": variances}
@@ -508,6 +481,21 @@ _ASSERTION_BUILDERS = {
 }
 
 
+def _assertion_builder(cfg: ExperimentConfig):
+    """The builder of the bundled fixture ``cfg`` reproduces, else None.
+
+    The fixture checks read fixture constants, so they run only when the
+    config's seed, problem, family, epca and diagnostics equal the bundled
+    document of that name.
+    """
+    builder = _ASSERTION_BUILDERS.get(cfg.name)
+    if builder is None:
+        return None
+    doc = fixture_document(cfg.name)
+    keys = ("seed", "problem", "family", "epca", "diagnostics")
+    return builder if all(cfg.raw.get(k) == doc.get(k) for k in keys) else None
+
+
 # ---------------------------------------------------------------------------
 # the runner
 
@@ -546,9 +534,9 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> int:
                  r.eta0, r.eta, r.solution_error_bound) for r in rate_rows])
 
     assertions, info, checks = {}, {}, []
-    if status != 2 and cfg.name in _ASSERTION_BUILDERS:
-        assertions, info, checks = _ASSERTION_BUILDERS[cfg.name](
-            cfg, actual, stages, trace, rate_rows)
+    builder = _assertion_builder(cfg) if status != 2 else None
+    if builder is not None:
+        assertions, info, checks = builder(cfg, actual, stages, trace, rate_rows)
     checks = [{"kind": "trace_certified",
                "slack_factor": 1.0 + ecfg.subproblem_tolerance_factor,
                "abs_slack": 1e-10}] + checks

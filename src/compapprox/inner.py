@@ -61,14 +61,6 @@ class InnerMapping:
         return x
 
 
-def inner_eval(F: InnerMapping, x) -> np.ndarray:
-    return F.eval(x)
-
-
-def inner_jacobian_element(F: InnerMapping, x) -> JacobianReport:
-    return F.jacobian(x)
-
-
 class AffineMapping(InnerMapping):
     """F(x) = A x + b."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,50 +84,6 @@ class ResidualTriple:
     @property
     def combined(self):
         return max(self.u_norm, self.v_dist, self.w_dist)
-
-
-@dataclass(frozen=True)
-class ScheduleEntry:
-    theta: float
-    lam_homotopy: float = 0.0
-    y_estimate: np.ndarray = None
-    delta: float = 0.0
-    sample_size: int = None
-
-
-@dataclass
-class ApproximationSchedule:
-    """Per-index approximation parameters: theta up, delta down, lambda down."""
-
-    entries: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.entries:
-            raise ValueError("schedule must be nonempty")
-        prev = None
-        for e in self.entries:
-            if e.theta <= 0:
-                raise ValueError("theta must be positive")
-            if not (0.0 <= e.lam_homotopy <= 1.0):
-                raise ValueError("lam_homotopy must be in [0, 1]")
-            if e.delta < 0:
-                raise ValueError("delta must be nonnegative")
-            if e.sample_size is not None and e.sample_size < 1:
-                raise ValueError("sample_size must be positive")
-            if prev is not None:
-                if e.theta < prev.theta:
-                    raise ValueError("theta must be nondecreasing")
-                if e.delta > prev.delta:
-                    raise ValueError("delta must be nonincreasing")
-                if e.lam_homotopy > prev.lam_homotopy:
-                    raise ValueError("lam_homotopy must be nonincreasing")
-            prev = e
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
 
 
 def eval_phi(problem: CompositeProblem, x) -> float:

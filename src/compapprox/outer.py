@@ -976,23 +976,6 @@ class BlockSeparableOuter(OuterFunction):
         return np.concatenate([b.sample_domain_point(rng, scale) for b in self.blocks])
 
 
-def outer_value(h: OuterFunction, z) -> float:
-    """Extended-real value of h at z (+inf outside the domain)."""
-    return h.value(z)
-
-
-def outer_subdiff_1d(h: OuterFunction, i: int, t: float, slack: float = 0.0):
-    return h.subdiff_1d(i, t, slack)
-
-
-def outer_prox(h: OuterFunction, z, step: float) -> np.ndarray:
-    return h.prox(z, step)
-
-
-def subdiff_graph_1d(h: OuterFunction, i: int) -> SubdifferentialGraph1D:
-    return h.graph_1d(i)
-
-
 def check_midpoint_convexity(h: OuterFunction, rng, samples: int = 50,
                              tol: float = 1e-9) -> int:
     """Midpoint convexity spot check on domain samples.

@@ -9,8 +9,9 @@ from compapprox.harness.cli import main as cli_main
 from compapprox.harness.config import (config_from_dict, load_config,
                                        load_network_model, validate_config)
 from compapprox.harness.families import build_stages, perturb_support_points
-from compapprox.harness.fixtures import (FIXTURE_ORDER, FIXTURES, fixture_config,
-                                         fixture_path, list_fixtures)
+from compapprox.harness.fixtures import (FIXTURE_ORDER, fixture_config,
+                                         fixture_document, fixture_path,
+                                         list_fixtures)
 from compapprox.harness.runner import run_experiment, verify_summary
 from compapprox.rng import stream
 
@@ -25,9 +26,10 @@ def test_fixture_count_and_names():
 
 def test_every_fixture_round_trips_through_loader():
     for name in FIXTURE_ORDER:
-        cfg = fixture_config(name)
-        assert cfg.name == name
-        assert cfg.raw == FIXTURES[name]
+        doc = fixture_document(name)
+        assert validate_config(doc) == []
+        assert isinstance(doc["description"], str) and doc["description"].strip()
+        assert fixture_config(name).name == name
 
 
 def test_goal_softplus_fixture_schedule():
@@ -38,14 +40,14 @@ def test_goal_softplus_fixture_schedule():
 
 
 def test_sigma_range_error():
-    doc = json.loads(json.dumps(FIXTURES["goal_softplus"]))
+    doc = fixture_document("goal_softplus")
     doc["epca"]["sigma"] = 1.5
     errors = validate_config(doc)
     assert any("sigma" in e and "(0, 1)" in e for e in errors)
 
 
 def test_tau_length_mismatch_is_dimension_error():
-    doc = json.loads(json.dumps(FIXTURES["goal_softplus"]))
+    doc = fixture_document("goal_softplus")
     doc["problem"]["outer"]["tau"] = [1.0, 2.0]
     doc["problem"]["outer"]["alpha"] = [1.0, 1.0]
     errors = validate_config(doc)
@@ -53,7 +55,7 @@ def test_tau_length_mismatch_is_dimension_error():
 
 
 def test_validation_collects_all_errors():
-    doc = json.loads(json.dumps(FIXTURES["goal_softplus"]))
+    doc = fixture_document("goal_softplus")
     doc["epca"]["sigma"] = 1.5
     doc["epca"]["tau"] = 0.5
     doc["family"]["theta0"] = -1.0
@@ -63,7 +65,7 @@ def test_validation_collects_all_errors():
 
 
 def test_unknown_variant_reported():
-    doc = json.loads(json.dumps(FIXTURES["goal_softplus"]))
+    doc = fixture_document("goal_softplus")
     doc["problem"]["outer"]["variant"] = "mystery"
     errors = validate_config(doc)
     assert any("unknown variant" in e for e in errors)
@@ -102,7 +104,7 @@ def test_network_weights_loadable_from_file(tmp_path):
         {"weights": [[1.0, -1.0]], "bias": [0.0], "shape": [1, 2]},
     ]}], "activation": {"kind": "softplus", "theta": 6.0}}
     (tmp_path / "model.json").write_text(json.dumps(model))
-    doc = json.loads(json.dumps(FIXTURES["network_inverse"]))
+    doc = fixture_document("network_inverse")
     doc["problem"]["set"] = {"kind": "box", "lower": [-2.0], "upper": [2.0]}
     doc["problem"]["inner"] = {"variant": "network", "file": "model.json"}
     doc["problem"]["outer"] = {"variant": "squared_error", "target": [0.3]}
@@ -187,7 +189,7 @@ def test_cli_fixtures_and_exit_codes(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_reports_all_config_errors(tmp_path, capsys):
-    doc = json.loads(json.dumps(FIXTURES["goal_softplus"]))
+    doc = fixture_document("goal_softplus")
     doc["epca"]["sigma"] = 1.5
     doc["family"]["theta0"] = -2.0
     p = tmp_path / "broken.json"
@@ -204,7 +206,7 @@ def test_cli_output_dir_env_override(tmp_path, monkeypatch):
 
 
 def test_nonconvergence_exit_code_with_partial_artifacts(tmp_path):
-    doc = json.loads(json.dumps(FIXTURES["exact_penalty"]))
+    doc = fixture_document("exact_penalty")
     doc["epca"]["inner_iteration_cap"] = 1
     doc["family"]["delta0"] = 1e-12
     cfg = config_from_dict(doc)
@@ -216,7 +218,7 @@ def test_nonconvergence_exit_code_with_partial_artifacts(tmp_path):
 
 
 def test_verify_rejects_nonconvergent_summary(tmp_path, capsys):
-    doc = json.loads(json.dumps(FIXTURES["exact_penalty"]))
+    doc = fixture_document("exact_penalty")
     doc["epca"]["inner_iteration_cap"] = 1
     doc["family"]["delta0"] = 1e-12
     assert run_experiment(config_from_dict(doc), output_dir=tmp_path) == 2
@@ -233,7 +235,7 @@ def _cli_run_doc(tmp_path, doc):
 
 @pytest.mark.parametrize("samples", [-5, 0, 2.5, True])
 def test_cli_rejects_bad_diagnostics_samples(tmp_path, capsys, samples):
-    doc = json.loads(json.dumps(FIXTURES["goal_softplus"]))
+    doc = fixture_document("goal_softplus")
     doc["diagnostics"]["samples"] = samples
     assert _cli_run_doc(tmp_path, doc) == 3
     assert "samples must be an integer >= 1" in capsys.readouterr().err
@@ -242,10 +244,69 @@ def test_cli_rejects_bad_diagnostics_samples(tmp_path, capsys, samples):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_cli_rejects_nonfinite_x0(tmp_path, capsys, bad):
-    doc = json.loads(json.dumps(FIXTURES["goal_softplus"]))
+    doc = fixture_document("goal_softplus")
     doc["epca"]["x0"][0] = bad
     assert _cli_run_doc(tmp_path, doc) == 3
     assert "x0 entries must be finite" in capsys.readouterr().err
+
+
+def _family_edit(fixture, key, value):
+    doc = fixture_document(fixture)
+    doc["family"][key] = value
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    _family_edit("distributionally_robust", "alphas", [0.1, 0.01, 0.0, 1e-4, 1e-5]),
+    _family_edit("distributionally_robust", "alphas", [0.1, 0.01, -1e-3, 1e-4, 1e-5]),
+    _family_edit("distributionally_robust", "alphas", [1e-5, 1e-4, 1e-3, 0.01, 0.1]),
+    _family_edit("distributionally_robust", "alphas", [0.1, 0.01]),
+    _family_edit("goal_softplus", "theta_growth", "2"),
+    _family_edit("goal_softplus", "theta_growth", 0.5),
+    _family_edit("goal_softplus", "theta0", True),
+    _family_edit("homotopy", "lam0", "x"),
+    _family_edit("homotopy", "lam_decay", 1.5),
+    _family_edit("exact_penalty", "delta_decay", 2.0),
+    _family_edit("exact_penalty", "delta_decay", "0.5"),
+    _family_edit("exact_penalty", "length", 0),
+    _family_edit("sample_average", "count_growth", None),
+], ids=["alphas-zero", "alphas-negative", "alphas-increasing", "alphas-short",
+        "theta_growth-string", "theta-decreasing", "theta0-bool", "lam0-string",
+        "lam-increasing", "delta-increasing", "delta_decay-string", "empty-schedule",
+        "count_growth-null"])
+def test_cli_rejects_bad_family_parameters(tmp_path, capsys, doc):
+    assert _cli_run_doc(tmp_path, doc) == 3
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("tau", "2"), ("subproblem_tolerance_factor", "0.1"), ("lambda0", "x"),
+    ("lambda_bar", True)])
+def test_cli_rejects_non_numeric_epca_settings(tmp_path, capsys, key, value):
+    doc = fixture_document("exact_penalty")
+    doc["epca"][key] = value
+    assert _cli_run_doc(tmp_path, doc) == 3
+    err = capsys.readouterr().err
+    assert "config error:" in err and key in err
+
+
+def test_family_needs_its_problem_variants():
+    doc = fixture_document("goal_softplus")
+    doc["family"]["name"] = "exact_penalty"
+    errors = validate_config(doc)
+    assert any("family exact_penalty" in e and "equality_indicator" in e
+               for e in errors)
+
+
+@pytest.mark.parametrize("name, fixture", [
+    ("sample_average", "quad_penalty"), ("network_inverse", "goal_softplus"),
+    ("convex_sanity", "goal_softplus"), ("goal_softplus", "homotopy")])
+def test_fixture_assertions_only_for_the_bundled_document(tmp_path, name, fixture):
+    doc = fixture_document(fixture)
+    doc["name"] = name
+    assert run_experiment(config_from_dict(doc), output_dir=tmp_path) == 0
+    summary = json.loads((tmp_path / f"{doc['output']}_summary.json").read_text())
+    assert summary["name"] == name and summary["assertions"] == {}
 
 
 def test_trace_csv_schema(tmp_path):

@@ -9,7 +9,7 @@ from compapprox.inner import (ACTIVITY_TOL, Activation, AffineMapping,
                               MinSmoothMapping, NetworkForwardMapping,
                               NetworkLiftMapping, QuadraticArrayMapping,
                               SampleAverageMapping, build_network_lift,
-                              inner_eval, inner_jacobian_element, resample)
+                              resample)
 from compapprox.outer import SquaredErrorOuter
 from compapprox.rng import stream
 
@@ -23,23 +23,23 @@ def _two_piece():
 
 def test_min_exact_tie():
     F = _two_piece()
-    assert inner_eval(F, np.array([0.0]))[0] == 0.0
+    assert F.eval(np.array([0.0]))[0] == 0.0
 
 
 def test_min_smoothed_tie_offset():
     F = _two_piece().with_theta(1.0)
-    assert inner_eval(F, np.array([0.0]))[0] == pytest.approx(-math.log(2.0))
+    assert F.eval(np.array([0.0]))[0] == pytest.approx(-math.log(2.0))
 
 
 def test_min_smoothed_sandwich_at_point():
     F = _two_piece().with_theta(10.0)
-    v = inner_eval(F, np.array([1.0]))[0]
+    v = F.eval(np.array([1.0]))[0]
     assert -1.0 - math.log(2.0) / 10.0 <= v <= -1.0
 
 
 def test_smoothed_weights_tie_symmetry():
     F = _two_piece().with_theta(1.0)
-    rep = inner_jacobian_element(F, np.array([0.0]))
+    rep = F.jacobian(np.array([0.0]))
     assert np.allclose(rep.weights[0], [0.5, 0.5])
     assert rep.matrix[0, 0] == pytest.approx(0.0)
     assert abs(rep.weights[0].sum() - 1.0) <= 1e-12
@@ -48,13 +48,13 @@ def test_smoothed_weights_tie_symmetry():
 def test_affine_jacobian():
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
     F = AffineMapping(A, [0.0, 1.0])
-    rep = inner_jacobian_element(F, np.array([5.0, -1.0]))
+    rep = F.jacobian(np.array([5.0, -1.0]))
     assert np.allclose(rep.matrix, A)
 
 
 def test_quadratic_jacobian_example():
     F = QuadraticArrayMapping([([[2.0]], [0.0], 0.0)])
-    rep = inner_jacobian_element(F, np.array([3.0]))
+    rep = F.jacobian(np.array([3.0]))
     assert rep.matrix[0, 0] == pytest.approx(6.0)
 
 
@@ -83,7 +83,7 @@ def test_weight_decay_as_theta_doubles():
     x = np.array([0.3])
     prev = None
     for k in range(11):
-        rep = inner_jacobian_element(F.with_theta(2.0**k), x)
+        rep = F.with_theta(2.0**k).jacobian(x)
         off = rep.weights[0][0]   # piece "x" has value 0.3 > -0.3
         if prev is not None:
             assert off <= prev + 1e-15
@@ -102,7 +102,7 @@ def test_gradient_in_hull_of_pieces():
             pieces.append((M + M.T, rng.normal(size=n), float(rng.normal())))
         F = MinSmoothMapping([pieces], theta=float(rng.uniform(1.0, 20.0)))
         x = rng.normal(size=n)
-        rep = inner_jacobian_element(F, x)
+        rep = F.jacobian(x)
         grads = [Q @ x + q for Q, q, _ in pieces]
         d, exact = dist_to_hull(rep.matrix[0], np.array(grads))
         assert exact and d <= 1e-10
@@ -122,7 +122,7 @@ def test_jacobian_matches_central_differences():
     for F in mappings:
         for _ in range(25):
             x = rng.normal(size=F.n)
-            J = inner_jacobian_element(F, x).matrix
+            J = F.jacobian(x).matrix
             fd = np.zeros_like(J)
             eps = 1e-6
             for j in range(F.n):
@@ -135,7 +135,7 @@ def test_jacobian_matches_central_differences():
 
 def test_exact_min_activity_tolerance():
     F = _two_piece()
-    rep = inner_jacobian_element(F, np.array([ACTIVITY_TOL / 4.0]))
+    rep = F.jacobian(np.array([ACTIVITY_TOL / 4.0]))
     assert len(rep.active_grads[0]) == 2
 
 

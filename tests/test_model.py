@@ -5,8 +5,7 @@ import pytest
 
 from compapprox.geometry import Box, WholeSpace
 from compapprox.inner import AffineMapping, MinSmoothMapping, QuadraticArrayMapping
-from compapprox.model import (ApproximationSchedule, CompositeProblem,
-                              ScheduleEntry, StationarityTriple, eval_phi,
+from compapprox.model import (CompositeProblem, StationarityTriple, eval_phi,
                               stationarity_residual)
 from compapprox.outer import GoalOuter, LinearOuter
 from compapprox.rng import stream
@@ -143,23 +142,3 @@ def test_analytic_stationary_triples_have_zero_residual():
 def test_eval_phi_rejects_nonfinite_input():
     with pytest.raises(ValueError):
         eval_phi(goal_problem(), [math.inf])
-
-
-def test_schedule_validation():
-    good = ApproximationSchedule([
-        ScheduleEntry(theta=1.0, delta=1.0),
-        ScheduleEntry(theta=2.0, delta=0.5),
-        ScheduleEntry(theta=4.0, delta=0.25),
-    ])
-    assert len(good) == 3
-    with pytest.raises(ValueError):
-        ApproximationSchedule([ScheduleEntry(theta=2.0, delta=1.0),
-                               ScheduleEntry(theta=1.0, delta=0.5)])
-    with pytest.raises(ValueError):
-        ApproximationSchedule([ScheduleEntry(theta=1.0, delta=0.5),
-                               ScheduleEntry(theta=2.0, delta=1.0)])
-    with pytest.raises(ValueError):
-        ApproximationSchedule([ScheduleEntry(theta=1.0, delta=1.0, lam_homotopy=0.1),
-                               ScheduleEntry(theta=2.0, delta=0.5, lam_homotopy=0.5)])
-    with pytest.raises(ValueError):
-        ApproximationSchedule([])

@@ -11,9 +11,8 @@ from compapprox.outer import (AugLagrangianOuter, BlockSeparableOuter,
                               InequalityIndicatorOuter, LinearOuter,
                               LogBarrierOuter, QuadPenaltyOuter,
                               SoftplusGoalOuter, SquaredErrorOuter, SupportOuter,
-                              add_cut, check_midpoint_convexity, outer_prox,
-                              outer_subdiff_1d, outer_value, softplus,
-                              softplus_grad, subdiff_graph_1d)
+                              add_cut, check_midpoint_convexity, softplus,
+                              softplus_grad)
 from compapprox.rng import stream
 
 
@@ -42,18 +41,18 @@ def catalogue():
 
 def test_aug_lagrangian_value_example():
     h = AugLagrangianOuter([0.0], 10.0)
-    assert outer_value(h, [1.0, 0.2]) == pytest.approx(1.2)
+    assert h.value([1.0, 0.2]) == pytest.approx(1.2)
 
 
 def test_log_barrier_value_example():
     h = LogBarrierOuter(1.0, 2)
-    assert outer_value(h, [0.0, -1.0]) == 0.0
-    assert outer_value(h, [0.0, 0.5]) == math.inf
+    assert h.value([0.0, -1.0]) == 0.0
+    assert h.value([0.0, 0.5]) == math.inf
 
 
 def test_support_value_example():
     h = SupportOuter([[1.0, 0.0], [0.0, 1.0]])
-    assert outer_value(h, [3.0, 1.0]) == pytest.approx(3.0)
+    assert h.value([3.0, 1.0]) == pytest.approx(3.0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 7, 8, 9, 33])
@@ -77,8 +76,8 @@ def test_value_batch_matches_value_bit_for_bit(m):
 
 def test_equality_indicator_value():
     h = EqualityIndicatorOuter(2)
-    assert outer_value(h, [4.0, 0.0]) == 4.0
-    assert outer_value(h, [4.0, 1e-9]) == math.inf
+    assert h.value([4.0, 0.0]) == 4.0
+    assert h.value([4.0, 1e-9]) == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -119,14 +118,14 @@ def test_softplus_grad_strictly_inside_unit_interval():
 
 def test_goal_subdiff_intervals():
     h = GoalOuter([2.0], [1.0])
-    assert outer_subdiff_1d(h, 0, 1.0) == (0.0, 2.0)
-    assert outer_subdiff_1d(h, 0, 0.0) == (0.0, 0.0)
-    assert outer_subdiff_1d(h, 0, 2.0) == (2.0, 2.0)
+    assert h.subdiff_1d(0, 1.0) == (0.0, 2.0)
+    assert h.subdiff_1d(0, 0.0) == (0.0, 0.0)
+    assert h.subdiff_1d(0, 2.0) == (2.0, 2.0)
 
 
 def test_exact_penalty_subdiff_finite_difference_oracle():
     h = ExactPenaltyOuter(5.0, 2)
-    lo, hi = outer_subdiff_1d(h, 1, 0.0)
+    lo, hi = h.subdiff_1d(1, 0.0)
     # one-sided slopes of theta*|t| at 0
     eps = 1e-7
     left = (5.0 * abs(0.0) - 5.0 * abs(-eps)) / eps
@@ -139,7 +138,7 @@ def test_exact_penalty_subdiff_finite_difference_oracle():
 def test_support_subdiff_not_separable():
     h = SupportOuter([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(CapabilityError):
-        outer_subdiff_1d(h, 0, 0.0)
+        h.subdiff_1d(0, 0.0)
 
 
 def test_subgradient_inequality_property():
@@ -174,18 +173,18 @@ def test_subgradient_inequality_property():
 def test_prox_examples():
     h = LinearOuter([2.0, -1.0])
     z = np.array([1.0, 1.0])
-    assert np.allclose(outer_prox(h, z, 0.5), z - 0.5 * np.array([2.0, -1.0]))
+    assert np.allclose(h.prox(z, 0.5), z - 0.5 * np.array([2.0, -1.0]))
     hp = ExactPenaltyOuter(1.0, 2)
-    w = outer_prox(hp, np.array([0.0, 0.3]), 1.0)
+    w = hp.prox(np.array([0.0, 0.3]), 1.0)
     assert w[1] == 0.0
     hq = QuadPenaltyOuter(1.0, 2)
-    w = outer_prox(hq, np.array([0.0, -2.0]), 1.0)
+    w = hq.prox(np.array([0.0, -2.0]), 1.0)
     assert w[1] == -2.0
 
 
 def test_log_barrier_prox_unsupported():
     with pytest.raises(CapabilityError):
-        outer_prox(LogBarrierOuter(1.0, 2), np.array([0.0, -1.0]), 1.0)
+        LogBarrierOuter(1.0, 2).prox(np.array([0.0, -1.0]), 1.0)
 
 
 def test_prox_optimality_property():
@@ -230,7 +229,7 @@ def test_softplus_goal_prox_newton():
 
 
 def test_equality_indicator_graph():
-    g = subdiff_graph_1d(EqualityIndicatorOuter(2), 1)
+    g = EqualityIndicatorOuter(2).graph_1d(1)
     assert len(g.pieces) == 1
     p = g.pieces[0]
     assert p.is_vertical and p.z_lo == 0.0
@@ -238,14 +237,14 @@ def test_equality_indicator_graph():
 
 
 def test_aug_lagrangian_graph_line():
-    g = subdiff_graph_1d(AugLagrangianOuter([0.0], 10.0), 1)
+    g = AugLagrangianOuter([0.0], 10.0).graph_1d(1)
     p = g.pieces[0]
     assert p.slope == 10.0 and p.intercept == 0.0
 
 
 def test_goal_graph_matches_dense_interval_sampling():
     h = GoalOuter([1.0], [0.0])
-    g = subdiff_graph_1d(h, 0)
+    g = h.graph_1d(0)
     assert len(g.pieces) == 3
     # oracle: every sampled (z, subdiff endpoint) lies on the graph
     for z in np.linspace(-2, 2, 401):
