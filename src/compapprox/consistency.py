@@ -511,6 +511,7 @@ def support_set_excess(A, A_approx) -> float:
 # eta estimates and the solution-error bound
 
 
+@functools.lru_cache(maxsize=16)
 def low_discrepancy_points(n: int, rho: float, count: int) -> np.ndarray:
     """Unscrambled Halton points in the Euclidean rho-ball of R^n.
 
@@ -519,11 +520,6 @@ def low_discrepancy_points(n: int, rho: float, count: int) -> np.ndarray:
     also serves as the anchor sequence for cutting-plane models, whose
     pointwise convergence needs a dense countable anchor set.
     """
-    return _ball_rows(n, rho, count)
-
-
-@functools.lru_cache(maxsize=16)
-def _ball_rows(n, rho, count):
     pts = rho * (2.0 * _halton_unit(n, count) - 1.0)
     pts = pts[_within(pts, rho)]
     pts.flags.writeable = False

@@ -42,7 +42,6 @@ class EpcaConfig:
     delta_schedule: tuple = ()
     inner_iteration_cap: int = 200
     subproblem_tolerance_factor: float = 0.1
-    subproblem_iteration_cap: int = 400_000
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float)
@@ -323,7 +322,7 @@ def _level_boundedness_probe(stage: Stage, x_bar):
                     return
 
 
-def run_epca(stages, config: EpcaConfig, check_level_boundedness: bool = True) -> EpcaTrace:
+def run_epca(stages, config: EpcaConfig) -> EpcaTrace:
     """Run EPCA across the approximation schedule, one certified triple per stage.
 
     Raises NonconvergenceError (carrying the partial trace) if an inner loop
@@ -340,8 +339,7 @@ def run_epca(stages, config: EpcaConfig, check_level_boundedness: bool = True) -
         delta = float(config.delta_schedule[nu - 1])
         subtol = config.subproblem_tolerance_factor * delta
         x_bar = stage.X.project(x_prev)
-        if check_level_boundedness:
-            _level_boundedness_probe(stage, x_bar)
+        _level_boundedness_probe(stage, x_bar)
         if y_carry is not None and y_carry.shape != (stage.F.m,):
             y_carry = None
         obj_path = [stage.h.value(stage.F.eval(x_bar))]
@@ -356,7 +354,6 @@ def run_epca(stages, config: EpcaConfig, check_level_boundedness: bool = True) -
             J = stage.F.jacobian(x_bar).matrix
             try:
                 sub = solve_subproblem(stage.X, stage.h, c, J, x_bar, lam, subtol,
-                                       max_iter=config.subproblem_iteration_cap,
                                        y0=y_carry)
             except NonconvergenceError as err:
                 err.partial_trace = trace

@@ -25,6 +25,13 @@ def _as_vector(x, n, name="x"):
     return x
 
 
+def as_count(v, name, least=1) -> int:
+    """v as an int; ValueError unless it is an integer >= least (bools are not)."""
+    if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < least:
+        raise ValueError(f"{name} must be an integer >= {least}")
+    return int(v)
+
+
 class ClosedSet:
     """Base class: a nonempty closed convex subset of R^n."""
 
@@ -46,9 +53,7 @@ class ClosedSet:
 
 class WholeSpace(ClosedSet):
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("dimension must be positive")
-        self.n = int(n)
+        self.n = as_count(n, "dimension")
 
     def project(self, x):
         return _as_vector(x, self.n)
@@ -66,6 +71,8 @@ class Box(ClosedSet):
         self.upper = np.asarray(upper, dtype=float)
         if self.lower.ndim != 1 or self.lower.shape != self.upper.shape:
             raise ValueError("lower/upper must be 1-D vectors of equal length")
+        if np.any(np.isnan(self.lower)) or np.any(np.isnan(self.upper)):
+            raise ValueError("box bounds must not be NaN")
         if np.any(self.lower > self.upper):
             raise ValueError("empty box: lower > upper in some coordinate")
         self.n = self.lower.size
@@ -83,10 +90,10 @@ class Box(ClosedSet):
 class Ball(ClosedSet):
     def __init__(self, center, radius):
         self.center = np.asarray(center, dtype=float)
-        if self.center.ndim != 1:
-            raise ValueError("center must be a vector")
-        if radius < 0:
-            raise ValueError("radius must be nonnegative")
+        if self.center.ndim != 1 or not np.all(np.isfinite(self.center)):
+            raise ValueError("center must be a vector of finite numbers")
+        if not (np.isfinite(radius) and radius >= 0):
+            raise ValueError("radius must be a finite number >= 0")
         self.radius = float(radius)
         self.n = self.center.size
 

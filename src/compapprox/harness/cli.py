@@ -42,10 +42,6 @@ def _cmd_run(args) -> int:
     except NonconvergenceError as exc:
         print(f"nonconvergence: {exc}", file=sys.stderr)
         return 2
-    except ConfigError as exc:
-        for err in exc.errors:
-            print(f"config error: {err}", file=sys.stderr)
-        return 3
     label = {0: "pass", 1: "ASSERTION FAILURE", 2: "NONCONVERGENCE"}[status]
     print(f"{cfg.name}: {label}")
     return status

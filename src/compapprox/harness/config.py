@@ -1,34 +1,40 @@
 """Experiment configuration: JSON schema, validation, and instantiation.
 
-A configuration declares the actual problem (set, outer function, inner
-mapping), the approximation family with its schedule parameters, the solver
-settings, and the diagnostics options. Validation collects every error it can
-find before raising, so a broken file reports all problems at once.
+A configuration declares the actual problem (X, h, F), the approximation
+family with its schedule parameters, the solver settings and the diagnostics
+options. Each part of the problem names its constructor by ``kind`` (the set)
+or ``variant`` (the outer function and the inner mapping) in one table per
+part: ``SETS``, ``OUTERS`` and ``INNERS``. Validation builds each part once,
+with the config's own seed, so the constructors' own checks are the schema;
+the built parts are kept on the config as ``X``, ``h`` and ``F`` and the run
+uses them. Validation collects every error it can find before raising, so a
+broken file reports all problems at once.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import pathlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import ConfigError
-from ..geometry import Ball, Box, HalfspaceIntersection, WholeSpace
-from ..inner import (Activation, AffineMapping, MinSmoothMapping,
+from ..geometry import Ball, Box, ClosedSet, HalfspaceIntersection, WholeSpace
+from ..inner import (Activation, AffineMapping, InnerMapping, MinSmoothMapping,
                      NetworkForwardMapping, QuadraticArrayMapping,
                      SampleAverageMapping)
-from ..model import CompositeProblem
 from ..outer import (EqualityIndicatorOuter, GoalOuter, InequalityIndicatorOuter,
-                     LinearOuter, SquaredErrorOuter, SupportOuter)
-from .families import FAMILIES, check_number, is_number
+                     LinearOuter, OuterFunction, SquaredErrorOuter, SupportOuter)
+from .families import FAMILIES, check_count, check_number, is_number
 
 FAMILY_NAMES = tuple(FAMILIES)
 
-SET_KINDS = ("whole", "box", "ball", "halfspaces")
-OUTER_VARIANTS = ("goal", "linear", "support", "equality_indicator",
-                  "inequality_indicator", "squared_error")
-INNER_VARIANTS = ("affine", "quadratic", "min_smooth", "sample_average", "network")
+#: family.delta_decay when the config leaves it out
+DELTA_DECAY = 0.5
+#: epca settings a config may leave out, with their values
+EPCA_DEFAULTS = {"inner_iteration_cap": 300, "subproblem_tolerance_factor": 0.1}
 
 
 @dataclass
@@ -48,78 +54,61 @@ class ExperimentConfig:
     epca: dict
     diagnostics: Diagnostics
     output: str
+    X: ClosedSet
+    h: OuterFunction
+    F: InnerMapping
     description: str = ""
-    base_dir: str = "."
     raw: dict = field(default_factory=dict, repr=False)
-
-    # -- instantiation -------------------------------------------------------
-    def build_set(self):
-        return _build_set(self.problem["set"])
-
-    def build_outer(self):
-        return _build_outer(self.problem["outer"])
-
-    def build_inner(self):
-        return _build_inner(self.problem["inner"], self.seed, self.base_dir)
-
-    def build_problem(self) -> CompositeProblem:
-        return CompositeProblem(self.build_set(), self.build_outer(), self.build_inner())
 
     def delta_schedule(self):
         fam = self.family
-        return tuple(fam["delta0"] * fam.get("delta_decay", 0.5) ** k
+        return tuple(fam["delta0"] * fam.get("delta_decay", DELTA_DECAY) ** k
                      for k in range(fam["length"]))
 
 
-def _build_set(spec):
-    kind = spec["kind"]
-    if kind == "whole":
-        return WholeSpace(spec["n"])
-    if kind == "box":
-        return Box(spec["lower"], spec["upper"])
-    if kind == "ball":
-        return Ball(spec["center"], spec["radius"])
-    return HalfspaceIntersection(spec["normals"], spec["offsets"])
-
-
-def _build_outer(spec):
-    variant = spec["variant"]
-    if variant == "goal":
-        return GoalOuter(spec["alpha"], spec["tau"])
-    if variant == "linear":
-        return LinearOuter(spec["p"])
-    if variant == "support":
-        return SupportOuter(spec["points"])
-    if variant == "equality_indicator":
-        return EqualityIndicatorOuter(spec["m"], spec.get("first_linear", True))
-    if variant == "inequality_indicator":
-        return InequalityIndicatorOuter(spec["m"], spec.get("first_linear", True))
-    return SquaredErrorOuter(spec["target"], spec.get("weight", 1.0))
-
-
-def _build_inner(spec, seed, base_dir="."):
-    variant = spec["variant"]
-    if variant == "affine":
-        return AffineMapping(spec["A"], spec["b"])
-    if variant == "quadratic":
-        return QuadraticArrayMapping([(c["Q"], c["q"], c["c"]) for c in spec["components"]])
-    if variant == "min_smooth":
-        comps = [[(p["Q"], p["q"], p["c"]) for p in comp] for comp in spec["components"]]
-        return MinSmoothMapping(comps, spec.get("theta"))
-    if variant == "sample_average":
-        return SampleAverageMapping(spec["A0"], spec["b0"], spec["A1"], spec["b1"],
-                                    dist=tuple(spec.get("dist", ["two_point"])),
-                                    count=spec.get("count", 1), seed=seed)
+def _network(spec, seed, base_dir):
     if "file" in spec:
-        import pathlib
         path = pathlib.Path(spec["file"])
-        if not path.is_absolute():
-            path = pathlib.Path(base_dir) / path
-        nets, act = load_network_model(path)
+        nets, act = load_network_model(path if path.is_absolute()
+                                       else pathlib.Path(base_dir) / path)
         return NetworkForwardMapping(nets, act)
     nets = [(net["weights"], net["biases"]) for net in spec["networks"]]
     act = spec.get("activation", {"kind": "relu"})
     return NetworkForwardMapping(nets, Activation(act["kind"], act.get("theta")))
+
+
+def _quadratics(pieces):
+    return [(p["Q"], p["q"], p["c"]) for p in pieces]
+
+
+# One table per part of the problem: kind or variant -> constructor call.
+SETS = {
+    "whole": lambda s: WholeSpace(s["n"]),
+    "box": lambda s: Box(s["lower"], s["upper"]),
+    "ball": lambda s: Ball(s["center"], s["radius"]),
+    "halfspaces": lambda s: HalfspaceIntersection(s["normals"], s["offsets"]),
+}
+OUTERS = {
+    "goal": lambda s: GoalOuter(s["alpha"], s["tau"]),
+    "linear": lambda s: LinearOuter(s["p"]),
+    "support": lambda s: SupportOuter(s["points"]),
+    "equality_indicator":
+        lambda s: EqualityIndicatorOuter(s["m"], s.get("first_linear", True)),
+    "inequality_indicator":
+        lambda s: InequalityIndicatorOuter(s["m"], s.get("first_linear", True)),
+    "squared_error": lambda s: SquaredErrorOuter(s["target"], s.get("weight", 1.0)),
+}
+INNERS = {
+    "affine": lambda s, seed, base_dir: AffineMapping(s["A"], s["b"]),
+    "quadratic": lambda s, seed, base_dir: QuadraticArrayMapping(
+        _quadratics(s["components"])),
+    "min_smooth": lambda s, seed, base_dir: MinSmoothMapping(
+        [_quadratics(comp) for comp in s["components"]], s.get("theta")),
+    "sample_average": lambda s, seed, base_dir: SampleAverageMapping(
+        s["A0"], s["b0"], s["A1"], s["b1"], dist=tuple(s.get("dist", ["two_point"])),
+        count=s.get("count", 1), seed=seed),
+    "network": _network,
+}
 
 
 def load_network_model(path):
@@ -150,88 +139,48 @@ def load_network_model(path):
 # validation
 
 
-def _vec(doc, key, errors, ctx):
-    v = doc.get(key)
-    if not isinstance(v, list) or not all(isinstance(t, (int, float)) for t in v):
-        errors.append(f"{ctx}: {key} must be a numeric list")
+def _build_part(problem, part, key, table, errors, *args):
+    """Build problem[part] from its table entry; on failure append an error."""
+    spec = problem.get(part)
+    if not isinstance(spec, dict):
+        errors.append(f"problem.{part}: must be an object")
         return None
-    return v
+    name = spec.get(key)
+    if not isinstance(name, str) or name not in table:
+        errors.append(f"problem.{part}: unknown {key} {name!r} "
+                      f"(expected one of {tuple(table)})")
+        return None
+    try:
+        return table[name](spec, *args)
+    except (LookupError, ValueError, TypeError, OSError) as exc:
+        errors.append(f"problem.{part}: {exc}")
+        return None
 
 
-def _validate_problem(problem, errors, outer_dim_offset=0, base_dir="."):
+def _validate_problem(problem, errors, outer_dim_offset, seed, base_dir):
+    """The built (X, h, F), None for each part that failed to build."""
     if not isinstance(problem, dict):
         errors.append("problem: must be an object")
-        return None, None
-    sspec = problem.get("set", {})
-    kind = sspec.get("kind")
-    n = None
-    if kind not in SET_KINDS:
-        errors.append(f"problem.set: unknown kind {kind!r} (expected one of {SET_KINDS})")
-    elif kind == "whole":
-        n = sspec.get("n") if isinstance(sspec.get("n"), int) and sspec.get("n", 0) > 0 else None
-        if n is None:
-            errors.append("problem.set: whole-space needs a positive integer n")
-    elif kind == "box":
-        lo = _vec(sspec, "lower", errors, "problem.set")
-        hi = _vec(sspec, "upper", errors, "problem.set")
-        if lo is not None and hi is not None:
-            if len(lo) != len(hi):
-                errors.append("problem.set: lower/upper lengths differ")
-            elif any(a > b for a, b in zip(lo, hi)):
-                errors.append("problem.set: empty box (lower > upper)")
-            else:
-                n = len(lo)
-    elif kind == "ball":
-        c = _vec(sspec, "center", errors, "problem.set")
-        if not isinstance(sspec.get("radius"), (int, float)) or sspec.get("radius", -1) < 0:
-            errors.append("problem.set: ball needs radius >= 0")
-        if c is not None:
-            n = len(c)
-    else:
-        if "normals" not in sspec or "offsets" not in sspec:
-            errors.append("problem.set: halfspaces need normals and offsets")
-        else:
-            n = len(sspec["normals"][0]) if sspec["normals"] else None
-
-    ispec = problem.get("inner", {})
-    m = None
-    ivar = ispec.get("variant")
-    if ivar not in INNER_VARIANTS:
-        errors.append(f"problem.inner: unknown variant {ivar!r}")
-    else:
-        try:
-            F = _build_inner(ispec, seed=0, base_dir=base_dir)
-            m = F.m
-            if n is not None and F.n != n:
-                errors.append(f"problem.inner: maps dimension {F.n}, but the set has dimension {n}")
-        except (KeyError, ValueError, TypeError, OSError, ConfigError) as exc:
-            errors.append(f"problem.inner: {exc}")
-
-    ospec = problem.get("outer", {})
-    ovar = ospec.get("variant")
-    if ovar not in OUTER_VARIANTS:
-        errors.append(f"problem.outer: unknown variant {ovar!r}")
-    else:
-        try:
-            h = _build_outer(ospec)
-            expected = None if m is None else m - outer_dim_offset
-            if expected is not None and h.m != expected:
-                errors.append(f"problem.outer: dimension {h.m} does not match the "
-                              f"inner mapping's {expected} relevant components")
-        except (KeyError, ValueError, TypeError) as exc:
-            errors.append(f"problem.outer: {exc}")
-    return n, m
+        return None, None, None
+    X = _build_part(problem, "set", "kind", SETS, errors)
+    h = _build_part(problem, "outer", "variant", OUTERS, errors)
+    F = _build_part(problem, "inner", "variant", INNERS, errors, seed, base_dir)
+    if X is not None and F is not None and F.n != X.n:
+        errors.append(f"problem.inner: maps dimension {F.n}, "
+                      f"but the set has dimension {X.n}")
+    if h is not None and F is not None and h.m != F.m - outer_dim_offset:
+        errors.append(f"problem.outer: dimension {h.m} does not match the "
+                      f"inner mapping's {F.m - outer_dim_offset} relevant components")
+    return X, h, F
 
 
 def _validate_family(family, entry, problem, errors):
     if not isinstance(family, dict):
         errors.append("family: must be an object")
         return
-    length = family.get("length")
-    if not isinstance(length, int) or isinstance(length, bool) or length < 1:
-        errors.append("family: length must be a positive integer")
+    check_count(family, "length", errors, "family")
     check_number(family, "delta0", errors, "family", 0)
-    check_number(family, "delta_decay", errors, "family", 0, 1, default=0.5)
+    check_number(family, "delta_decay", errors, "family", 0, 1, default=DELTA_DECAY)
     if entry is None:
         errors.append(f"family: unknown name {family.get('name')!r} "
                       f"(expected one of {FAMILY_NAMES})")
@@ -258,76 +207,82 @@ def _validate_epca(epca, n, errors):
     check_number(epca, "tau", errors, "epca", 1)
     check_number(epca, "sigma", errors, "epca", 0, 1)
     check_number(epca, "lambda_bar", errors, "epca", 0)
-    check_number(epca, "subproblem_tolerance_factor", errors, "epca", 0, 1, default=0.1)
+    check_number(epca, "subproblem_tolerance_factor", errors, "epca", 0, 1,
+                 default=EPCA_DEFAULTS["subproblem_tolerance_factor"])
+    check_count(epca, "inner_iteration_cap", errors, "epca",
+                default=EPCA_DEFAULTS["inner_iteration_cap"])
     lam_bar, lam0 = epca.get("lambda_bar"), epca.get("lambda0")
     if not (is_number(lam0) and lam0 > 0
             and (not is_number(lam_bar) or lam_bar <= 0 or lam0 <= lam_bar)):
         errors.append("epca: lambda0 must lie in (0, lambda_bar]")
 
 
-def validate_config(doc, base_dir=".") -> list:
-    """Return the list of all validation errors (empty when valid)."""
-    errors = []
+def _validate_diagnostics(diag, errors):
+    if not isinstance(diag, dict):
+        errors.append("diagnostics: must be an object")
+        return None
+    given = {f.name: diag[f.name] for f in dataclasses.fields(Diagnostics)
+             if f.name in diag}
+    diagnostics = Diagnostics(**given)
+    fields = vars(diagnostics)
+    check_count(fields, "samples", errors, "diagnostics")
+    for key in ("rho", "grid_resolution", "probe_tolerance"):
+        check_number(fields, key, errors, "diagnostics", 0)
+    return diagnostics
+
+
+def _validate(doc, base_dir):
+    """(errors, built): every validation error, and the parts built on the way."""
     if not isinstance(doc, dict):
-        return ["configuration root must be a JSON object"]
+        return ["configuration root must be a JSON object"], {}
+    errors = []
     for key in ("name", "problem", "family", "epca", "output"):
         if key not in doc:
             errors.append(f"missing required field {key!r}")
-    if "name" in doc and not isinstance(doc["name"], str):
-        errors.append("name must be a string")
+    for key in ("name", "output"):
+        if key in doc and not isinstance(doc[key], str):
+            errors.append(f"{key} must be a string")
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
+    if not isinstance(seed, int) or isinstance(seed, bool):
         errors.append("seed must be an integer")
-    n = m = None
+        seed = 0
+    X = h = F = None
     entry = _family_entry(doc.get("family"))
     if "problem" in doc:
         offset = entry.outer_dim_offset if entry is not None else 0
-        n, m = _validate_problem(doc["problem"], errors, outer_dim_offset=offset,
-                                 base_dir=base_dir)
+        X, h, F = _validate_problem(doc["problem"], errors, offset, seed, base_dir)
     if "family" in doc:
         _validate_family(doc["family"], entry, doc.get("problem"), errors)
     if "epca" in doc:
-        _validate_epca(doc["epca"], n, errors)
-    diag = doc.get("diagnostics", {})
-    if not isinstance(diag, dict):
-        errors.append("diagnostics: must be an object")
-        return errors
-    rho = diag.get("rho", 1.0)
-    if not isinstance(rho, (int, float)) or rho <= 0:
-        errors.append("diagnostics: rho must be positive")
-    samples = diag.get("samples", 2000)
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
-        errors.append("diagnostics: samples must be an integer >= 1")
-    return errors
+        _validate_epca(doc["epca"], None if X is None else X.n, errors)
+    diagnostics = _validate_diagnostics(doc.get("diagnostics", {}), errors)
+    return errors, {"X": X, "h": h, "F": F, "diagnostics": diagnostics}
+
+
+def validate_config(doc, base_dir=".") -> list:
+    """Return the list of all validation errors (empty when valid)."""
+    return _validate(doc, base_dir)[0]
 
 
 def config_from_dict(doc, source="<dict>", base_dir=".") -> ExperimentConfig:
-    errors = validate_config(doc, base_dir=base_dir)
+    errors, built = _validate(doc, base_dir)
     if errors:
         raise ConfigError([f"{source}: {e}" for e in errors])
-    diag = doc.get("diagnostics", {})
     return ExperimentConfig(
         name=doc["name"],
         seed=doc.get("seed", 0),
         problem=doc["problem"],
         family=doc["family"],
         epca=doc["epca"],
-        diagnostics=Diagnostics(
-            rho=diag.get("rho", 1.0),
-            samples=diag.get("samples", 2000),
-            grid_resolution=diag.get("grid_resolution", 1e-3),
-            probe_tolerance=diag.get("probe_tolerance", 1e-6),
-        ),
         output=doc["output"],
         description=doc.get("description", ""),
-        base_dir=base_dir,
         raw=doc,
+        **built,
     )
 
 
 def load_config(path) -> ExperimentConfig:
     """Load and fully validate a configuration file."""
-    import pathlib
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

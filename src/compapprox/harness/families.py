@@ -18,7 +18,7 @@ import numpy as np
 
 from .. import consistency as cons
 from ..epca import Stage
-from ..inner import Activation, NetworkForwardMapping, SampleAverageMapping
+from ..inner import Activation, NetworkForwardMapping, resample
 from ..model import CompositeProblem
 from ..outer import (AugLagrangianOuter, ExactPenaltyOuter, HomotopyOuter,
                      LogBarrierOuter, QuadPenaltyOuter, SoftplusGoalOuter,
@@ -50,8 +50,7 @@ class Family:
 
 def build_stages(cfg):
     """Return (actual CompositeProblem, [Stage, ...]) for a validated config."""
-    family = FAMILIES[cfg.family["name"]]
-    return family.build(cfg, cfg.build_set(), cfg.build_outer(), cfg.build_inner())
+    return FAMILIES[cfg.family["name"]].build(cfg, cfg.X, cfg.h, cfg.F)
 
 
 def perturb_support_points(points, alpha):
@@ -96,13 +95,27 @@ def check_number(doc, key, errors, ctx, lo, hi=math.inf, closed=False, default=N
     errors.append(f"{ctx}: {key} must be a number {rule}")
 
 
+def check_count(doc, key, errors, ctx, default=None):
+    """Append an error unless doc[key] is an integer >= 1 (bools are not)."""
+    v = doc.get(key, default)
+    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+        errors.append(f"{ctx}: {key} must be an integer >= 1")
+
+
 def _needs(problem, part, variant, name, errors):
-    """Append an error unless problem[part] has the given variant; return the spec."""
+    """Append an error unless problem[part] has the given variant; return the spec.
+
+    The families that need an indicator outer function replace its
+    constraints on z_2, ..., z_m by penalties or barriers and keep z_1 as the
+    linear objective, so that indicator must have first_linear true.
+    """
     spec = problem.get(part) if isinstance(problem, dict) else None
     spec = spec if isinstance(spec, dict) else {}
     if spec.get("variant") != variant:
         errors.append(f"family {name}: needs problem.{part} of variant {variant!r}, "
                       f"got {spec.get('variant')!r}")
+    elif variant.endswith("_indicator") and spec.get("first_linear", True) is not True:
+        errors.append(f"family {name}: needs problem.{part}.first_linear true")
     return spec
 
 
@@ -208,9 +221,7 @@ def _build_sample_average(cfg, X, h, F):
     for k in range(fam["length"]):
         count = int(round(fam["count0"] * fam["count_growth"] ** k))
         seed = int(stream(cfg.seed, "sample-average-family", str(k)).integers(2**62))
-        Fk = SampleAverageMapping(F.base.A, F.base.b, F.noise.A, F.noise.b,
-                                  dist=F.dist, count=count, seed=seed)
-        stages.append(Stage(X, h, Fk, parameter=float(count)))
+        stages.append(Stage(X, h, resample(F, count, seed), parameter=float(count)))
     return CompositeProblem(X, h, F.mean_mapping()), stages
 
 

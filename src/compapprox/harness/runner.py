@@ -34,12 +34,12 @@ from ..epca import EpcaConfig, Stage, run_epca, solve_affine_composite
 from ..errors import NonconvergenceError
 from ..geometry import Box
 from ..inner import (Activation, AffineMapping, NetworkForwardMapping,
-                     QuadraticArrayMapping, SampleAverageMapping)
+                     QuadraticArrayMapping, resample)
 from ..model import CompositeProblem, eval_phi, stationarity_residual
 from ..outer import (AugLagrangianOuter, EqualityIndicatorOuter, ExactPenaltyOuter,
                      LinearOuter, softplus)
 from ..rng import stream
-from .config import ExperimentConfig
+from .config import EPCA_DEFAULTS, ExperimentConfig
 from .families import FAMILIES, build_stages
 from .fixtures import fixture_document
 
@@ -333,13 +333,7 @@ def _min_smoothing_assertions(cfg, actual, stages, trace, rate_rows):
 
 
 def _sample_average_assertions(cfg, actual, stages, trace, rate_rows):
-    spec = cfg.problem["inner"]
-
-    def mapping(count, seed):
-        return SampleAverageMapping(spec["A0"], spec["b0"], spec["A1"], spec["b1"],
-                                    dist=tuple(spec.get("dist", ["two_point"])),
-                                    count=count, seed=seed)
-    base, twin = mapping(64, cfg.seed), mapping(64, cfg.seed)
+    base, twin = resample(cfg.F, 64, cfg.seed), resample(cfg.F, 64, cfg.seed)
     rng = stream(cfg.seed, "acceptance", "sample-average-determinism")
     xs = rng.normal(size=(100, base.n))
     gap = max(float(np.max(np.abs(base.eval(x) - twin.eval(x)))) for x in xs)
@@ -352,7 +346,7 @@ def _sample_average_assertions(cfg, actual, stages, trace, rate_rows):
         vals = []
         for k in range(64):
             seed = int(stream(cfg.seed, "variance-probe", str(count), str(k)).integers(2**62))
-            vals.append(float(mapping(count, seed).eval(x_probe)[0]))
+            vals.append(float(resample(cfg.F, count, seed).eval(x_probe)[0]))
         variances[count] = float(np.var(vals))
     ratio = variances[4] / max(variances[256], 1e-300)
     info = {"variance_ratio_4_vs_256": ratio, "variances": variances}
@@ -510,8 +504,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> int:
     ecfg = EpcaConfig(x0=np.asarray(e["x0"], dtype=float), tau=e["tau"],
                       sigma=e["sigma"], lam_bar=e["lambda_bar"], lam0=e["lambda0"],
                       delta_schedule=cfg.delta_schedule(),
-                      inner_iteration_cap=e.get("inner_iteration_cap", 300),
-                      subproblem_tolerance_factor=e.get("subproblem_tolerance_factor", 0.1))
+                      **{key: e.get(key, value) for key, value in EPCA_DEFAULTS.items()})
     status = 0
     try:
         trace = run_epca(stages, ecfg)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapabilityError
-from .geometry import Box, ClosedSet, WholeSpace
+from .geometry import Box, ClosedSet, WholeSpace, as_count
 from .outer import (BlockSeparableOuter, EqualityIndicatorOuter, OuterFunction,
                     softplus, softplus_grad)
 from .rng import stream
@@ -209,10 +209,8 @@ class SampleAverageMapping(InnerMapping):
         self.noise = AffineMapping(A1, b1)
         if (self.base.m, self.base.n) != (self.noise.m, self.noise.n):
             raise ValueError("base and noise parts must share dimensions")
-        if count < 1:
-            raise ValueError("count must be positive")
         self.dist = tuple(dist)
-        self.count = int(count)
+        self.count = as_count(count, "count")
         self.seed = int(seed)
         self.n, self.m = self.base.n, self.base.m
         rng = stream(self.seed, "sample-average", str(self.count))

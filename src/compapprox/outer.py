@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError
-from .geometry import dist_to_hull, project_onto_hull
+from .geometry import as_count, dist_to_hull, project_onto_hull
 
 KINK_TOL = 1e-9
 
@@ -149,13 +149,6 @@ class SubdifferentialGraph1D:
     def clipped(self, bound: float):
         out = [q for q in (p.clip(bound) for p in self.pieces) if q is not None]
         return out
-
-    def breakpoints(self, bound: float):
-        pts = []
-        for p in self.clipped(bound):
-            pts.append((p.z_lo, p.v_lo))
-            pts.append((p.z_hi, p.v_hi))
-        return pts
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +399,7 @@ class EqualityIndicatorOuter(OuterFunction):
     prox_available = True
 
     def __init__(self, m, first_linear=True):
-        if m < 1 or (first_linear and m < 2):
-            raise ValueError("dimension too small for this variant")
-        self.m = int(m)
+        self.m = as_count(m, "m", 2 if first_linear else 1)
         self.first_linear = bool(first_linear)
 
     def _constrained(self, i):
@@ -454,9 +445,7 @@ class InequalityIndicatorOuter(OuterFunction):
     prox_available = True
 
     def __init__(self, m, first_linear=True):
-        if m < 1 or (first_linear and m < 2):
-            raise ValueError("dimension too small for this variant")
-        self.m = int(m)
+        self.m = as_count(m, "m", 2 if first_linear else 1)
         self.first_linear = bool(first_linear)
 
     def _constrained(self, i):

@@ -1,8 +1,13 @@
+import copy
+import functools
 import json
 import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compapprox.errors import ConfigError
 from compapprox.harness.cli import main as cli_main
@@ -112,9 +117,8 @@ def test_network_weights_loadable_from_file(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(doc))
     cfg = load_config(p)
-    F = cfg.build_inner()
-    assert F.n == 1 and F.m == 1
-    assert cfg.build_problem().m == 1
+    assert cfg.F.n == cfg.X.n == 1 and cfg.F.m == 1
+    assert build_stages(cfg)[0].m == 1
 
 
 def test_perturb_support_points_excess():
@@ -250,10 +254,16 @@ def test_cli_rejects_nonfinite_x0(tmp_path, capsys, bad):
     assert "x0 entries must be finite" in capsys.readouterr().err
 
 
-def _family_edit(fixture, key, value):
+def _edit(fixture, value, *path):
+    """The bundled document with the node at path set to value."""
     doc = fixture_document(fixture)
-    doc["family"][key] = value
+    *parents, last = path
+    functools.reduce(operator.getitem, parents, doc)[last] = value
     return doc
+
+
+def _family_edit(fixture, key, value):
+    return _edit(fixture, value, "family", key)
 
 
 @pytest.mark.parametrize("doc", [
@@ -288,6 +298,86 @@ def test_cli_rejects_non_numeric_epca_settings(tmp_path, capsys, key, value):
     assert _cli_run_doc(tmp_path, doc) == 3
     err = capsys.readouterr().err
     assert "config error:" in err and key in err
+
+
+_BAD_INPUTS = {
+    "set-not-object": ("exact_penalty", [], "problem", "set"),
+    "outer-not-object": ("exact_penalty", [], "problem", "outer"),
+    "inner-not-object": ("exact_penalty", "affine", "problem", "inner"),
+    "halfspace-normals-string": ("exact_penalty", {"kind": "halfspaces", "normals": "ab",
+                                                   "offsets": [1.0]}, "problem", "set"),
+    "halfspaces-empty": ("exact_penalty", {"kind": "halfspaces", "normals": [],
+                                           "offsets": []}, "problem", "set"),
+    "inner_iteration_cap-string": ("exact_penalty", "x", "epca", "inner_iteration_cap"),
+    "output-number": ("exact_penalty", 5, "output"),
+    "aug_lagrangian-first_linear": ("aug_lagrangian", False, "problem", "outer",
+                                    "first_linear"),
+    "quad_penalty-first_linear": ("quad_penalty", False, "problem", "outer",
+                                  "first_linear"),
+    "exact_penalty-first_linear": ("exact_penalty", False, "problem", "outer",
+                                   "first_linear"),
+    "inner_iteration_cap-zero": ("exact_penalty", 0, "epca", "inner_iteration_cap"),
+    "box-lower-nan": ("goal_softplus", [math.nan], "problem", "set", "lower"),
+    "ball-radius-nan": ("goal_softplus", {"kind": "ball", "center": [0.0],
+                                          "radius": math.nan}, "problem", "set"),
+    "rho-nan": ("exact_penalty", math.nan, "diagnostics", "rho"),
+    "rho-inf": ("exact_penalty", math.inf, "diagnostics", "rho"),
+    "rho-bool": ("exact_penalty", True, "diagnostics", "rho"),
+    "grid_resolution-zero": ("exact_penalty", 0, "diagnostics", "grid_resolution"),
+    "probe_tolerance-string": ("exact_penalty", "x", "diagnostics", "probe_tolerance"),
+    "seed-bool": ("exact_penalty", True, "seed"),
+    "log_barrier-first_linear": ("log_barrier", False, "problem", "outer", "first_linear"),
+}
+
+
+@pytest.mark.parametrize("fixture, value, path",
+                         [(f, v, p) for f, v, *p in _BAD_INPUTS.values()],
+                         ids=list(_BAD_INPUTS))
+def test_cli_rejects_bad_input(tmp_path, capsys, fixture, value, path):
+    assert _cli_run_doc(tmp_path, _edit(fixture, value, *path)) == 3
+    assert "config error:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_summary.json"))
+
+
+def _paths(node, prefix=()):
+    """The path of every node below the root of a JSON document."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+_FUZZ_DOCS = {name: fixture_document(name) for name in FIXTURE_ORDER}
+_FUZZ_SITES = [(name, path) for name, doc in _FUZZ_DOCS.items() for path in _paths(doc)]
+_FUZZ_VALUES = (None, True, "x", [], {}, math.nan, math.inf, -math.inf, -1, 0, 0.5, 2.5)
+
+
+@st.composite
+def _fuzzed_documents(draw):
+    """A bundled document with one node replaced, or one key deleted."""
+    name, path = draw(st.sampled_from(_FUZZ_SITES))
+    doc = copy.deepcopy(_FUZZ_DOCS[name])
+    *parents, last = path
+    parent = functools.reduce(operator.getitem, parents, doc)
+    if isinstance(last, str) and draw(st.booleans()):
+        del parent[last]
+    else:
+        parent[last] = copy.deepcopy(draw(st.sampled_from(_FUZZ_VALUES)))
+    return doc
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_fuzzed_documents())
+def test_config_fuzz_fails_only_with_config_errors(doc):
+    errors = validate_config(doc)
+    try:
+        cfg = config_from_dict(doc)
+    except ConfigError:
+        assert errors
+        return
+    assert errors == []
+    build_stages(cfg)
 
 
 def test_family_needs_its_problem_variants():
