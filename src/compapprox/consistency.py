@@ -24,7 +24,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .errors import CapabilityError
-from .geometry import dist_to_hull, project_onto_hull
+from .geometry import dist_to_hull, project_onto_hull, row_norms
 from .inner import AffineMapping, InnerMapping, MinSmoothMapping, SampleAverageMapping
 from .model import CompositeProblem, StationarityTriple, stationarity_residual
 from .outer import (AugLagrangianOuter, EqualityIndicatorOuter, ExactPenaltyOuter,
@@ -90,19 +90,6 @@ def _halton_unit(d: int, count: int) -> np.ndarray:
     u = qmc.Halton(d=d, scramble=False).random(count)
     u.flags.writeable = False
     return u
-
-
-def _within(P, radius):
-    """Mask of the rows p of P with np.linalg.norm(p) <= radius.
-
-    The rowwise norms below may differ from np.linalg.norm in the last bits,
-    so rows within a relative 1e-9 of the radius are decided by that call.
-    """
-    norms = np.sqrt(np.einsum("ij,ij->i", P, P))
-    keep = norms <= radius
-    for k in np.flatnonzero(np.abs(norms - radius) <= 1e-9 * (1.0 + abs(radius))):
-        keep[k] = np.linalg.norm(P[k]) <= radius
-    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +343,7 @@ def _sample_product_arrays(graphs, bound: float, count: int):
                       dtype=float).reshape(-1, m, 2)
     Z = np.concatenate([Z, combos[:, :, 0]])
     V = np.concatenate([V, combos[:, :, 1]])
-    keep = _within(Z, bound + 1e-12) & _within(V, bound + 1e-12)
+    keep = (row_norms(Z) <= bound + 1e-12) & (row_norms(V) <= bound + 1e-12)
     return Z[keep], V[keep]
 
 
@@ -521,12 +508,17 @@ def low_discrepancy_points(n: int, rho: float, count: int) -> np.ndarray:
     pointwise convergence needs a dense countable anchor set.
     """
     pts = rho * (2.0 * _halton_unit(n, count) - 1.0)
-    pts = pts[_within(pts, rho)]
+    pts = pts[row_norms(pts) <= rho]
     pts.flags.writeable = False
     return pts
 
 
 _ball_samples = low_discrepancy_points
+
+
+def _fmax(values) -> float:
+    """The largest of values and 0.0, skipping NaN as Python's max(acc, v) does."""
+    return float(np.fmax.reduce(values, axis=None, initial=0.0))
 
 
 def estimate_eta(F_approx: InnerMapping, F_actual: InnerMapping, X, rho: float,
@@ -544,15 +536,18 @@ def estimate_eta(F_approx: InnerMapping, F_actual: InnerMapping, X, rho: float,
     anchor = X.project(np.zeros(X.n))
     if np.linalg.norm(anchor) > rho:
         raise ValueError("X does not meet the ball B(0, rho)")
-    pts = [p for p in _ball_samples(F_approx.n, rho, samples) if X.contains(p)]
-    pts.append(anchor)
-    eta0 = 0.0
-    eta = 0.0
-    for x in pts:
-        eta0 = max(eta0, float(np.linalg.norm(F_approx.eval(x) - F_actual.eval(x))))
-        rep_a = F_approx.jacobian(x)
-        rep_t = F_actual.jacobian(x)
-        for i in range(F_approx.m):
+    ball = _ball_samples(F_approx.n, rho, samples)
+    P = np.vstack([ball[X.contains_batch(ball)], anchor])
+    eta0 = _fmax(row_norms(F_approx.eval_batch(P) - F_actual.eval_batch(P)))
+    J_a, multi_a = F_approx.jacobian_batch(P)
+    J_t, multi_t = F_actual.jacobian_batch(P)
+    multi = multi_a | multi_t
+    # a component with one generator on each side: the distance of the two rows
+    eta = _fmax(row_norms(J_a - J_t)[~multi])
+    # otherwise the hull distance of every approximating generator
+    for k in np.flatnonzero(multi.any(axis=1)):
+        rep_a, rep_t = F_approx.jacobian(P[k]), F_actual.jacobian(P[k])
+        for i in np.flatnonzero(multi[k]):
             hull = rep_t.active_grads[i]
             for g in rep_a.active_grads[i]:
                 if len(hull) == 1:
@@ -569,7 +564,7 @@ def estimate_eta(F_approx: InnerMapping, F_actual: InnerMapping, X, rho: float,
         dA = J - F_actual.A
         db = F_approx.eval(np.zeros(F_approx.n)) - F_actual.b
         certified = float(np.linalg.norm(dA, 2) * rho + np.linalg.norm(db))
-    return EtaReport(eta0, eta, certified, len(pts))
+    return EtaReport(eta0, eta, certified, len(P))
 
 
 def solution_error_bound(eta0: float, eta: float, graph_excess: float,

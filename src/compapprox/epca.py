@@ -250,11 +250,15 @@ def solve_subproblem(X: ClosedSet, h: OuterFunction, c, J, x_bar, lam: float,
     return _solve_splitting(X, h, c, J, x_bar, lam, tol, max_iter, y0)
 
 
-def sufficient_decrease_test(h: OuterFunction, F, x_bar, x_star, J, sigma: float) -> bool:
-    """Step 3: actual decrease of h(F(.)) must reach sigma times the model decrease."""
-    v_bar = h.value(F.eval(x_bar))
-    v_star = h.value(F.eval(x_star))
-    v_model = h.value(_model_point(F.eval(x_bar), np.atleast_2d(J), x_star, x_bar))
+def sufficient_decrease_test(h: OuterFunction, c, J, c_star, x_bar, x_star,
+                             sigma: float) -> bool:
+    """Step 3: actual decrease of h(F(.)) must reach sigma times the model decrease.
+
+    c = F(x_bar), J its Jacobian selection and c_star = F(x_star).
+    """
+    v_bar = h.value(c)
+    v_star = h.value(c_star)
+    v_model = h.value(_model_point(c, np.atleast_2d(J), x_star, x_bar))
     if math.isinf(v_bar) or math.isinf(v_star) or math.isinf(v_model):
         raise EvaluationError("Step 3 requires real values of the approximating objective")
     return v_bar - v_star >= sigma * (v_bar - v_model) - 1e-14 * (1.0 + abs(v_bar))
@@ -288,13 +292,14 @@ def extract_multipliers_step4(h: OuterFunction, F, X: ClosedSet, x_star,
     return y, z
 
 
-def step5_residuals(F, x_prev, x_next, z_next, y_next, lam: float):
-    """Step 5 residual vectors u = F(x+) - z+ and the Jacobian-difference w."""
+def step5_residuals(c_next, J_prev, J_next, x_prev, x_next, z_next, y_next, lam: float):
+    """Step 5 residual vectors u = F(x+) - z+ and the Jacobian-difference w.
+
+    c_next = F(x+); J_prev and J_next are the Jacobian selections at x and x+.
+    """
     x_prev = np.asarray(x_prev, dtype=float)
     x_next = np.asarray(x_next, dtype=float)
-    u = F.eval(x_next) - np.asarray(z_next, dtype=float)
-    J_next = F.jacobian(x_next).matrix
-    J_prev = F.jacobian(x_prev).matrix
+    u = np.asarray(c_next, dtype=float) - np.asarray(z_next, dtype=float)
     w = (J_next - J_prev).T @ np.asarray(y_next, dtype=float) - (x_next - x_prev) / lam
     return u, w
 
@@ -342,7 +347,11 @@ def run_epca(stages, config: EpcaConfig) -> EpcaTrace:
         _level_boundedness_probe(stage, x_bar)
         if y_carry is not None and y_carry.shape != (stage.F.m,):
             y_carry = None
-        obj_path = [stage.h.value(stage.F.eval(x_bar))]
+        # F and its Jacobian selection at x_bar, carried over from x_star when
+        # x_star becomes the next x_bar
+        c = stage.F.eval(x_bar)
+        J = stage.F.jacobian(x_bar).matrix
+        obj_path = [stage.h.value(c)]
         inner = 0
         while True:
             inner += 1
@@ -350,8 +359,6 @@ def run_epca(stages, config: EpcaConfig) -> EpcaTrace:
                 raise NonconvergenceError(
                     f"inner iteration cap exceeded at outer index {nu}",
                     best=x_bar, partial_trace=trace)
-            c = stage.F.eval(x_bar)
-            J = stage.F.jacobian(x_bar).matrix
             try:
                 sub = solve_subproblem(stage.X, stage.h, c, J, x_bar, lam, subtol,
                                        y0=y_carry)
@@ -369,12 +376,14 @@ def run_epca(stages, config: EpcaConfig) -> EpcaTrace:
                         obj_path)
                 x_prev = x_star
                 break
-            if sufficient_decrease_test(stage.h, stage.F, x_bar, x_star, J, config.sigma):
+            c_star = stage.F.eval(x_star)
+            if sufficient_decrease_test(stage.h, c, J, c_star, x_bar, x_star, config.sigma):
                 lam_next = min(config.tau * lam, config.lam_bar)
                 z_bar = _model_point(c, J, x_star, x_bar)
-                u, w = step5_residuals(stage.F, x_bar, x_star, z_bar, y_star, lam)
+                J_star = stage.F.jacobian(x_star).matrix
+                u, w = step5_residuals(c_star, J, J_star, x_bar, x_star, z_bar, y_star, lam)
                 u_norm, w_norm = float(np.linalg.norm(u)), float(np.linalg.norm(w))
-                obj_path.append(stage.h.value(stage.F.eval(x_star)))
+                obj_path.append(stage.h.value(c_star))
                 if max(u_norm, w_norm + sub.residual) <= delta:
                     triple = StationarityTriple(x_star, y_star, z_bar)
                     _record(trace, nu, stage, triple, inner, lam, delta, "step5",
@@ -382,7 +391,7 @@ def run_epca(stages, config: EpcaConfig) -> EpcaTrace:
                     lam = lam_next
                     x_prev = x_star
                     break
-                x_bar = x_star
+                x_bar, c, J = x_star, c_star, J_star
                 lam = lam_next
             else:
                 lam = lam / config.tau
@@ -395,11 +404,11 @@ def run_epca(stages, config: EpcaConfig) -> EpcaTrace:
 
 def _record(trace, nu, stage, triple, inner, lam, delta, exit_step, certificate,
             obj_path):
+    """Append the stage's entry; obj_path ends with h(F(triple.x)), its objective."""
     problem = CompositeProblem(stage.X, stage.h, stage.F)
     residual = stationarity_residual(problem, triple)
-    objective = stage.h.value(stage.F.eval(triple.x))
     trace.entries.append(TraceEntry(nu, stage.parameter, triple, residual, inner,
-                                    lam, objective, exit_step, delta, certificate,
+                                    lam, obj_path[-1], exit_step, delta, certificate,
                                     tuple(obj_path)))
 
 

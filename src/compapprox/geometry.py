@@ -25,6 +25,32 @@ def _as_vector(x, n, name="x"):
     return x
 
 
+def _as_rows(P, n):
+    P = np.asarray(P, dtype=float)
+    if P.ndim != 2 or P.shape[1] != n:
+        raise ValueError(f"P has shape {P.shape}, expected (N, {n})")
+    return P
+
+
+def finite_array(a, name) -> np.ndarray:
+    """a as a float array; ValueError if an entry is NaN or infinite."""
+    a = np.asarray(a, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must have finite entries")
+    return a
+
+
+def row_norms(P) -> np.ndarray:
+    """np.linalg.norm of each vector along the last axis of P, bit for bit.
+
+    One dot product per row, the BLAS call the 1-D norm makes;
+    np.linalg.norm(P, axis=-1) sums in another order and can differ in the
+    last bit.
+    """
+    P = np.asarray(P, dtype=float)
+    return np.sqrt((P[..., None, :] @ P[..., :, None])[..., 0, 0])
+
+
 def as_count(v, name, least=1) -> int:
     """v as an int; ValueError unless it is an integer >= least (bools are not)."""
     if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < least:
@@ -46,6 +72,14 @@ class ClosedSet:
     def contains(self, x, tol: float = GEOM_TOL) -> bool:
         x = _as_vector(x, self.n)
         return float(np.linalg.norm(x - self.project(x))) <= tol
+
+    def contains_batch(self, P) -> np.ndarray:
+        """``contains`` at every row of P, shape (N, n), as a boolean mask.
+
+        Selects exactly the rows ``contains`` accepts; the default loops.
+        """
+        P = _as_rows(P, self.n)
+        return np.array([self.contains(p) for p in P], dtype=bool).reshape(len(P))
 
     def is_bounded(self) -> bool:
         raise NotImplementedError
@@ -79,6 +113,10 @@ class Box(ClosedSet):
 
     def project(self, x):
         return np.clip(_as_vector(x, self.n), self.lower, self.upper)
+
+    def contains_batch(self, P):
+        P = _as_rows(P, self.n)
+        return row_norms(P - np.clip(P, self.lower, self.upper)) <= GEOM_TOL
 
     def is_bounded(self):
         return bool(np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper)))

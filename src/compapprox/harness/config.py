@@ -242,6 +242,12 @@ def _validate(doc, base_dir):
     for key in ("name", "output"):
         if key in doc and not isinstance(doc[key], str):
             errors.append(f"{key} must be a string")
+    if isinstance(doc.get("output"), str):
+        # a prefix below the output directory: no escape, and a file name to extend
+        path = pathlib.PurePath(doc["output"])
+        if not path.name or path.is_absolute() or ".." in path.parts:
+            errors.append("output must be a relative path prefix ending in a file "
+                          "name, with no '..' component")
     seed = doc.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         errors.append("seed must be an integer")

@@ -495,9 +495,8 @@ def _assertion_builder(cfg: ExperimentConfig):
 
 
 def run_experiment(cfg: ExperimentConfig, output_dir=None) -> int:
-    outdir = output_directory(output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    prefix = outdir / cfg.output
+    prefix = output_directory(output_dir) / cfg.output
+    prefix.parent.mkdir(parents=True, exist_ok=True)
 
     actual, stages = build_stages(cfg)
     e = cfg.epca
@@ -552,8 +551,9 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> int:
         "assertions": assertions,
         "info": info,
         "artifact_checks": checks,
-        "artifacts": {"trace": f"{cfg.output}_trace.csv",
-                      "rates": f"{cfg.output}_rates.csv"},
+        # relative to the summary, which sits beside them
+        "artifacts": {"trace": f"{prefix.name}_trace.csv",
+                      "rates": f"{prefix.name}_rates.csv"},
     }
     with open(f"{prefix}_summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, default=float)

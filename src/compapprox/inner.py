@@ -8,6 +8,11 @@ network inversion into a composite problem with equality structure.
 ``jacobian`` returns a selection matrix plus an activity report; nonsmooth
 variants list, per component, every active generalized gradient so callers can
 form the convex hull.
+
+``eval_batch`` and ``jacobian_batch`` evaluate at the rows of a point array and
+equal the one-point calls row by row, bit for bit. Their overrides keep one
+matrix-vector product per point (a stacked ``A @ P[:, :, None]``): a single
+matrix product ``P @ A.T`` rounds differently.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapabilityError
-from .geometry import Box, ClosedSet, WholeSpace, as_count
+from .geometry import Box, ClosedSet, WholeSpace, _as_rows, as_count, finite_array
 from .outer import (BlockSeparableOuter, EqualityIndicatorOuter, OuterFunction,
                     softplus, softplus_grad)
 from .rng import stream
@@ -54,19 +59,57 @@ class InnerMapping:
     def jacobian(self, x) -> JacobianReport:
         raise NotImplementedError
 
+    def eval_batch(self, P) -> np.ndarray:
+        """Values at the rows of P, shape (N, m), for P of shape (N, n).
+
+        Must equal ``eval`` row by row, bit for bit; overrides vectorize only
+        where that holds. The default loops over ``eval``.
+        """
+        P = self._check_batch(P)
+        return np.array([self.eval(p) for p in P], dtype=float).reshape(len(P), self.m)
+
+    def jacobian_batch(self, P):
+        """(J, multi) at the rows of P, for P of shape (N, n).
+
+        J, shape (N, m, n), stacks the selection matrices ``jacobian(p).matrix``
+        bit for bit; multi, shape (N, m), flags the components with more than
+        one active generalized gradient (the points where a caller needs the
+        full ``jacobian`` report). The default loops over ``jacobian``.
+        """
+        P = self._check_batch(P)
+        reps = [self.jacobian(p) for p in P]
+        J = np.array([r.matrix for r in reps], dtype=float).reshape(len(P), self.m, self.n)
+        multi = np.array([[len(a) > 1 for a in r.active_grads] for r in reps],
+                         dtype=bool).reshape(len(P), self.m)
+        return J, multi
+
     def _check(self, x):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"x has shape {x.shape}, expected ({self.n},)")
         return x
 
+    def _check_batch(self, P):
+        return _as_rows(P, self.n)
+
+
+def _constant_jacobian(J, count):
+    """jacobian_batch of a mapping whose Jacobian is J everywhere (read-only view)."""
+    return (np.broadcast_to(J, (count,) + J.shape),
+            np.zeros((count, J.shape[0]), dtype=bool))
+
+
+def _matvec(A, P):
+    """A @ p for every row p of P, one matrix-vector product per row: (N, m)."""
+    return (A @ P[:, :, None])[:, :, 0]
+
 
 class AffineMapping(InnerMapping):
     """F(x) = A x + b."""
 
     def __init__(self, A, b):
-        self.A = np.atleast_2d(np.asarray(A, dtype=float))
-        self.b = np.asarray(b, dtype=float)
+        self.A = np.atleast_2d(finite_array(A, "A"))
+        self.b = finite_array(b, "b")
         if self.A.shape[0] != self.b.size:
             raise ValueError("A and b dimensions disagree")
         self.m, self.n = self.A.shape
@@ -74,10 +117,16 @@ class AffineMapping(InnerMapping):
     def eval(self, x):
         return self.A @ self._check(x) + self.b
 
+    def eval_batch(self, P):
+        return _matvec(self.A, self._check_batch(P)) + self.b
+
     def jacobian(self, x):
         self._check(x)
         return JacobianReport(self.A.copy(), True,
                               [[row] for row in self.A], [])
+
+    def jacobian_batch(self, P):
+        return _constant_jacobian(self.A, len(self._check_batch(P)))
 
 
 class QuadraticArrayMapping(InnerMapping):
@@ -86,18 +135,15 @@ class QuadraticArrayMapping(InnerMapping):
     def __init__(self, components):
         self.components = []
         n = None
-        for Q, q, c in components:
-            Q = np.atleast_2d(np.asarray(Q, dtype=float))
-            q = np.asarray(q, dtype=float)
-            if Q.shape[0] != Q.shape[1] or Q.shape[0] != q.size:
-                raise ValueError("component dimensions disagree")
+        for piece in components:
+            Q, q, c = _quadratic(*piece)
             if not np.allclose(Q, Q.T, atol=1e-12):
                 raise ValueError("Q must be symmetric")
             if n is None:
                 n = q.size
             elif n != q.size:
                 raise ValueError("components have inconsistent dimension")
-            self.components.append((Q, q, float(c)))
+            self.components.append((Q, q, c))
         self.n = n
         self.m = len(self.components)
 
@@ -111,9 +157,29 @@ class QuadraticArrayMapping(InnerMapping):
         return JacobianReport(J, True, [[row] for row in J], [])
 
 
+def _quadratic(Q, q, c):
+    """A quadratic piece (Q, q, c) as a square float matrix, vector and float."""
+    Q = np.atleast_2d(finite_array(Q, "Q"))
+    q = finite_array(q, "q")
+    c = float(c)
+    if not math.isfinite(c):
+        raise ValueError("c must be finite")
+    if Q.shape[0] != Q.shape[1] or Q.shape[0] != q.size:
+        raise ValueError("component dimensions disagree")
+    return Q, q, c
+
+
 def _quad_value_grad(piece, x):
     Q, q, c = piece
     return 0.5 * x @ Q @ x + q @ x + c, Q @ x + q
+
+
+def _quad_values_grads(piece, P):
+    """_quad_value_grad at every row of P: values (N,) and gradients (N, n)."""
+    Q, q, c = piece
+    X = P[:, :, None]
+    values = (((0.5 * P)[:, None, :] @ Q) @ X + q[None, None, :] @ X)[:, 0, 0] + c
+    return values, _matvec(Q, P) + q
 
 
 class MinSmoothMapping(InnerMapping):
@@ -131,19 +197,18 @@ class MinSmoothMapping(InnerMapping):
         n = None
         for plist in components:
             rows = []
-            for Q, q, c in plist:
-                Q = np.atleast_2d(np.asarray(Q, dtype=float))
-                q = np.asarray(q, dtype=float)
+            for piece in plist:
+                Q, q, c = _quadratic(*piece)
                 if n is None:
                     n = q.size
-                if Q.shape != (n, n) or q.shape != (n,):
+                if q.shape != (n,):
                     raise ValueError("piece dimensions disagree")
-                rows.append((Q, q, float(c)))
+                rows.append((Q, q, c))
             if not rows:
                 raise ValueError("each component needs at least one piece")
             self.pieces.append(rows)
-        if theta is not None and theta <= 0:
-            raise ValueError("theta must be positive")
+        if theta is not None and not (math.isfinite(theta) and theta > 0):
+            raise ValueError("theta must be a finite number > 0")
         self.theta = None if theta is None else float(theta)
         self.n = n
         self.m = len(self.pieces)
@@ -172,6 +237,26 @@ class MinSmoothMapping(InnerMapping):
                 out[i] = vmin - math.log(np.sum(np.exp(-self.theta * (vals - vmin)))) / self.theta
         return out
 
+    def _pieces_batch(self, P):
+        """Per component: piece values (N, K), gradients (N, K, n), row minima (N,)."""
+        for plist in self.pieces:
+            vg = [_quad_values_grads(p, P) for p in plist]
+            vals = np.stack([v for v, _ in vg], axis=1)
+            yield vals, np.stack([g for _, g in vg], axis=1), np.min(vals, axis=1)
+
+    def eval_batch(self, P):
+        P = self._check_batch(P)
+        out = np.empty((len(P), self.m))
+        for i, (vals, _, vmin) in enumerate(self._pieces_batch(P)):
+            if self.theta is None:
+                out[:, i] = vmin
+            else:
+                sums = np.sum(np.exp(-self.theta * (vals - vmin[:, None])), axis=1)
+                # math.log, not np.log, whose last bit can differ
+                logs = np.array([math.log(t) for t in sums])
+                out[:, i] = vmin - logs / self.theta
+        return out
+
     def jacobian(self, x):
         x = self._check(x)
         J = np.zeros((self.m, self.n))
@@ -194,6 +279,22 @@ class MinSmoothMapping(InnerMapping):
                 active.append([J[i].copy()])
                 weights.append(w)
         return JacobianReport(J, self.theta is not None, active, weights)
+
+    def jacobian_batch(self, P):
+        P = self._check_batch(P)
+        N = len(P)
+        J = np.empty((N, self.m, self.n))
+        multi = np.zeros((N, self.m), dtype=bool)
+        for i, (vals, grads, vmin) in enumerate(self._pieces_batch(P)):
+            if self.theta is None:
+                active = vals <= (vmin + ACTIVITY_TOL)[:, None]
+                J[:, i] = grads[np.arange(N), np.argmax(active, axis=1)]
+                multi[:, i] = np.count_nonzero(active, axis=1) > 1
+            else:
+                w = np.exp(-self.theta * (vals - vmin[:, None]))
+                w /= w.sum(axis=1, keepdims=True)
+                J[:, i] = sum(w[:, k, None] * grads[:, k] for k in range(vals.shape[1]))
+        return J, multi
 
 
 class SampleAverageMapping(InnerMapping):
@@ -219,6 +320,8 @@ class SampleAverageMapping(InnerMapping):
             self._mean_xi = 0.0
         elif self.dist[0] == "uniform":
             lo, hi = float(self.dist[1]), float(self.dist[2])
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError("uniform xi bounds must be finite")
             self.xis = rng.uniform(lo, hi, size=self.count)
             self._mean_xi = 0.5 * (lo + hi)
         else:
@@ -229,10 +332,18 @@ class SampleAverageMapping(InnerMapping):
         x = self._check(x)
         return self.base.eval(x) + self._xi_bar * self.noise.eval(x)
 
+    def eval_batch(self, P):
+        P = self._check_batch(P)
+        return self.base.eval_batch(P) + self._xi_bar * self.noise.eval_batch(P)
+
     def jacobian(self, x):
         self._check(x)
         J = self.base.A + self._xi_bar * self.noise.A
         return JacobianReport(J, True, [[row] for row in J], [])
+
+    def jacobian_batch(self, P):
+        return _constant_jacobian(self.base.A + self._xi_bar * self.noise.A,
+                                  len(self._check_batch(P)))
 
     def mean_mapping(self) -> AffineMapping:
         """The exact expectation, available since g is affine in xi."""
@@ -258,8 +369,8 @@ class Activation:
         if kind not in ("relu", "softplus"):
             raise ValueError(f"unknown activation {kind!r}")
         if kind == "softplus":
-            if theta is None or theta <= 0:
-                raise ValueError("softplus activation needs theta > 0")
+            if theta is None or not (math.isfinite(theta) and theta > 0):
+                raise ValueError("softplus activation needs a finite theta > 0")
             theta = float(theta)
         self.kind = kind
         self.theta = theta
@@ -298,8 +409,8 @@ def _validate_layers(weights, biases):
     dims = [np.atleast_2d(np.asarray(weights[0], dtype=float)).shape[1]]
     out = []
     for A, b in zip(weights, biases):
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        b = np.asarray(b, dtype=float)
+        A = np.atleast_2d(finite_array(A, "network weights"))
+        b = finite_array(b, "network biases")
         if A.shape[0] != b.size:
             raise ValueError("layer weight/bias dimensions disagree")
         if A.shape[1] != dims[-1]:
@@ -340,6 +451,16 @@ class NetworkForwardMapping(InnerMapping):
             outs.append(h)
         return np.concatenate(outs)
 
+    def eval_batch(self, P):
+        P = self._check_batch(P)
+        outs = []
+        for layers in self.networks:
+            H = P[:, :, None]                    # (N, width, 1): one column per point
+            for A, b in layers:
+                H = self.activation.value(A @ H + b[:, None])
+            outs.append(H[:, :, 0])
+        return np.concatenate(outs, axis=1)
+
     def jacobian(self, x):
         x = self._check(x)
         rows = []
@@ -354,6 +475,21 @@ class NetworkForwardMapping(InnerMapping):
             rows.append(J)
         J = np.vstack(rows)
         return JacobianReport(J, self.activation.smooth, [[row] for row in J], [])
+
+    def jacobian_batch(self, P):
+        P = self._check_batch(P)
+        rows = []
+        for layers in self.networks:
+            H = P[:, :, None]
+            J = np.eye(self.n)
+            for A, b in layers:
+                pre = A @ H + b[:, None]
+                # a stacked A @ J: one matrix product per point, as in jacobian
+                J = self.activation.deriv(pre) * (A @ J)
+                H = self.activation.value(pre)
+            rows.append(J)
+        J = np.concatenate(rows, axis=1)
+        return J, np.zeros(J.shape[:2], dtype=bool)
 
 
 class NetworkLiftMapping(InnerMapping):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError
-from .geometry import as_count, dist_to_hull, project_onto_hull
+from .geometry import as_count, dist_to_hull, finite_array, project_onto_hull
 
 KINK_TOL = 1e-9
 
@@ -251,8 +251,8 @@ class GoalOuter(OuterFunction):
     prox_available = True
 
     def __init__(self, alpha, tau):
-        self.alpha = np.asarray(alpha, dtype=float)
-        self.tau = np.asarray(tau, dtype=float)
+        self.alpha = finite_array(alpha, "alpha")
+        self.tau = finite_array(tau, "tau")
         if self.alpha.shape != self.tau.shape or self.alpha.ndim != 1:
             raise ValueError("alpha and tau must be vectors of equal length")
         if np.any(self.alpha < 0):
@@ -302,14 +302,14 @@ class SoftplusGoalOuter(OuterFunction):
     prox_available = True
 
     def __init__(self, alpha, tau, theta):
-        self.alpha = np.asarray(alpha, dtype=float)
-        self.tau = np.asarray(tau, dtype=float)
+        self.alpha = finite_array(alpha, "alpha")
+        self.tau = finite_array(tau, "tau")
         if self.alpha.shape != self.tau.shape or self.alpha.ndim != 1:
             raise ValueError("alpha and tau must be vectors of equal length")
         if np.any(self.alpha < 0):
             raise ValueError("alpha must be nonnegative")
-        if theta <= 0:
-            raise ValueError("theta must be positive")
+        if not (math.isfinite(theta) and theta > 0):
+            raise ValueError("theta must be a finite number > 0")
         self.theta = float(theta)
         self.m = self.alpha.size
 
@@ -370,7 +370,7 @@ class LinearOuter(OuterFunction):
     prox_available = True
 
     def __init__(self, p):
-        self.p = np.asarray(p, dtype=float)
+        self.p = finite_array(p, "p")
         if self.p.ndim != 1:
             raise ValueError("p must be a vector")
         self.m = self.p.size
@@ -763,7 +763,7 @@ class SupportOuter(OuterFunction):
     """h(z) = max over a finite point list A of <p, z>, with A in the simplex."""
 
     def __init__(self, points):
-        self.points = np.atleast_2d(np.asarray(points, dtype=float))
+        self.points = np.atleast_2d(finite_array(points, "support points"))
         if self.points.shape[0] == 0:
             raise ValueError("empty point list")
         sums = self.points.sum(axis=1)
@@ -870,11 +870,11 @@ class SquaredErrorOuter(OuterFunction):
     prox_available = True
 
     def __init__(self, target, weight=1.0):
-        self.target = np.asarray(target, dtype=float)
+        self.target = finite_array(target, "target")
         if self.target.ndim != 1:
             raise ValueError("target must be a vector")
-        if weight < 0:
-            raise ValueError("weight must be nonnegative")
+        if not (math.isfinite(weight) and weight >= 0):
+            raise ValueError("weight must be a finite number >= 0")
         self.weight = float(weight)
         self.m = self.target.size
 

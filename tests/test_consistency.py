@@ -12,13 +12,17 @@ from compapprox.consistency import (_graph_distances, epi_probe, estimate_eta, f
                                     support_set_excess, uniform_outer_gap)
 from compapprox.errors import CapabilityError
 from compapprox.geometry import Box, WholeSpace
-from compapprox.inner import AffineMapping, MinSmoothMapping, QuadraticArrayMapping
+from compapprox.harness.families import build_stages
+from compapprox.harness.fixtures import fixture_config
+from compapprox.inner import (Activation, AffineMapping, MinSmoothMapping,
+                              NetworkForwardMapping, QuadraticArrayMapping)
 from compapprox.model import CompositeProblem, StationarityTriple
 from compapprox.outer import (AugLagrangianOuter, EqualityIndicatorOuter,
                               ExactPenaltyOuter, GoalOuter,
                               InequalityIndicatorOuter, LinearOuter,
                               QuadPenaltyOuter, SoftplusGoalOuter,
                               SquaredErrorOuter, SupportOuter, softplus)
+from compapprox.rng import stream
 
 
 # ---------------------------------------------------------------------------
@@ -469,3 +473,76 @@ def test_ball_points_are_cached_and_read_only():
     assert not pts.flags.writeable
     assert np.all(np.linalg.norm(pts, axis=1) <= 1.5)
     assert 0 < len(pts) < 200
+
+
+# estimate_eta on every stage of the fixtures that report eta, and on a relu
+# net of the scaled benchmark's shape (reprs recorded from the per-point
+# implementation)
+_ETA_GOLDEN = {
+    "min_smoothing": [
+        "EtaReport(eta0=0.3465735902799727, eta=1.9687525428831822, eta0_certified=0.34657359027997264, samples_used=501)",
+        "EtaReport(eta0=0.17328679513998635, eta=1.9375203371079377, eta0_certified=0.17328679513998632, samples_used=501)",
+        "EtaReport(eta0=0.08664339756999317, eta=1.875162506504975, eta0_certified=0.08664339756999316, samples_used=501)",
+        "EtaReport(eta0=0.043321698784996476, eta=1.7512939964568077, eta0_certified=0.04332169878499658, samples_used=501)",
+        "EtaReport(eta0=0.02166084939249835, eta=1.5101626751925816, eta0_certified=0.02166084939249829, samples_used=501)",
+        "EtaReport(eta0=0.010830424696249175, eta=1.0757656854799804, eta0_certified=0.010830424696249145, samples_used=501)",
+        "EtaReport(eta0=0.005415212348124587, eta=0.4768116880884705, eta0_certified=0.0054152123481245725, samples_used=501)",
+        "EtaReport(eta0=0.0027076061740622936, eta=0.0719448398483662, eta0_certified=0.0027076061740622863, samples_used=501)",
+        "EtaReport(eta0=0.0013538030870310358, eta=0.001341400521865932, eta0_certified=0.0013538030870311431, samples_used=501)",
+        "EtaReport(eta0=0.0006769015435155179, eta=4.5014064831150336e-07, eta0_certified=0.0006769015435155716, samples_used=501)",
+        "EtaReport(eta0=0.00033845077175786997, eta=5.062616992290714e-14, eta0_certified=0.0003384507717577858, samples_used=501)",
+        "EtaReport(eta0=0.00016922538587893499, eta=0.0, eta0_certified=0.0001692253858788929, samples_used=501)",
+        "EtaReport(eta0=8.461269293946749e-05, eta=0.0, eta0_certified=8.461269293944645e-05, samples_used=501)",
+        "EtaReport(eta0=4.2306346469622724e-05, eta=0.0, eta0_certified=4.230634646972322e-05, samples_used=501)",
+    ],
+    "sample_average": [
+        "EtaReport(eta0=0.5, eta=0.5, eta0_certified=0.5, samples_used=501)",
+        "EtaReport(eta0=0.125, eta=0.125, eta0_certified=0.125, samples_used=501)",
+        "EtaReport(eta0=0.0625, eta=0.0625, eta0_certified=0.0625, samples_used=501)",
+        "EtaReport(eta0=0.0078125, eta=0.0078125, eta0_certified=0.0078125, samples_used=501)",
+        "EtaReport(eta0=0.029296875, eta=0.029296875, eta0_certified=0.029296875, samples_used=501)",
+        "EtaReport(eta0=0.03173828125, eta=0.03173828125, eta0_certified=0.03173828125, samples_used=501)",
+    ],
+    "network_inverse": [
+        "EtaReport(eta0=0.1452053810063999, eta=0.5340659505855063, eta0_certified=None, samples_used=156)",
+        "EtaReport(eta0=0.08081272569680223, eta=0.45467577350128363, eta0_certified=None, samples_used=156)",
+        "EtaReport(eta0=0.04067517708785361, eta=0.4194570297793846, eta0_certified=None, samples_used=156)",
+        "EtaReport(eta0=0.01916952004103872, eta=0.3995792807429332, eta0_certified=None, samples_used=156)",
+        "EtaReport(eta0=0.008446525829706475, eta=0.3639096815996342, eta0_certified=None, samples_used=156)",
+        "EtaReport(eta0=0.003240722091868445, eta=0.29589044635388945, eta0_certified=None, samples_used=156)",
+        "EtaReport(eta0=0.0009160424327203914, eta=0.1821683960870615, eta0_certified=None, samples_used=156)",
+        "EtaReport(eta0=0.0001318658418720817, eta=0.05689437138372323, eta0_certified=None, samples_used=156)",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(_ETA_GOLDEN))
+def test_estimate_eta_golden_fixture_stages(name):
+    cfg = fixture_config(name)
+    actual, stages = build_stages(cfg)
+    rho, samples = cfg.diagnostics.rho, min(cfg.diagnostics.samples, 500)
+    got = [repr(estimate_eta(st.F, actual.F, st.X, rho, samples=samples)) for st in stages]
+    assert got == _ETA_GOLDEN[name]
+
+
+def _relu_net(widths):
+    rng = stream(5, "test-eta", "-".join(str(w) for w in widths))
+    weights, biases = [], []
+    for fan_in, fan_out in zip(widths, widths[1:]):
+        weights.append(rng.normal(scale=(2.0 / fan_in) ** 0.5, size=(fan_out, fan_in)))
+        biases.append(rng.normal(scale=0.1, size=fan_out))
+    return [(weights, biases)]
+
+
+@pytest.mark.parametrize("theta, expected", [
+    (4.0, "EtaReport(eta0=0.3884632793150056, eta=2.0831699496025835, eta0_certified=None, samples_used=261)"),
+    (32.0, "EtaReport(eta0=0.02956869353862955, eta=0.9960325282670577, eta0_certified=None, samples_used=261)"),
+    (256.0, "EtaReport(eta0=0.0020589712465561715, eta=0.6301493865453296, eta0_certified=None, samples_used=261)"),
+    (2048.0, "EtaReport(eta0=9.382075987911385e-05, eta=0.15070444065134453, eta0_certified=None, samples_used=261)"),
+])
+def test_estimate_eta_golden_relu_net(theta, expected):
+    nets = _relu_net((3, 128, 128, 3))
+    relu = NetworkForwardMapping(nets, Activation("relu"))
+    soft = NetworkForwardMapping(nets, Activation("softplus", theta))
+    rep = estimate_eta(soft, relu, Box([-1.0] * 3, [1.0] * 3), 1.0, samples=500)
+    assert repr(rep) == expected

@@ -79,7 +79,9 @@ def test_sufficient_decrease_affine_always_passes():
     F = AffineMapping([[2.0]], [1.0])
     h = GoalOuter([1.0], [0.0])
     J = F.jacobian(np.array([0.0])).matrix
-    assert sufficient_decrease_test(h, F, np.array([1.0]), np.array([0.25]), J, 0.999)
+    x_bar, x_star = np.array([1.0]), np.array([0.25])
+    assert sufficient_decrease_test(h, F.eval(x_bar), J, F.eval(x_star), x_bar, x_star,
+                                    0.999)
 
 
 def test_sufficient_decrease_zero_step():
@@ -87,7 +89,7 @@ def test_sufficient_decrease_zero_step():
     h = LinearOuter([1.0])
     x = np.array([0.7])
     J = F.jacobian(x).matrix
-    assert sufficient_decrease_test(h, F, x, x, J, 0.5)
+    assert sufficient_decrease_test(h, F.eval(x), J, F.eval(x), x, x, 0.5)
 
 
 def test_sufficient_decrease_rejects_overshoot():
@@ -106,22 +108,26 @@ def test_sufficient_decrease_rejects_overshoot():
     x_bar = np.array([0.0])
     J = F.jacobian(x_bar).matrix
     x_star = np.array([2.0])   # model: 1 - 2*2 = -3, actual: (2-1)^2 = 1
-    assert not sufficient_decrease_test(h, F, x_bar, x_star, J, 0.5)
+    assert not sufficient_decrease_test(h, F.eval(x_bar), J, F.eval(x_star), x_bar, x_star,
+                                        0.5)
 
 
 def test_sufficient_decrease_requires_real_values():
     F = AffineMapping([[1.0], [1.0]], [0.0, 0.0])
     h = EqualityIndicatorOuter(2)
     with pytest.raises(EvaluationError):
-        sufficient_decrease_test(h, F, np.array([1.0]), np.array([0.5]),
-                                 F.jacobian(np.array([1.0])).matrix, 0.5)
+        x_bar, x_star = np.array([1.0]), np.array([0.5])
+        sufficient_decrease_test(h, F.eval(x_bar), F.jacobian(x_bar).matrix, F.eval(x_star),
+                                 x_bar, x_star, 0.5)
 
 
 def test_step5_residuals_affine():
     F = AffineMapping([[3.0]], [1.0])
     x_prev, x_next = np.array([1.0]), np.array([0.5])
     z_next = F.eval(x_prev) + F.jacobian(x_prev).matrix @ (x_next - x_prev)
-    u, w = step5_residuals(F, x_prev, x_next, z_next, np.array([1.0]), 0.5)
+    u, w = step5_residuals(F.eval(x_next), F.jacobian(x_prev).matrix,
+                           F.jacobian(x_next).matrix, x_prev, x_next, z_next,
+                           np.array([1.0]), 0.5)
     assert np.allclose(u, 0.0)
     assert np.allclose(w, -(x_next - x_prev) / 0.5)
 
@@ -130,7 +136,8 @@ def test_step5_residuals_zero_step():
     F = quad_mapping()
     x = np.array([0.3])
     z = F.eval(x)
-    u, w = step5_residuals(F, x, x, z, np.array([1.0]), 1.0)
+    J = F.jacobian(x).matrix
+    u, w = step5_residuals(F.eval(x), J, J, x, x, z, np.array([1.0]), 1.0)
     assert np.allclose(u, 0.0) and np.allclose(w, 0.0)
 
 
@@ -141,7 +148,8 @@ def test_step5_residuals_hand_example():
     x_prev, x_next = np.array([1.0]), np.array([0.5])
     z = F.eval(x_prev) + F.jacobian(x_prev).matrix @ (x_next - x_prev)
     assert z[0] == pytest.approx(0.0)
-    u, w = step5_residuals(F, x_prev, x_next, z, np.array([1.0]), 1.0)
+    u, w = step5_residuals(F.eval(x_next), F.jacobian(x_prev).matrix,
+                           F.jacobian(x_next).matrix, x_prev, x_next, z, np.array([1.0]), 1.0)
     assert u[0] == pytest.approx(0.25)
     assert w[0] == pytest.approx(-0.5)
 

@@ -327,6 +327,32 @@ _BAD_INPUTS = {
     "probe_tolerance-string": ("exact_penalty", "x", "diagnostics", "probe_tolerance"),
     "seed-bool": ("exact_penalty", True, "seed"),
     "log_barrier-first_linear": ("log_barrier", False, "problem", "outer", "first_linear"),
+    # non-finite parameters of the outer function and the inner mapping
+    "goal-alpha-nan": ("goal_softplus", math.nan, "problem", "outer", "alpha", 0),
+    "goal-tau-inf": ("goal_softplus", math.inf, "problem", "outer", "tau", 0),
+    "linear-p-nan": ("homotopy", math.nan, "problem", "outer", "p", 0),
+    "squared_error-target-inf": ("network_inverse", -math.inf, "problem", "outer",
+                                 "target", 0),
+    "squared_error-weight-nan": ("network_inverse", math.nan, "problem", "outer", "weight"),
+    "support-points-nan": ("distributionally_robust", math.nan, "problem", "outer",
+                           "points", 0, 0),
+    "affine-A-nan": ("quad_penalty", math.nan, "problem", "inner", "A", 0, 0),
+    "affine-b-inf": ("convex_sanity", math.inf, "problem", "inner", "b", 0),
+    "quadratic-c-nan": ("exact_penalty", math.nan, "problem", "inner", "components", 0, "c"),
+    "quadratic-Q-inf": ("goal_softplus", math.inf, "problem", "inner", "components", 0,
+                        "Q", 0, 0),
+    "min_smooth-q-nan": ("min_smoothing", math.nan, "problem", "inner", "components", 0, 0,
+                         "q", 0),
+    "sample_average-A1-inf": ("sample_average", math.inf, "problem", "inner", "A1", 0, 0),
+    "network-weight-nan": ("network_inverse", math.nan, "problem", "inner", "networks", 0,
+                           "weights", 0, 0, 0),
+    "network-bias-inf": ("network_inverse", math.inf, "problem", "inner", "networks", 0,
+                         "biases", 1, 0),
+    # output prefixes that would write outside the output directory or name no file
+    "output-empty": ("exact_penalty", "", "output"),
+    "output-absolute": ("exact_penalty", "/abs/exact_penalty", "output"),
+    "output-dotdot": ("exact_penalty", "runs/../../exact_penalty", "output"),
+    "output-dot": ("exact_penalty", ".", "output"),
 }
 
 
@@ -337,6 +363,15 @@ def test_cli_rejects_bad_input(tmp_path, capsys, fixture, value, path):
     assert _cli_run_doc(tmp_path, _edit(fixture, value, *path)) == 3
     assert "config error:" in capsys.readouterr().err
     assert not list(tmp_path.glob("*_summary.json"))
+
+
+def test_nested_output_prefix_creates_its_directory(tmp_path, capsys):
+    doc = _edit("exact_penalty", "runs/a/exact_penalty", "output")
+    assert _cli_run_doc(tmp_path, doc) == 0
+    summary = tmp_path / "runs" / "a" / "exact_penalty_summary.json"
+    assert sorted(p.name for p in summary.parent.iterdir()) == [
+        "exact_penalty_rates.csv", "exact_penalty_summary.json", "exact_penalty_trace.csv"]
+    assert verify_summary(summary) == 0
 
 
 def _paths(node, prefix=()):

@@ -242,3 +242,108 @@ def test_dimension_chain_mismatch_rejected():
     with pytest.raises(ValueError):
         NetworkForwardMapping([([np.ones((3, 2)), np.ones((2, 4))],
                                 [np.zeros(3), np.zeros(2)])], Activation("relu"))
+
+
+# ---------------------------------------------------------------------------
+# batch evaluation: each row equals the one-point call, bit for bit
+
+
+def _net(rng, widths):
+    weights = [rng.normal(size=(b, a)) / a ** 0.5 for a, b in zip(widths, widths[1:])]
+    biases = [rng.normal(scale=0.1, size=b) for b in widths[1:]]
+    return weights, biases
+
+
+def _batch_catalogue():
+    rng = stream(3, "batch-catalogue")
+    Q = rng.normal(size=(3, 3))
+    quad = [(Q + Q.T, rng.normal(size=3), 0.7), (np.eye(3), rng.normal(size=3), -1.2)]
+    # pieces x1 + x2 and -x1 - x2 + 0.5: tied along x1 + x2 = 0.25
+    tie = [[(np.zeros((3, 3)), np.array([1.0, 1.0, 0.0]), 0.0),
+            (np.zeros((3, 3)), np.array([-1.0, -1.0, 0.0]), 0.5)],
+           quad]
+    nets = [_net(rng, (3, 16, 8, 2)), _net(rng, (3, 16, 8, 2))]
+    return {
+        "affine": AffineMapping(rng.normal(size=(4, 3)), rng.normal(size=4)),
+        "quadratic": QuadraticArrayMapping(quad),
+        "min-exact": MinSmoothMapping(tie),
+        "min-smoothed": MinSmoothMapping(tie, theta=7.0),
+        "sample-average": SampleAverageMapping(rng.normal(size=(2, 3)), rng.normal(size=2),
+                                               rng.normal(size=(2, 3)), rng.normal(size=2),
+                                               count=9, seed=4),
+        "relu-net": NetworkForwardMapping(nets, Activation("relu")),
+        "softplus-net": NetworkForwardMapping(nets, Activation("softplus", 5.0)),
+        "relu-lift": NetworkLiftMapping(nets[:1], Activation("relu")),
+    }
+
+
+def _batch_points(F):
+    rng = stream(5, "batch-points", str(F.n))
+    P = rng.uniform(-1.5, 1.5, size=(40, F.n))
+    P[0] = 0.0
+    if F.n == 3:
+        P[1] = [0.125, 0.125, 0.3]     # the min-smooth tie
+    return P
+
+
+@pytest.mark.parametrize("name", list(_batch_catalogue()))
+@pytest.mark.parametrize("layout", ["contiguous", "single-row", "strided-columns",
+                                    "strided-rows"])
+def test_batch_calls_equal_one_point_calls(name, layout):
+    F = _batch_catalogue()[name]
+    P = _batch_points(F)
+    if layout == "single-row":
+        P = P[1:2]
+    elif layout == "strided-columns":
+        P = np.repeat(P, 2, axis=1)[:, ::2]
+    elif layout == "strided-rows":
+        P = P[::3]
+    values = F.eval_batch(P)
+    J, multi = F.jacobian_batch(P)
+    assert values.shape == (len(P), F.m)
+    assert J.shape == (len(P), F.m, F.n) and multi.shape == (len(P), F.m)
+    for k, p in enumerate(P):
+        rep = F.jacobian(p)
+        assert values[k].tobytes() == F.eval(p).tobytes()
+        assert J[k].tobytes() == rep.matrix.tobytes()
+        assert multi[k].tolist() == [len(a) > 1 for a in rep.active_grads]
+
+
+def test_batch_mask_flags_kinks_and_ties():
+    act = Activation("relu")
+    lifted = NetworkLiftMapping([([np.array([[1.0]])], [np.array([0.0])])], act)
+    P = np.array([lifted.lift_point(np.array([0.0])), lifted.lift_point(np.array([1.0]))])
+    _, multi = lifted.jacobian_batch(P)
+    assert multi.tolist() == [[False, True], [False, False]]
+    exact = _two_piece()
+    _, multi = exact.jacobian_batch(np.array([[0.0], [0.5]]))
+    assert multi.tolist() == [[True], [False]]
+    _, multi = exact.with_theta(3.0).jacobian_batch(np.array([[0.0], [0.5]]))
+    assert not multi.any()
+
+
+def test_batch_calls_check_the_shape():
+    F = AffineMapping(np.ones((2, 3)), np.zeros(2))
+    for bad in (np.zeros(3), np.zeros((4, 2))):
+        with pytest.raises(ValueError):
+            F.eval_batch(bad)
+        with pytest.raises(ValueError):
+            F.jacobian_batch(bad)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: AffineMapping([[math.nan]], [0.0]),
+    lambda: AffineMapping([[1.0]], [math.inf]),
+    lambda: QuadraticArrayMapping([([[1.0]], [0.0], math.nan)]),
+    lambda: QuadraticArrayMapping([([[math.inf]], [0.0], 0.0)]),
+    lambda: MinSmoothMapping([[([[1.0]], [-math.inf], 0.0)]]),
+    lambda: MinSmoothMapping([[([[1.0]], [0.0], 0.0)]], theta=math.inf),
+    lambda: SampleAverageMapping([[1.0]], [0.0], [[math.nan]], [0.0]),
+    lambda: SampleAverageMapping([[1.0]], [0.0], [[1.0]], [0.0], dist=("uniform", 0, math.inf)),
+    lambda: NetworkForwardMapping([([[[math.nan]]], [[0.0]])], Activation("relu")),
+    lambda: NetworkForwardMapping([([[[1.0]]], [[math.inf]])], Activation("relu")),
+    lambda: Activation("softplus", math.nan),
+])
+def test_inner_constructors_reject_nonfinite_parameters(make):
+    with pytest.raises(ValueError):
+        make()
