@@ -19,11 +19,10 @@ from .inner import (Activation, AffineMapping, InnerMapping, MinSmoothMapping,
                     build_network_lift, resample)
 from .model import (CompositeProblem, ResidualTriple, StationarityTriple, eval_phi,
                     stationarity_residual)
-from .outer import (AugLagrangianOuter, BlockSeparableOuter, CuttingPlaneOuter,
-                    EqualityIndicatorOuter, ExactPenaltyOuter, GoalOuter,
-                    HomotopyOuter, InequalityIndicatorOuter, LinearOuter,
-                    LogBarrierOuter, OuterFunction, QuadPenaltyOuter,
-                    SoftplusGoalOuter, SquaredErrorOuter, SupportOuter,
-                    add_cut, softplus, softplus_grad)
+from .outer import (AugLagrangianOuter, BlockSeparableOuter, EqualityIndicatorOuter,
+                    ExactPenaltyOuter, GoalOuter, HomotopyOuter,
+                    InequalityIndicatorOuter, LinearOuter, LogBarrierOuter,
+                    OuterFunction, QuadPenaltyOuter, SoftplusGoalOuter,
+                    SquaredErrorOuter, SupportOuter, softplus, softplus_grad)
 
 __version__ = "0.1.0"

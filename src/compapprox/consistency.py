@@ -503,9 +503,7 @@ def low_discrepancy_points(n: int, rho: float, count: int) -> np.ndarray:
     """Unscrambled Halton points in the Euclidean rho-ball of R^n.
 
     The rows of the first count Halton points of [-rho, rho]^n that lie in
-    the ball, as a read-only array cached per (n, rho, count). Deterministic;
-    also serves as the anchor sequence for cutting-plane models, whose
-    pointwise convergence needs a dense countable anchor set.
+    the ball, as a read-only array cached per (n, rho, count). Deterministic.
     """
     pts = rho * (2.0 * _halton_unit(n, count) - 1.0)
     pts = pts[row_norms(pts) <= rho]

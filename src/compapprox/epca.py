@@ -40,7 +40,7 @@ class EpcaConfig:
     lam_bar: float = 1.0
     lam0: float = 1.0
     delta_schedule: tuple = ()
-    inner_iteration_cap: int = 200
+    inner_iteration_cap: int = 300
     subproblem_tolerance_factor: float = 0.1
 
     def __post_init__(self):
@@ -331,7 +331,8 @@ def run_epca(stages, config: EpcaConfig) -> EpcaTrace:
     """Run EPCA across the approximation schedule, one certified triple per stage.
 
     Raises NonconvergenceError (carrying the partial trace) if an inner loop
-    exceeds the iteration cap or lambda collapses below the floor.
+    exceeds the iteration cap, lambda collapses below the floor, a subproblem
+    fails, or a stage raises EvaluationError or CertificationError.
     """
     stages = list(stages)
     if len(config.delta_schedule) < len(stages):
@@ -344,61 +345,67 @@ def run_epca(stages, config: EpcaConfig) -> EpcaTrace:
         delta = float(config.delta_schedule[nu - 1])
         subtol = config.subproblem_tolerance_factor * delta
         x_bar = stage.X.project(x_prev)
-        _level_boundedness_probe(stage, x_bar)
-        if y_carry is not None and y_carry.shape != (stage.F.m,):
-            y_carry = None
-        # F and its Jacobian selection at x_bar, carried over from x_star when
-        # x_star becomes the next x_bar
-        c = stage.F.eval(x_bar)
-        J = stage.F.jacobian(x_bar).matrix
-        obj_path = [stage.h.value(c)]
-        inner = 0
-        while True:
-            inner += 1
-            if inner > config.inner_iteration_cap:
-                raise NonconvergenceError(
-                    f"inner iteration cap exceeded at outer index {nu}",
-                    best=x_bar, partial_trace=trace)
-            try:
+        try:
+            _level_boundedness_probe(stage, x_bar)
+            if y_carry is not None and y_carry.shape != (stage.F.m,):
+                y_carry = None
+            # F and its Jacobian selection at x_bar, carried over from x_star when
+            # x_star becomes the next x_bar
+            c = stage.F.eval(x_bar)
+            J = stage.F.jacobian(x_bar).matrix
+            obj_path = [stage.h.value(c)]
+            inner = 0
+            while True:
+                inner += 1
+                if inner > config.inner_iteration_cap:
+                    raise NonconvergenceError(
+                        f"inner iteration cap exceeded at outer index {nu}",
+                        best=x_bar)
                 sub = solve_subproblem(stage.X, stage.h, c, J, x_bar, lam, subtol,
                                        y0=y_carry)
-            except NonconvergenceError as err:
-                err.partial_trace = trace
-                raise
-            x_star, y_star = sub.x, sub.y
-            y_carry = y_star
-            if np.linalg.norm(x_star - x_bar) <= 1e-12 * (1.0 + np.linalg.norm(x_bar)):
-                y, z = extract_multipliers_step4(stage.h, stage.F, stage.X, x_star,
-                                                 subtol, y_hint=y_star)
-                triple = StationarityTriple(x_star, y, z)
-                obj_path.append(stage.h.value(z))
-                _record(trace, nu, stage, triple, inner, lam, delta, "step4", None,
-                        obj_path)
-                x_prev = x_star
-                break
-            c_star = stage.F.eval(x_star)
-            if sufficient_decrease_test(stage.h, c, J, c_star, x_bar, x_star, config.sigma):
-                lam_next = min(config.tau * lam, config.lam_bar)
-                z_bar = _model_point(c, J, x_star, x_bar)
-                J_star = stage.F.jacobian(x_star).matrix
-                u, w = step5_residuals(c_star, J, J_star, x_bar, x_star, z_bar, y_star, lam)
-                u_norm, w_norm = float(np.linalg.norm(u)), float(np.linalg.norm(w))
-                obj_path.append(stage.h.value(c_star))
-                if max(u_norm, w_norm + sub.residual) <= delta:
-                    triple = StationarityTriple(x_star, y_star, z_bar)
-                    _record(trace, nu, stage, triple, inner, lam, delta, "step5",
-                            (u_norm, w_norm, sub.residual), obj_path)
-                    lam = lam_next
+                x_star, y_star = sub.x, sub.y
+                y_carry = y_star
+                if np.linalg.norm(x_star - x_bar) <= 1e-12 * (1.0 + np.linalg.norm(x_bar)):
+                    y, z = extract_multipliers_step4(stage.h, stage.F, stage.X, x_star,
+                                                     subtol, y_hint=y_star)
+                    triple = StationarityTriple(x_star, y, z)
+                    obj_path.append(stage.h.value(z))
+                    _record(trace, nu, stage, triple, inner, lam, delta, "step4", None,
+                            obj_path)
                     x_prev = x_star
                     break
-                x_bar, c, J = x_star, c_star, J_star
-                lam = lam_next
-            else:
-                lam = lam / config.tau
-                if lam < _LAMBDA_FLOOR:
-                    raise NonconvergenceError(
-                        f"lambda collapsed below {_LAMBDA_FLOOR} at outer index {nu}",
-                        best=x_bar, partial_trace=trace)
+                c_star = stage.F.eval(x_star)
+                if sufficient_decrease_test(stage.h, c, J, c_star, x_bar, x_star, config.sigma):
+                    lam_next = min(config.tau * lam, config.lam_bar)
+                    z_bar = _model_point(c, J, x_star, x_bar)
+                    J_star = stage.F.jacobian(x_star).matrix
+                    u, w = step5_residuals(c_star, J, J_star, x_bar, x_star, z_bar, y_star, lam)
+                    u_norm, w_norm = float(np.linalg.norm(u)), float(np.linalg.norm(w))
+                    obj_path.append(stage.h.value(c_star))
+                    if max(u_norm, w_norm + sub.residual) <= delta:
+                        triple = StationarityTriple(x_star, y_star, z_bar)
+                        _record(trace, nu, stage, triple, inner, lam, delta, "step5",
+                                (u_norm, w_norm, sub.residual), obj_path)
+                        lam = lam_next
+                        x_prev = x_star
+                        break
+                    x_bar, c, J = x_star, c_star, J_star
+                    lam = lam_next
+                else:
+                    lam = lam / config.tau
+                    if lam < _LAMBDA_FLOOR:
+                        raise NonconvergenceError(
+                            f"lambda collapsed below {_LAMBDA_FLOOR} at outer index {nu}",
+                            best=x_bar)
+        except NonconvergenceError as err:
+            err.partial_trace = trace
+            raise
+        except (EvaluationError, CertificationError) as err:
+            # a start outside dom h or a failed Step-4 check ends the run
+            # like a cap: exit 2 with the stages certified so far
+            raise NonconvergenceError(
+                f"{type(err).__name__} at outer index {nu}: {err}",
+                best=x_bar, partial_trace=trace) from err
     return trace
 
 

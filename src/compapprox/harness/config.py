@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..epca import EpcaConfig
 from ..errors import ConfigError
 from ..geometry import Ball, Box, ClosedSet, HalfspaceIntersection, WholeSpace
 from ..inner import (Activation, AffineMapping, InnerMapping, MinSmoothMapping,
@@ -33,8 +34,9 @@ FAMILY_NAMES = tuple(FAMILIES)
 
 #: family.delta_decay when the config leaves it out
 DELTA_DECAY = 0.5
-#: epca settings a config may leave out, with their values
-EPCA_DEFAULTS = {"inner_iteration_cap": 300, "subproblem_tolerance_factor": 0.1}
+#: epca settings a config may leave out, with EpcaConfig's defaults
+EPCA_DEFAULTS = {f.name: f.default for f in dataclasses.fields(EpcaConfig)
+                 if f.name in ("inner_iteration_cap", "subproblem_tolerance_factor")}
 
 
 @dataclass

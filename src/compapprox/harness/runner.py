@@ -197,13 +197,15 @@ def _quad_penalty_assertions(cfg, actual, stages, trace, rate_rows):
     res = cfg.diagnostics.grid_resolution
     X = actual.X
     grid = _grid_1d(X.lower[0], X.upper[0], res)
-    phi = np.array([eval_phi(actual, np.array([g])) for g in grid])
+    P = grid[:, None]
+    phi = np.where(X.contains_batch(P), actual.h.value_batch(actual.F.eval_batch(P)),
+                   math.inf)
     actual_arg = grid[int(np.argmin(phi))]
     worst = 0.0
     for st in stages:
         if st.parameter < 1e4:
             continue
-        vals = np.array([st.h.value(st.F.eval(np.array([g]))) for g in grid])
+        vals = st.h.value_batch(st.F.eval_batch(P))
         approx_arg = grid[int(np.argmin(vals))]
         worst = max(worst, abs(approx_arg - actual_arg))
     out = {"criterion_10_quad_penalty_epi": _assert_le(
@@ -508,6 +510,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> int:
     try:
         trace = run_epca(stages, ecfg)
     except NonconvergenceError as err:
+        print(f"{cfg.name}: {err}")
         trace = err.partial_trace
         status = 2
 

@@ -9,10 +9,15 @@ network inversion into a composite problem with equality structure.
 variants list, per component, every active generalized gradient so callers can
 form the convex hull.
 
-``eval_batch`` and ``jacobian_batch`` evaluate at the rows of a point array and
-equal the one-point calls row by row, bit for bit. Their overrides keep one
-matrix-vector product per point (a stacked ``A @ P[:, :, None]``): a single
-matrix product ``P @ A.T`` rounds differently.
+``eval_batch`` and ``jacobian_batch`` evaluate at the rows of a point array.
+Each primitive has one implementation: the affine, sample-average, network
+and min-smooth mappings define the batch calls, and their one-point
+``eval``/``jacobian`` are the one-row case (min-smooth keeps its own
+``jacobian``, whose report carries the active pieces and weights). The
+quadratic-array and lifted-network mappings define the one-point calls, and
+the batch calls loop over them. Batch code keeps one matrix-vector product per
+point (a stacked ``A @ P[:, :, None]``), so a row does not depend on the other
+rows of its batch: a single matrix product ``P @ A.T`` rounds differently.
 """
 
 from __future__ import annotations
@@ -53,17 +58,26 @@ class InnerMapping:
     m: int
     smooth: bool = True
 
+    # A subclass defines one side of each pair: eval or eval_batch, and
+    # jacobian or jacobian_batch; the other side defaults to it.
+
     def eval(self, x) -> np.ndarray:
-        raise NotImplementedError
+        """F(x), the one-row case of ``eval_batch``."""
+        return self.eval_batch(self._check(x)[None])[0]
 
     def jacobian(self, x) -> JacobianReport:
-        raise NotImplementedError
+        """The one-row case of ``jacobian_batch``, one generator per component.
+
+        Mappings whose components can have several active generalized
+        gradients define their own ``jacobian``.
+        """
+        J = self.jacobian_batch(self._check(x)[None])[0][0]
+        return JacobianReport(J.copy(), self.smooth, [[row] for row in J], [])
 
     def eval_batch(self, P) -> np.ndarray:
         """Values at the rows of P, shape (N, m), for P of shape (N, n).
 
-        Must equal ``eval`` row by row, bit for bit; overrides vectorize only
-        where that holds. The default loops over ``eval``.
+        The default loops over ``eval``.
         """
         P = self._check_batch(P)
         return np.array([self.eval(p) for p in P], dtype=float).reshape(len(P), self.m)
@@ -114,16 +128,8 @@ class AffineMapping(InnerMapping):
             raise ValueError("A and b dimensions disagree")
         self.m, self.n = self.A.shape
 
-    def eval(self, x):
-        return self.A @ self._check(x) + self.b
-
     def eval_batch(self, P):
         return _matvec(self.A, self._check_batch(P)) + self.b
-
-    def jacobian(self, x):
-        self._check(x)
-        return JacobianReport(self.A.copy(), True,
-                              [[row] for row in self.A], [])
 
     def jacobian_batch(self, P):
         return _constant_jacobian(self.A, len(self._check_batch(P)))
@@ -225,18 +231,6 @@ class MinSmoothMapping(InnerMapping):
     def piece_counts(self):
         return [len(p) for p in self.pieces]
 
-    def eval(self, x):
-        x = self._check(x)
-        out = np.empty(self.m)
-        for i, plist in enumerate(self.pieces):
-            vals = np.array([_quad_value_grad(p, x)[0] for p in plist])
-            vmin = float(np.min(vals))
-            if self.theta is None:
-                out[i] = vmin
-            else:
-                out[i] = vmin - math.log(np.sum(np.exp(-self.theta * (vals - vmin)))) / self.theta
-        return out
-
     def _pieces_batch(self, P):
         """Per component: piece values (N, K), gradients (N, K, n), row minima (N,)."""
         for plist in self.pieces:
@@ -328,18 +322,9 @@ class SampleAverageMapping(InnerMapping):
             raise ValueError(f"unknown xi distribution {self.dist[0]!r}")
         self._xi_bar = float(np.mean(self.xis))
 
-    def eval(self, x):
-        x = self._check(x)
-        return self.base.eval(x) + self._xi_bar * self.noise.eval(x)
-
     def eval_batch(self, P):
         P = self._check_batch(P)
         return self.base.eval_batch(P) + self._xi_bar * self.noise.eval_batch(P)
-
-    def jacobian(self, x):
-        self._check(x)
-        J = self.base.A + self._xi_bar * self.noise.A
-        return JacobianReport(J, True, [[row] for row in J], [])
 
     def jacobian_batch(self, P):
         return _constant_jacobian(self.base.A + self._xi_bar * self.noise.A,
@@ -441,16 +426,6 @@ class NetworkForwardMapping(InnerMapping):
         self.nq = nq
         self.smooth = activation.smooth
 
-    def eval(self, x):
-        x = self._check(x)
-        outs = []
-        for layers in self.networks:
-            h = x
-            for A, b in layers:
-                h = self.activation.value(A @ h + b)
-            outs.append(h)
-        return np.concatenate(outs)
-
     def eval_batch(self, P):
         P = self._check_batch(P)
         outs = []
@@ -461,21 +436,6 @@ class NetworkForwardMapping(InnerMapping):
             outs.append(H[:, :, 0])
         return np.concatenate(outs, axis=1)
 
-    def jacobian(self, x):
-        x = self._check(x)
-        rows = []
-        for layers in self.networks:
-            h = x
-            J = np.eye(self.n)
-            for A, b in layers:
-                pre = A @ h + b
-                d = self.activation.deriv(pre)
-                J = d[:, None] * (A @ J)
-                h = self.activation.value(pre)
-            rows.append(J)
-        J = np.vstack(rows)
-        return JacobianReport(J, self.activation.smooth, [[row] for row in J], [])
-
     def jacobian_batch(self, P):
         P = self._check_batch(P)
         rows = []
@@ -484,7 +444,7 @@ class NetworkForwardMapping(InnerMapping):
             J = np.eye(self.n)
             for A, b in layers:
                 pre = A @ H + b[:, None]
-                # a stacked A @ J: one matrix product per point, as in jacobian
+                # a stacked A @ J: one matrix product per point
                 J = self.activation.deriv(pre) * (A @ J)
                 H = self.activation.value(pre)
             rows.append(J)

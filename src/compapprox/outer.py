@@ -796,72 +796,6 @@ class SupportOuter(OuterFunction):
         return z - step * proj
 
 
-class CuttingPlaneOuter(OuterFunction):
-    """h(z) = max_k value_k + <slope_k, z - anchor_k>; grows one cut at a time."""
-
-    def __init__(self, m, cuts=()):
-        self.m = int(m)
-        self.cuts = tuple((np.asarray(a, dtype=float), float(v), np.asarray(s, dtype=float))
-                          for (a, v, s) in cuts)
-        for a, _, s in self.cuts:
-            if a.shape != (self.m,) or s.shape != (self.m,):
-                raise ValueError("cut anchor/subgradient dimension mismatch")
-
-    @property
-    def separable(self):  # type: ignore[override]
-        return False
-
-    def _require_cuts(self):
-        if not self.cuts:
-            raise CapabilityError("empty cutting-plane model has no value")
-
-    def value(self, z):
-        z = self._check(z)
-        self._require_cuts()
-        return float(max(v + s @ (z - a) for (a, v, s) in self.cuts))
-
-    def subdiff_generators(self, z, slack=0.0):
-        z = self._check(z)
-        self._require_cuts()
-        vals = np.array([v + s @ (z - a) for (a, v, s) in self.cuts])
-        top = float(np.max(vals))
-        scale = slack * (1.0 + float(np.linalg.norm(z)))
-        return np.array([s for (val, (_, _, s)) in zip(vals, self.cuts)
-                         if val >= top - scale])
-
-    def with_cut(self, anchor, value, subgradient):
-        anchor = np.asarray(anchor, dtype=float)
-        subgradient = np.asarray(subgradient, dtype=float)
-        return CuttingPlaneOuter(self.m, self.cuts + ((anchor, float(value), subgradient),))
-
-
-def add_cut(h: CuttingPlaneOuter, anchor, value, subgradient,
-            target=None) -> CuttingPlaneOuter:
-    """Return the model enlarged by one tangent cut.
-
-    Supplying the cut data is the caller's responsibility; when ``target``
-    (a callable) is given, the cut is checked against it: the value must match
-    at the anchor and the affine cut must minorize the target at probe points
-    around the anchor.
-    """
-    anchor = np.asarray(anchor, dtype=float)
-    subgradient = np.asarray(subgradient, dtype=float)
-    if target is not None:
-        ref = float(target(anchor))
-        if abs(ref - value) > 1e-9 * (1.0 + abs(ref)):
-            raise ValueError("cut value disagrees with target at the anchor")
-        for step in (-1.0, -0.25, 0.25, 1.0):
-            for j in range(anchor.size):
-                z = anchor.copy()
-                z[j] += step
-                tv = float(target(z))
-                if math.isinf(tv):
-                    continue
-                if value + subgradient @ (z - anchor) > tv + 1e-9 * (1.0 + abs(tv)):
-                    raise ValueError("cut is not a subgradient inequality of the target")
-    return h.with_cut(anchor, value, subgradient)
-
-
 class SquaredErrorOuter(OuterFunction):
     """h(z) = weight * ||target - z||_2^2."""
 

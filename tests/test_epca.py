@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
+from compapprox import epca
 from compapprox.epca import (EpcaConfig, Stage, extract_multipliers_step4,
                              run_epca, solve_affine_composite, solve_subproblem,
                              step5_residuals, sufficient_decrease_test)
-from compapprox.errors import EvaluationError, NonconvergenceError
+from compapprox.errors import CertificationError, EvaluationError, NonconvergenceError
 from compapprox.geometry import Box, WholeSpace
 from compapprox.inner import AffineMapping, QuadraticArrayMapping
 from compapprox.model import CompositeProblem, stationarity_residual
 from compapprox.outer import (EqualityIndicatorOuter, ExactPenaltyOuter, GoalOuter,
-                              LinearOuter, QuadPenaltyOuter, SoftplusGoalOuter,
-                              softplus_grad)
+                              LinearOuter, LogBarrierOuter, QuadPenaltyOuter,
+                              SoftplusGoalOuter, softplus_grad)
 
 
 def quad_mapping():
@@ -251,6 +252,30 @@ def test_epca_inner_cap_raises_with_partial_trace():
                      inner_iteration_cap=2)
     with pytest.raises(NonconvergenceError) as err:
         run_epca(stages, cfg)
+    assert err.value.partial_trace is not None
+
+
+def test_epca_start_outside_dom_h_is_nonconvergence():
+    # min -x s.t. x - 1 < 0 by a log barrier, started at x = 2
+    stage = Stage(Box([-5.0], [5.0]), LogBarrierOuter(4.0, 2),
+                  AffineMapping([[-1.0], [1.0]], [0.0, -1.0]), parameter=4.0)
+    cfg = EpcaConfig(x0=np.array([2.0]), delta_schedule=(0.01,))
+    with pytest.raises(NonconvergenceError,
+                       match="EvaluationError at outer index 1: subproblem start") as err:
+        run_epca([stage], cfg)
+    assert err.value.partial_trace.entries == []
+    assert err.value.best.tolist() == [2.0]
+
+
+def test_epca_failed_step4_certificate_is_nonconvergence(monkeypatch):
+    def failing(*args, **kwargs):
+        raise CertificationError("step-4 certification failed")
+
+    monkeypatch.setattr(epca, "extract_multipliers_step4", failing)
+    # x0 = 1 minimizes (x - 1)^2, so the first subproblem returns x_bar: Step 4
+    with pytest.raises(NonconvergenceError,
+                       match="CertificationError at outer index 1") as err:
+        run_epca(demo_stages(2), demo_config(2, x0=1.0))
     assert err.value.partial_trace is not None
 
 

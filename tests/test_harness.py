@@ -3,15 +3,20 @@ import functools
 import json
 import math
 import operator
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import compapprox
+from compapprox.epca import EpcaConfig
 from compapprox.errors import ConfigError
 from compapprox.harness.cli import main as cli_main
-from compapprox.harness.config import (config_from_dict, load_config,
+from compapprox.harness.config import (EPCA_DEFAULTS, config_from_dict, load_config,
                                        load_network_model, validate_config)
 from compapprox.harness.families import build_stages, perturb_support_points
 from compapprox.harness.fixtures import (FIXTURE_ORDER, fixture_config,
@@ -229,6 +234,36 @@ def test_verify_rejects_nonconvergent_summary(tmp_path, capsys):
     capsys.readouterr()
     assert verify_summary(tmp_path / "exact_penalty_summary.json") == 2
     assert "'nonconvergence'" in capsys.readouterr().out
+
+
+def test_start_outside_dom_h_exits_2_without_traceback(tmp_path):
+    # the log barrier's x - 1 < 0 fails at x0 = 2: the first subproblem cannot start
+    doc = fixture_document("log_barrier")
+    doc["epca"]["x0"] = [2.0]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(compapprox.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def cli(*args):
+        return subprocess.run([sys.executable, "-m", "compapprox.harness.cli", *args],
+                              capture_output=True, text=True, env=env)
+
+    run = cli("run", str(cfg), "--output-dir", str(tmp_path))
+    assert run.returncode == 2, run.stderr
+    assert "Traceback" not in run.stderr
+    assert "EvaluationError at outer index 1" in run.stdout
+    summary = tmp_path / "log_barrier_summary.json"
+    assert json.loads(summary.read_text())["status"] == "nonconvergence"
+    assert cli("verify", str(summary)).returncode == 2
+
+
+def test_epca_defaults_have_one_source():
+    cfg = EpcaConfig(x0=[0.0], delta_schedule=(0.1,))
+    assert EPCA_DEFAULTS == {"inner_iteration_cap": cfg.inner_iteration_cap,
+                             "subproblem_tolerance_factor": cfg.subproblem_tolerance_factor}
+    assert EPCA_DEFAULTS["inner_iteration_cap"] == 300
 
 
 def _cli_run_doc(tmp_path, doc):

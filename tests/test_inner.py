@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -307,6 +308,35 @@ def test_batch_calls_equal_one_point_calls(name, layout):
         assert values[k].tobytes() == F.eval(p).tobytes()
         assert J[k].tobytes() == rep.matrix.tobytes()
         assert multi[k].tolist() == [len(a) > 1 for a in rep.active_grads]
+
+
+#: sha256 over the bytes of eval(p), jacobian(p).matrix and every active_grads
+#: entry at each row p of _batch_points(F), recorded from the separate
+#: one-point implementations the batch calls replaced
+ONE_POINT_DIGESTS = {
+    "affine": "2c53ff1c91f69a96d80be9bf15fa3f1e33810fd0e51d8e48dd66152cee592393",
+    "quadratic": "8b0ff14e9805ecffdcd26dccba2b8c72490df15ca0c2677324679d28eea362f1",
+    "min-exact": "94773f8cbdce94801c77b5cb680e5b280c57fef785026db8c78fa74ac41a79a3",
+    "min-smoothed": "847257cc2a491e680e7203802ec6846c97c39a0b975c31b26f17beac5798d17b",
+    "sample-average": "2f9905c0cc6bcad19404cc3001c2ece1f72a05f0158d6882db19ba868cf74493",
+    "relu-net": "1916a33b43f2dcedc956d07e06633691db810eb515775e16e13fa3a25dd9d69f",
+    "softplus-net": "2aba58cbf5783a20f8555f8dced381147b8d01efeffea31f0c99d1334ad4ae71",
+    "relu-lift": "fdd7449b123577dedfb16f3d1679efc4262250ef7948054b68385a67f933350a",
+}
+
+
+@pytest.mark.parametrize("name", list(_batch_catalogue()))
+def test_one_point_calls_match_recorded_digests(name):
+    F = _batch_catalogue()[name]
+    digest = hashlib.sha256()
+    for p in _batch_points(F):
+        rep = F.jacobian(p)
+        digest.update(F.eval(p).tobytes())
+        digest.update(rep.matrix.tobytes())
+        for grads in rep.active_grads:
+            for g in grads:
+                digest.update(np.asarray(g).tobytes())
+    assert digest.hexdigest() == ONE_POINT_DIGESTS[name]
 
 
 def test_batch_mask_flags_kinks_and_ties():

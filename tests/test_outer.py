@@ -6,12 +6,11 @@ import pytest
 
 from compapprox.errors import CapabilityError
 from compapprox.outer import (AugLagrangianOuter, BlockSeparableOuter,
-                              CuttingPlaneOuter, EqualityIndicatorOuter,
-                              ExactPenaltyOuter, GoalOuter, HomotopyOuter,
-                              InequalityIndicatorOuter, LinearOuter,
-                              LogBarrierOuter, QuadPenaltyOuter,
+                              EqualityIndicatorOuter, ExactPenaltyOuter,
+                              GoalOuter, HomotopyOuter, InequalityIndicatorOuter,
+                              LinearOuter, LogBarrierOuter, QuadPenaltyOuter,
                               SoftplusGoalOuter, SquaredErrorOuter, SupportOuter,
-                              add_cut, check_midpoint_convexity, softplus,
+                              check_midpoint_convexity, softplus,
                               softplus_grad)
 from compapprox.rng import stream
 
@@ -29,7 +28,6 @@ def catalogue():
         ExactPenaltyOuter(5.0, 3),
         LogBarrierOuter(2.0, 3),
         HomotopyOuter(GoalOuter([1.0], [0.0]), 0.25),
-        CuttingPlaneOuter(1, [([0.0], 0.0, [0.0]), ([1.0], 1.0, [2.0])]),
         SquaredErrorOuter([0.5, -0.5], 1.5),
         BlockSeparableOuter([LinearOuter([2.0]), ExactPenaltyOuter(1.0, 2)]),
     ]
@@ -273,74 +271,6 @@ def test_graph_monotonicity_property():
             for (z1, v1) in pts:
                 for (z2, v2) in pts:
                     assert (z1 - z2) * (v1 - v2) >= -1e-12
-
-
-# ---------------------------------------------------------------------------
-# cutting planes
-
-
-def test_single_tangent_model():
-    model = CuttingPlaneOuter(1)
-    model = add_cut(model, [0.0], 0.0, [0.0], target=lambda z: float(z[0] ** 2))
-    for z in np.linspace(-3, 3, 13):
-        assert model.value([z]) == 0.0
-
-
-def test_three_tangent_model_matches_max_oracle():
-    target = lambda z: float(z[0] ** 2)
-    model = CuttingPlaneOuter(1)
-    for anchor in (-1.0, 0.0, 1.0):
-        model = add_cut(model, [anchor], anchor**2, [2 * anchor], target=target)
-    assert model.value([2.0]) == pytest.approx(3.0)
-    # oracle: direct maximum of the three tangents
-    for z in np.linspace(-3, 3, 61):
-        direct = max(a**2 + 2 * a * (z - a) for a in (-1.0, 0.0, 1.0))
-        assert model.value([z]) == pytest.approx(direct, abs=1e-12)
-
-
-def test_cutting_plane_minorant_and_monotone():
-    rng = stream(55, "cutting-plane")
-    target = lambda z: float(np.sum(z**2))
-    model = CuttingPlaneOuter(2)
-    prev_vals = None
-    probes = rng.normal(scale=2.0, size=(30, 2))
-    for _ in range(6):
-        anchor = rng.normal(scale=1.5, size=2)
-        model = add_cut(model, anchor, target(anchor), 2 * anchor, target=target)
-        vals = np.array([model.value(z) for z in probes])
-        assert np.all(vals <= np.array([target(z) for z in probes]) + 1e-9)
-        assert model.value(anchor) == pytest.approx(target(anchor), abs=1e-12)
-        if prev_vals is not None:
-            assert np.all(vals >= prev_vals - 1e-12)
-        prev_vals = vals
-
-
-def test_bad_cut_rejected():
-    model = CuttingPlaneOuter(1)
-    with pytest.raises(ValueError):
-        add_cut(model, [1.0], 5.0, [2.0], target=lambda z: float(z[0] ** 2))
-    with pytest.raises(ValueError):
-        # correct value, invalid slope: overshoots the target nearby
-        add_cut(model, [1.0], 1.0, [7.0], target=lambda z: float(z[0] ** 2))
-
-
-def test_cutting_plane_dense_anchor_convergence():
-    # models built on a low-discrepancy anchor sequence converge pointwise
-    from compapprox.consistency import low_discrepancy_points
-
-    target = lambda z: float(np.sum(z**2))
-    anchors = low_discrepancy_points(2, 3.0, 256)
-    assert len(anchors) >= 128
-    model = CuttingPlaneOuter(2)
-    probes = low_discrepancy_points(2, 2.0, 40)
-    gaps = []
-    for chunk in (8, 32, 128):
-        while len(model.cuts) < chunk:
-            a = anchors[len(model.cuts)]
-            model = add_cut(model, a, target(a), 2 * a, target=target)
-        gaps.append(max(target(z) - model.value(z) for z in probes))
-    assert gaps[0] > gaps[1] > gaps[2]
-    assert gaps[-1] <= 0.2
 
 
 # ---------------------------------------------------------------------------
