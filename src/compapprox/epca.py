@@ -8,6 +8,18 @@ a triple whose explicit residual vectors u, w satisfy
 max{||u||, ||w|| + r_sub} <= delta^nu (Step 5), where r_sub is the certified
 inexactness of the subproblem solve.
 
+After a Step-5 step that passes the decrease test but not the certificate,
+the next prox centre is extrapolated in the manner of Gueler's accelerated
+proximal point method: x_bar = P_X(x* + beta_k (x* - x*_prev)), with
+beta_k = (k-1)/(k+2), k the number of such steps since the last reset and
+x*_prev the previous accepted x*. The safeguard keeps x_bar only if
+h(F(x_bar)) <= h(F(x*)), which also turns away points outside dom h; otherwise
+the centre is x* and k resets, as it does after a failed decrease test. So
+the objective path stays monotone. The certificate does not depend on the
+centre: u = F(x*) - z_bar and w = (J(x*) - J(x_bar))'y - (x* - x_bar)/lambda
+come from the subproblem's optimality at x* around whichever x_bar was used,
+so the certified triple is valid for any x_bar in X.
+
 Subproblems minimize h(F(x_bar) + dF(x_bar)(x - x_bar)) + ||x - x_bar||^2 /
 (2 lambda) over X. Two solvers cover the catalogue: projected gradient with
 backtracking when h is differentiable, and a primal-dual (Chambolle-Pock)
@@ -127,13 +139,15 @@ def _solve_smooth(X, h, c, J, x_bar, lam, tol, max_iter):
     x = X.project(x_bar)
 
     def model(xx):
-        val = h.value(_model_point(c, J, xx, x_bar))
+        # the value and the model point, which the next gradient reuses
+        zz = _model_point(c, J, xx, x_bar)
+        val = h.value(zz)
         if math.isfinite(lam):
             d = xx - x_bar
             val += 0.5 * (d @ d) / lam
-        return val
+        return val, zz
 
-    val = model(x)
+    val, z = model(x)
     if math.isinf(val):
         raise EvaluationError("subproblem start lies outside dom h")
     t = 1.0
@@ -143,7 +157,7 @@ def _solve_smooth(X, h, c, J, x_bar, lam, tol, max_iter):
     since_improve = 0
     best = (math.inf, x, None)
     for it in range(1, max_iter + 1):
-        y = h.grad(_model_point(c, J, x, x_bar))
+        y = h.grad(z)
         g = J.T @ y
         if math.isfinite(lam):
             g = g + (x - x_bar) / lam
@@ -167,24 +181,24 @@ def _solve_smooth(X, h, c, J, x_bar, lam, tol, max_iter):
                         raise NonconvergenceError("fixed-step phase collapsed",
                                                   best=best[1], residual=best[0])
             x_new = X.project(x - t_ref * g)
-            if math.isinf(model(x_new)):
+            val_new, z_new = model(x_new)
+            if math.isinf(val_new):
                 t_ref *= 0.5
                 continue
-            x = x_new
+            x, z = x_new, z_new
             continue
         accepted = False
         while t >= 1e-18:
             x_new = X.project(x - t * g)
             step = x_new - x
-            val_new = model(x_new)
+            val_new, z_new = model(x_new)
             if val_new <= val + g @ step + (step @ step) / (2.0 * t) + 1e-15 * (1.0 + abs(val)):
                 accepted = True
                 break
             t *= 0.5
         if not accepted:
             t = max(t, 1e-18)
-            val_new = val
-            x_new = x
+            val_new, x_new, z_new = val, x, z
         if t_ref is None or accepted:
             t_ref = t
         # objective differences below resolution: switch to the fixed-step phase
@@ -192,7 +206,7 @@ def _solve_smooth(X, h, c, J, x_bar, lam, tol, max_iter):
             fixed_step = True
             window_best = cert
             since_improve = 0
-        x, val = x_new, val_new
+        x, val, z = x_new, val_new, z_new
         t = min(t * 2.0, 1e8)
     raise NonconvergenceError("projected-gradient subproblem hit its iteration cap",
                               best=best[1], residual=best[0])
@@ -332,7 +346,9 @@ def run_epca(stages, config: EpcaConfig) -> EpcaTrace:
 
     Raises NonconvergenceError (carrying the partial trace) if an inner loop
     exceeds the iteration cap, lambda collapses below the floor, a subproblem
-    fails, or a stage raises EvaluationError or CertificationError.
+    fails, or a stage raises EvaluationError or CertificationError. Each
+    message names the outer index; a subproblem's also names the stage
+    parameter and keeps the solver's best point and residual.
     """
     stages = list(stages)
     if len(config.delta_schedule) < len(stages):
@@ -349,20 +365,28 @@ def run_epca(stages, config: EpcaConfig) -> EpcaTrace:
             _level_boundedness_probe(stage, x_bar)
             if y_carry is not None and y_carry.shape != (stage.F.m,):
                 y_carry = None
-            # F and its Jacobian selection at x_bar, carried over from x_star when
-            # x_star becomes the next x_bar
+            # F and its Jacobian selection at x_bar, carried over from x_star or
+            # the extrapolated point, whichever becomes the next x_bar
             c = stage.F.eval(x_bar)
             J = stage.F.jacobian(x_bar).matrix
             obj_path = [stage.h.value(c)]
             inner = 0
+            # k counts the accepted uncertified steps since the last reset, and
+            # x_acc is the last accepted x_star, the base of the extrapolation
+            k, x_acc = 0, None
             while True:
                 inner += 1
                 if inner > config.inner_iteration_cap:
                     raise NonconvergenceError(
                         f"inner iteration cap exceeded at outer index {nu}",
                         best=x_bar)
-                sub = solve_subproblem(stage.X, stage.h, c, J, x_bar, lam, subtol,
-                                       y0=y_carry)
+                try:
+                    sub = solve_subproblem(stage.X, stage.h, c, J, x_bar, lam, subtol,
+                                           y0=y_carry)
+                except NonconvergenceError as err:
+                    raise NonconvergenceError(
+                        f"at outer index {nu} (parameter {stage.parameter:.6g}): {err}",
+                        best=err.best, residual=err.residual) from err
                 x_star, y_star = sub.x, sub.y
                 y_carry = y_star
                 if np.linalg.norm(x_star - x_bar) <= 1e-12 * (1.0 + np.linalg.norm(x_bar)):
@@ -381,7 +405,8 @@ def run_epca(stages, config: EpcaConfig) -> EpcaTrace:
                     J_star = stage.F.jacobian(x_star).matrix
                     u, w = step5_residuals(c_star, J, J_star, x_bar, x_star, z_bar, y_star, lam)
                     u_norm, w_norm = float(np.linalg.norm(u)), float(np.linalg.norm(w))
-                    obj_path.append(stage.h.value(c_star))
+                    v_star = stage.h.value(c_star)
+                    obj_path.append(v_star)
                     if max(u_norm, w_norm + sub.residual) <= delta:
                         triple = StationarityTriple(x_star, y_star, z_bar)
                         _record(trace, nu, stage, triple, inner, lam, delta, "step5",
@@ -391,7 +416,20 @@ def run_epca(stages, config: EpcaConfig) -> EpcaTrace:
                         break
                     x_bar, c, J = x_star, c_star, J_star
                     lam = lam_next
+                    k += 1
+                    if k > 1:  # beta_1 = 0 would return x_star itself
+                        beta = (k - 1) / (k + 2)
+                        x_ext = stage.X.project(x_star + beta * (x_star - x_acc))
+                        c_ext = stage.F.eval(x_ext)
+                        # safeguard: no worse than x_star, which also keeps a
+                        # point outside dom h (value inf) or a NaN out
+                        if stage.h.value(c_ext) <= v_star:
+                            x_bar, c, J = x_ext, c_ext, stage.F.jacobian(x_ext).matrix
+                        else:
+                            k = 0
+                    x_acc = x_star
                 else:
+                    k = 0
                     lam = lam / config.tau
                     if lam < _LAMBDA_FLOOR:
                         raise NonconvergenceError(

@@ -67,6 +67,13 @@ class ExperimentConfig:
         return tuple(fam["delta0"] * fam.get("delta_decay", DELTA_DECAY) ** k
                      for k in range(fam["length"]))
 
+    def epca_config(self) -> EpcaConfig:
+        e = self.epca
+        return EpcaConfig(x0=np.asarray(e["x0"], dtype=float), tau=e["tau"],
+                          sigma=e["sigma"], lam_bar=e["lambda_bar"], lam0=e["lambda0"],
+                          delta_schedule=self.delta_schedule(),
+                          **{key: e.get(key, value) for key, value in EPCA_DEFAULTS.items()})
+
 
 def _network(spec, seed, base_dir):
     if "file" in spec:

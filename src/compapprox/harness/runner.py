@@ -39,7 +39,7 @@ from ..model import CompositeProblem, eval_phi, stationarity_residual
 from ..outer import (AugLagrangianOuter, EqualityIndicatorOuter, ExactPenaltyOuter,
                      LinearOuter, softplus)
 from ..rng import stream
-from .config import EPCA_DEFAULTS, ExperimentConfig
+from .config import ExperimentConfig
 from .families import FAMILIES, build_stages
 from .fixtures import fixture_document
 
@@ -501,11 +501,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> int:
     prefix.parent.mkdir(parents=True, exist_ok=True)
 
     actual, stages = build_stages(cfg)
-    e = cfg.epca
-    ecfg = EpcaConfig(x0=np.asarray(e["x0"], dtype=float), tau=e["tau"],
-                      sigma=e["sigma"], lam_bar=e["lambda_bar"], lam0=e["lambda0"],
-                      delta_schedule=cfg.delta_schedule(),
-                      **{key: e.get(key, value) for key, value in EPCA_DEFAULTS.items()})
+    ecfg = cfg.epca_config()
     status = 0
     try:
         trace = run_epca(stages, ecfg)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError
+from .errors import CapabilityError, NonconvergenceError
 from .geometry import as_count, dist_to_hull, finite_array, project_onto_hull
 
 KINK_TOL = 1e-9
@@ -350,7 +350,9 @@ class SoftplusGoalOuter(OuterFunction):
             if abs(w_new - w) <= 1e-12 * (1.0 + abs(w)):
                 return w_new
             w = w_new
-        return w
+        raise NonconvergenceError(
+            f"softplus prox of component {i} did not converge in 200 iterations",
+            best=w)
 
     def prox(self, z, step):
         z = self._check(z)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from compapprox.model import CompositeProblem, stationarity_residual
 from compapprox.outer import (EqualityIndicatorOuter, ExactPenaltyOuter, GoalOuter,
                               LinearOuter, LogBarrierOuter, QuadPenaltyOuter,
                               SoftplusGoalOuter, softplus_grad)
+from compapprox.rng import stream
 
 
 def quad_mapping():
@@ -70,6 +73,45 @@ def test_subproblem_optimality_inclusion_splitting():
     zz = c + J @ (r.x - x_bar)
     d, _ = h.subdiff_distance(r.y, zz, 1e-9)
     assert d <= 1e-8
+
+
+def _smooth_cases():
+    rng = stream(3, "smooth-subproblem-digest")
+    n = 12
+    J = rng.normal(size=(n, n)) / n ** 0.5
+    c = rng.normal(size=n)
+    x_bar = rng.uniform(-0.5, 0.5, size=n)
+    h = SoftplusGoalOuter(rng.uniform(0.5, 1.5, size=n), rng.uniform(-0.5, 0.5, size=n),
+                          64.0)
+    X = Box(-np.ones(n), np.ones(n))
+    return {
+        "softplus_box_lam10": (X, h, c, J, x_bar, 10.0, 1e-9),
+        "softplus_box_laminf": (X, h, c, J, x_bar, np.inf, 1e-12),
+        "quad_penalty_whole": (WholeSpace(2), QuadPenaltyOuter(1.0, 2), np.array([0.0, 1.0]),
+                               np.eye(2), np.zeros(2), 1.0, 1e-11),
+    }
+
+
+#: iterations and sha256 over the bytes of x, y and the residual, recorded
+#: before the smooth solver reused the accepted trial's model point; each
+#: case runs through both the backtracking and the fixed-step phase
+SMOOTH_DIGESTS = {
+    "softplus_box_lam10":
+        (972, "5f4ca0b79712c34b466e10082d679ef65c025eff3e8eea07e287f9250099ef54"),
+    "softplus_box_laminf":
+        (356, "6cc5eaf14447c24a8a08bf4ee770fd1ac285a74b968ffc19ee7faf958df0211b"),
+    "quad_penalty_whole":
+        (39, "3623d8b7a3caa5e37c4ed5efb5af037174b8c4aaa39f3d2423680337b8bceda6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMOOTH_DIGESTS))
+def test_smooth_subproblem_matches_recorded_digests(name):
+    r = solve_subproblem(*_smooth_cases()[name])
+    digest = hashlib.sha256()
+    for part in (r.x, r.y, np.float64(r.residual)):
+        digest.update(part.tobytes())
+    assert (r.iterations, digest.hexdigest()) == SMOOTH_DIGESTS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +319,20 @@ def test_epca_failed_step4_certificate_is_nonconvergence(monkeypatch):
                        match="CertificationError at outer index 1") as err:
         run_epca(demo_stages(2), demo_config(2, x0=1.0))
     assert err.value.partial_trace is not None
+
+
+def test_epca_subproblem_failure_names_outer_index(monkeypatch):
+    def capped(*args, **kwargs):
+        raise NonconvergenceError("primal-dual subproblem hit its iteration cap",
+                                  best=np.array([0.5]), residual=0.25)
+
+    monkeypatch.setattr(epca, "solve_subproblem", capped)
+    with pytest.raises(NonconvergenceError,
+                       match=r"^at outer index 1 \(parameter 1\): primal-dual") as err:
+        run_epca(demo_stages(2), demo_config(2))
+    assert err.value.best.tolist() == [0.5]
+    assert err.value.residual == 0.25
+    assert err.value.partial_trace.entries == []
 
 
 def test_config_validation():

@@ -1,9 +1,11 @@
 import copy
 import functools
+import importlib.util
 import json
 import math
 import operator
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import compapprox
-from compapprox.epca import EpcaConfig
+from compapprox.epca import EpcaConfig, run_epca
 from compapprox.errors import ConfigError
 from compapprox.harness.cli import main as cli_main
 from compapprox.harness.config import (EPCA_DEFAULTS, config_from_dict, load_config,
@@ -234,6 +236,18 @@ def test_verify_rejects_nonconvergent_summary(tmp_path, capsys):
     capsys.readouterr()
     assert verify_summary(tmp_path / "exact_penalty_summary.json") == 2
     assert "'nonconvergence'" in capsys.readouterr().out
+
+
+def test_subproblem_cap_names_outer_index(tmp_path, capsys):
+    # delta0 = 1e-300 is below what the primal-dual solver can certify, so its
+    # first solve runs to the iteration cap
+    doc = fixture_document("exact_penalty")
+    doc["family"]["delta0"] = 1e-300
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli_main(["run", str(cfg), "--output-dir", str(tmp_path)]) == 2
+    out = capsys.readouterr().out
+    assert "at outer index 1 (parameter 1): primal-dual subproblem hit its" in out
 
 
 def test_start_outside_dom_h_exits_2_without_traceback(tmp_path):
@@ -487,3 +501,42 @@ def test_summary_assertions_map_to_criteria(fixture_runs):
             summary = json.load(fh)
         for key in summary["assertions"]:
             assert key.startswith("criterion_"), key
+
+
+@pytest.mark.parametrize("name", FIXTURE_ORDER)
+def test_fixture_trace_rows_certified_at_delta(name):
+    cfg = fixture_config(name)
+    ecfg = cfg.epca_config()
+    trace = run_epca(build_stages(cfg)[1], ecfg)
+    assert trace.entries
+    for e in trace.entries:
+        assert e.residual.combined <= e.delta * (1.0 + ecfg.subproblem_tolerance_factor)
+        if e.exit == "step5":
+            u_norm, w_norm, r_sub = e.certificate
+            assert max(u_norm, w_norm + r_sub) <= e.delta
+
+
+def _perfbench_workloads():
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: total EPCA inner iterations of bench_softplus_goal_n50 (seed 1) with the
+#: prox centre always at the last accepted x*, before extrapolation
+N50_INNER_ITERATIONS_PLAIN = 339
+
+
+def test_extrapolated_centres_keep_objective_monotone_and_save_iterations():
+    cfg = config_from_dict(_perfbench_workloads().softplus_goal_config(1, 50))
+    trace = run_epca(build_stages(cfg)[1], cfg.epca_config())
+    assert len(trace.entries) == cfg.family["length"]
+    for e in trace.entries:
+        path = e.objective_path
+        for a, b in zip(path, path[1:]):
+            assert b <= a + 1e-12 * (1.0 + abs(a)), e.nu
+        assert e.residual.combined <= e.delta
+    total = sum(e.inner_iterations for e in trace.entries)
+    assert total < N50_INNER_ITERATIONS_PLAIN

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from compapprox.errors import CapabilityError
+from compapprox.errors import CapabilityError, NonconvergenceError
 from compapprox.outer import (AugLagrangianOuter, BlockSeparableOuter,
                               EqualityIndicatorOuter, ExactPenaltyOuter,
                               GoalOuter, HomotopyOuter, InequalityIndicatorOuter,
@@ -35,6 +35,15 @@ def catalogue():
 
 # ---------------------------------------------------------------------------
 # values
+
+
+def test_softplus_prox_signals_nonconvergence():
+    # a NaN input never meets the stopping test: the 200-iteration cap must
+    # raise instead of returning a point that solves nothing
+    h = SoftplusGoalOuter([1.0, 2.0], [0.0, 1.0], 5.0)
+    with pytest.raises(NonconvergenceError, match="did not converge"):
+        h.prox(np.array([0.3, math.nan]), 1.0)
+    assert np.all(np.isfinite(h.prox(np.array([0.3, -0.4]), 1.0)))
 
 
 def test_aug_lagrangian_value_example():
