@@ -9,7 +9,8 @@ optimality condition.
 
 Graph excesses come as a bracket: a measured lower bound (dense sampling of
 the approximating graph, every breakpoint included, with exact point-to-graph
-distances) and a certified upper bound (the coordinate-wise constructive
+distances, each the minimum over every combination of whole graph pieces)
+and a certified upper bound (the coordinate-wise constructive
 projection that the corresponding convergence-rate derivations use).
 """
 
@@ -97,8 +98,8 @@ def _halton_unit(d: int, count: int) -> np.ndarray:
 #
 # Every function below works on arrays over sample rows and performs, row by
 # row, the float operations of a scalar evaluation in the same order, so the
-# results do not depend on how the rows are batched. Coordinates a mask leaves
-# out contribute an exact 0.0 to the sums.
+# results do not depend on how the rows are batched. Pieces are never clipped:
+# the distance is a plain minimum over every combination of whole pieces.
 
 
 def _where_gt(a, b):
@@ -109,42 +110,6 @@ def _where_gt(a, b):
 def _where_lt(a, b):
     """Python's min(a, b), elementwise: b where b < a, else a."""
     return np.where(b < a, b, a)
-
-
-@dataclass(frozen=True)
-class _ClippedPiece:
-    """One graph piece clipped at a per-row radius, as GraphPiece.clip does.
-
-    ``ok`` is False on rows where the clipped piece is empty; ``sloped`` marks
-    rows where it is neither vertical nor flat, i.e. where the distance needs
-    the scalarization of _combo_minmax rather than two interval distances.
-    """
-
-    ok: np.ndarray
-    z_lo: np.ndarray
-    z_hi: np.ndarray
-    v_lo: np.ndarray
-    v_hi: np.ndarray
-    sloped: np.ndarray
-    intercept: float
-    slope: float
-
-
-def _clip_rows(graph: SubdifferentialGraph1D, bound):
-    out = []
-    for p in graph.pieces:
-        z_lo, z_hi = _where_gt(p.z_lo, -bound), _where_lt(p.z_hi, bound)
-        v_lo, v_hi = _where_gt(p.v_lo, -bound), _where_lt(p.v_hi, bound)
-        ok = ~((z_lo > z_hi) | (v_lo > v_hi))
-        if not (p.is_vertical or p.is_flat):
-            z_lo = _where_gt(z_lo, (v_lo - p.intercept) / p.slope)
-            z_hi = _where_lt(z_hi, (v_hi - p.intercept) / p.slope)
-            ok &= ~(z_lo > z_hi)
-            v_lo = p.intercept + p.slope * z_lo
-            v_hi = p.intercept + p.slope * z_hi
-        out.append(_ClippedPiece(ok, z_lo, z_hi, v_lo, v_hi,
-                                 ok & (z_lo != z_hi) & (v_lo != v_hi), p.intercept, p.slope))
-    return out
 
 
 def _interval_sqdist(t, lo, hi):
@@ -166,29 +131,26 @@ def _combo_minmax(fz, fv, sloped):
     """Rowwise min over the combo's pieces of max{sum dz^2, sum dv^2} (exact).
 
     fz, fv sum the box pieces' independent minima. ``sloped`` lists
-    (mask, zlo, zhi, a, b, zb, vb) per coordinate whose piece is sloped on the
-    rows of mask; those are resolved by the weighted scalarization
-    s(mu) = argmin (1-mu) Qz + mu Qv, closed form per coordinate, and a
-    bisection on Qz(s(mu)) - Qv(s(mu)) (monotone in mu).
+    (zlo, zhi, a, b, zb, vb) per coordinate whose piece is sloped; those are
+    resolved by the weighted scalarization s(mu) = argmin (1-mu) Qz + mu Qv,
+    closed form per coordinate, and a bisection on Qz(s(mu)) - Qv(s(mu))
+    (monotone in mu).
     """
-    out = np.maximum(fz, fv)
     if not sloped:
-        return out
-    has = np.logical_or.reduce([t[0] for t in sloped])
+        return np.maximum(fz, fv)
 
     def at(mu, rows):
         qz, qv = fz[rows], fv[rows]
-        for mask, zlo, zhi, a, b, zb, vb in sloped:
-            tz, tv = _sloped_terms(mu, zb[rows], vb[rows], zlo[rows], zhi[rows], a, b)
-            qz = qz + np.where(mask[rows], tz, 0.0)
-            qv = qv + np.where(mask[rows], tv, 0.0)
+        for zlo, zhi, a, b, zb, vb in sloped:
+            tz, tv = _sloped_terms(mu, zb[rows], vb[rows], zlo, zhi, a, b)
+            qz, qv = qz + tz, qv + tv
         return qz, qv
 
-    rows = np.flatnonzero(has)
+    rows = np.arange(len(fz))
     qz0, qv0 = at(0.0, rows)
     qz1, qv1 = at(1.0, rows)
     done0, done1 = qz0 >= qv0, qv1 >= qz1
-    out[rows] = np.where(done0, qz0, qv1)
+    out = np.where(done0, qz0, qv1)
     need = ~(done0 | done1)
     rows = rows[need]
     if rows.size:
@@ -204,94 +166,26 @@ def _combo_minmax(fz, fv, sloped):
     return out
 
 
-def _sloped_pick(zb, vb, zlo, zhi, a, b):
-    """(dz^2, dv^2) at the bisection's best point of one sloped piece."""
-    best = np.full(zb.shape, math.inf)
-    qz_best, qv_best = np.zeros(zb.shape), np.zeros(zb.shape)
-    lo, hi = np.zeros(zb.shape), np.ones(zb.shape)
-    for _ in range(80):
-        mu = 0.5 * (lo + hi)
-        qz, qv = _sloped_terms(mu, zb, vb, zlo, zhi, a, b)
-        top = np.maximum(qz, qv)
-        better = top < best
-        best = np.where(better, top, best)
-        qz_best, qv_best = np.where(better, qz, qz_best), np.where(better, qv, qv_best)
-        left = qz < qv
-        lo, hi = np.where(left, mu, lo), np.where(left, hi, mu)
-    return qz_best, qv_best
-
-
-def _box_terms(Z, V, clipped):
-    """Per coordinate and piece, the interval distances (dz^2, dv^2) of every row."""
-    return [[(_interval_sqdist(Z[:, i], c.z_lo, c.z_hi), _interval_sqdist(V[:, i], c.v_lo, c.v_hi))
-             for c in pieces] for i, pieces in enumerate(clipped)]
-
-
-def _quick_bound(Z, V, clipped):
-    """Upper bound: per coordinate, the piece point minimizing max(|dz|, |dv|)."""
-    dz2 = np.zeros(len(Z))
-    dv2 = np.zeros(len(Z))
-    for i, (pieces, terms) in enumerate(zip(clipped, _box_terms(Z, V, clipped))):
-        zb, vb = Z[:, i], V[:, i]
-        best = np.full(len(Z), math.inf)
-        pick_z, pick_v = np.zeros(len(Z)), np.zeros(len(Z))
-        for c, (tz, tv) in zip(pieces, terms):
-            val = np.maximum(tz, tv)
-            r = np.flatnonzero(c.sloped)
-            if r.size:
-                zlo, zhi, a, b = c.z_lo[r], c.z_hi[r], c.intercept, c.slope
-                zero = np.zeros(r.size)
-                sloped = (np.ones(r.size, dtype=bool), zlo, zhi, a, b, zb[r], vb[r])
-                val[r] = _combo_minmax(zero, zero, [sloped])
-                tz, tv = tz.copy(), tv.copy()
-                tz[r], tv[r] = _sloped_pick(zb[r], vb[r], zlo, zhi, a, b)
-            better = c.ok & (val < best)
-            best = np.where(better, val, best)
-            pick_z, pick_v = np.where(better, tz, pick_z), np.where(better, tv, pick_v)
-        dz2 = dz2 + pick_z
-        dv2 = dv2 + pick_v
-    return np.sqrt(np.maximum(dz2, dv2))
-
-
-def _all_coords_hit(clipped):
-    return np.logical_and.reduce([np.logical_or.reduce([c.ok for c in pieces])
-                                  for pieces in clipped])
-
-
-def _graph_distances(Z, V, graphs, hint):
+def _graph_distances(Z, V, graphs):
     """Exact distance from each row (Z[k], V[k]) to the product of 1-D graphs.
 
-    Distance under max{||z - z'||_2, ||v - v'||_2}. The target is not
-    truncated: pieces are clipped only at a radius beyond which no point can
-    beat the cheap per-coordinate candidate, keeping the result exact.
-    ``hint`` (one value per row) widens the radius of that candidate search.
+    Distance under max{||z - z'||_2, ||v - v'||_2}: the rowwise minimum, over
+    every combination of one whole (unclipped) piece per coordinate, of
+    _combo_minmax. Box pieces add their interval distances; sloped pieces go
+    through its scalarization.
     """
-    reach = np.maximum(np.max(np.abs(Z), axis=1), np.max(np.abs(V), axis=1))
-    probe = reach + hint + 1.0
-    clipped = [_clip_rows(g, probe) for g in graphs]
-    missed = ~_all_coords_hit(clipped)
-    if missed.any():
-        probe = np.where(missed, reach + 1e6, probe)
-        clipped = [_clip_rows(g, probe) for g in graphs]
-    d0 = _quick_bound(Z, V, clipped)
-    clipped = [_clip_rows(g, reach + d0 + 1.0) for g in graphs]
-    best = d0 * d0
-    terms = _box_terms(Z, V, clipped)
-    for combo in itertools.product(*(range(len(g.pieces)) for g in graphs)):
-        ok = np.ones(len(Z), dtype=bool)
+    best = np.full(len(Z), math.inf)
+    for combo in itertools.product(*(g.pieces for g in graphs)):
         fz = fv = np.zeros(len(Z))
         sloped = []
-        for i, j in enumerate(combo):
-            c = clipped[i][j]
-            tz, tv = terms[i][j]
-            ok &= c.ok
-            fz = fz + np.where(c.sloped, 0.0, tz)
-            fv = fv + np.where(c.sloped, 0.0, tv)
-            if c.sloped.any():
-                sloped.append((c.sloped, c.z_lo, c.z_hi, c.intercept, c.slope, Z[:, i], V[:, i]))
-        val = _combo_minmax(fz, fv, sloped)
-        best = np.where(ok & (val < best), val, best)
-    return np.where(_all_coords_hit(clipped), np.sqrt(best), d0)
+        for i, p in enumerate(combo):
+            if p.is_vertical or p.is_flat:
+                fz = fz + _interval_sqdist(Z[:, i], p.z_lo, p.z_hi)
+                fv = fv + _interval_sqdist(V[:, i], p.v_lo, p.v_hi)
+            else:
+                sloped.append((p.z_lo, p.z_hi, p.intercept, p.slope, Z[:, i], V[:, i]))
+        best = _where_lt(best, _combo_minmax(fz, fv, sloped))
+    return np.sqrt(best)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +199,13 @@ def _piece_measure(p):
 
 
 def _sample_product_arrays(graphs, bound: float, count: int):
-    """Arrays (Z, V) of shape (k, m) behind sample_product_graph."""
+    """Deterministic samples (Z, V), shape (k, m), of the product graph.
+
+    Low-discrepancy (Halton) points drive per-coordinate arclength positions;
+    every combination of piece breakpoints is added (capped), since staircase
+    extrema sit at breakpoints. Rows are kept when ||z||_2 <= bound and
+    ||v||_2 <= bound.
+    """
     m = len(graphs)
     clipped = [g.clipped(bound) for g in graphs]
     if any(len(p) == 0 for p in clipped):
@@ -347,17 +247,6 @@ def _sample_product_arrays(graphs, bound: float, count: int):
     return Z[keep], V[keep]
 
 
-def sample_product_graph(graphs, bound: float, count: int = 2000):
-    """Deterministic samples of the product graph inside the ball of radius bound.
-
-    Low-discrepancy (Halton) points drive per-coordinate arclength positions;
-    every combination of piece breakpoints is added (capped), since staircase
-    extrema sit at breakpoints. Points are filtered to ||z||_2 <= bound and
-    ||v||_2 <= bound. Returns a list of (z, v) pairs.
-    """
-    return list(zip(*_sample_product_arrays(graphs, bound, count)))
-
-
 def _require_separable(h: OuterFunction, role: str):
     if not h.separable:
         raise CapabilityError(f"{role} outer function is not coordinate-separable")
@@ -367,12 +256,8 @@ def graph_excess_measured(h_from: OuterFunction, h_to: OuterFunction, rho: float
                           samples: int = 2000) -> float:
     """Sampled lower bound on exs_{2 rho}(gph dh_from ; gph dh_to).
 
-    Each sample's distance search is seeded with the largest distance of the
-    samples before it. That makes sample k depend on samples 0..k-1; the batch
-    resolves the dependency by fixed-point iteration, recomputing the rows
-    whose seed changed until no seed changes. The first pass settles sample
-    0 and each further pass at least one more, so the result is that of
-    visiting the samples in order.
+    The largest exact distance to gph dh_to over the samples of gph dh_from
+    in the 2 rho window.
     """
     _require_separable(h_from, "source")
     _require_separable(h_to, "target")
@@ -381,15 +266,7 @@ def graph_excess_measured(h_from: OuterFunction, h_to: OuterFunction, rho: float
     Z, V = _sample_product_arrays(graphs_from, 2.0 * rho, samples)
     if len(Z) == 0:
         return 0.0
-    hint = np.zeros(len(Z))
-    d = _graph_distances(Z, V, graphs_to, hint)
-    while True:
-        seen = np.maximum.accumulate(np.concatenate([[0.0], d[:-1]]))
-        stale = seen != hint
-        if not stale.any():
-            return float(max(0.0, np.max(d)))
-        hint = seen
-        d[stale] = _graph_distances(Z[stale], V[stale], graphs_to, hint[stale])
+    return float(max(0.0, np.max(_graph_distances(Z, V, graphs_to))))
 
 
 def _graphs_identical(ha: OuterFunction, hb: OuterFunction) -> bool:
@@ -681,34 +558,16 @@ class TransferReport:
 
 def _graph_nearest_1d(graph: SubdifferentialGraph1D, zb: float, vb: float, clip: float):
     """Nearest point of one 1-D graph under max(|dz|, |dv|)."""
-    best = (math.inf, zb, vb)
+    points = []
     for p in graph.clipped(clip):
         if p.is_vertical or p.is_flat:
-            zp = min(max(zb, p.z_lo), p.z_hi)
-            vp = min(max(vb, p.v_lo), p.v_hi)
+            points.append((min(max(zb, p.z_lo), p.z_hi), min(max(vb, p.v_lo), p.v_hi)))
         else:
-            zlo, zhi, a, b = p.z_lo, p.z_hi, p.intercept, p.slope
-            # minimize max(|zb - z'|, |vb - a - b z'|): coarse scan + refine
-            grid = np.linspace(zlo, zhi, 65)
-            vals = np.maximum(np.abs(zb - grid), np.abs(vb - a - b * grid))
-            k = int(np.argmin(vals))
-            lo = grid[max(k - 1, 0)]
-            hi = grid[min(k + 1, len(grid) - 1)]
-            for _ in range(60):
-                third = (hi - lo) / 3.0
-                m1, m2 = lo + third, hi - third
-                f1 = max(abs(zb - m1), abs(vb - a - b * m1))
-                f2 = max(abs(zb - m2), abs(vb - a - b * m2))
-                if f1 <= f2:
-                    hi = m2
-                else:
-                    lo = m1
-            zp = 0.5 * (lo + hi)
-            vp = a + b * zp
-        val = max(abs(zb - zp), abs(vb - vp))
-        if val < best[0]:
-            best = (val, zp, vp)
-    return best[1], best[2]
+            # max(|zb - z'|, |vb - a - b z'|) is convex in z' and least where
+            # its two terms are equal, so clipping that point is exact
+            zp = min(max((zb + vb - p.intercept) / (1.0 + p.slope), p.z_lo), p.z_hi)
+            points.append((zp, p.intercept + p.slope * zp))
+    return min(points, key=lambda q: max(abs(zb - q[0]), abs(vb - q[1])), default=(zb, vb))
 
 
 def _candidate_triples(problem: CompositeProblem, triple: StationarityTriple,

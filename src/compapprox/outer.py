@@ -775,12 +775,11 @@ class SupportOuter(OuterFunction):
         self.prox_available = True
 
     def value(self, z):
-        z = self._check(z)
-        return float(np.max(self.points @ z))
+        return float(self.value_batch(self._check(z)[None])[0])
 
     def value_batch(self, Z):
-        # one product per row: a single points @ Z.T rounds differently
-        return np.array([np.max(self.points @ z) for z in self._check_batch(Z)], dtype=float)
+        # a stacked product per row: a single points @ Z.T rounds differently
+        return np.max((self.points @ self._check_batch(Z)[:, :, None])[:, :, 0], axis=1)
 
     def _active(self, z, slack):
         vals = self.points @ z

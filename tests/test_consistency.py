@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from compapprox.consistency import (_graph_distances, epi_probe, estimate_eta, fit_loglog_slope,
+from compapprox.consistency import (_graph_distances, _graph_nearest_1d, _sample_product_arrays,
+                                    epi_probe, estimate_eta, fit_loglog_slope,
                                     graph_excess_measured,
                                     graph_excess_separable,
                                     homotopy_graph_excess, low_discrepancy_points,
                                     near_solution_transfer,
-                                    sample_product_graph, solution_error_bound,
+                                    solution_error_bound,
                                     support_set_excess, uniform_outer_gap)
 from compapprox.errors import CapabilityError
 from compapprox.geometry import Box, WholeSpace
@@ -127,8 +128,8 @@ def test_homotopy_requires_rho_ge_half_lambda():
 
 def test_sampling_includes_breakpoints():
     g = GoalOuter([1.0], [0.5]).graph_1d(0)
-    pts = sample_product_graph([g], 2.0, count=50)
-    assert any(z[0] == 0.5 and v[0] in (0.0, 1.0) for z, v in pts)
+    Z, V = _sample_product_arrays([g], 2.0, 50)
+    assert any(z[0] == 0.5 and v[0] in (0.0, 1.0) for z, v in zip(Z, V))
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +318,22 @@ def test_transfer_aug_lagrangian_displacement_bound():
     assert row.displacement <= rep.certified_upper + 1e-3
 
 
+def test_transfer_sloped_actual_outer_closed_form_displacement():
+    # actual: h(z) = (z - 1)^2, whose graph v = 2z - 2 is one sloped piece,
+    # composed with the constant F(x) = 0.3, so moving x never helps. The triple's own
+    # residual |y - h'(0.3)| = 0.28 exceeds the bound 0.1; what is admissible
+    # is its (z, y) moved to the nearest graph point under max(|dz|, |dv|),
+    # where |dz| = |dv|, at distance |2z - y - 2| / 3.
+    F = AffineMapping([[0.0]], [0.3])
+    actual = CompositeProblem(Box([-1.0], [1.0]), SquaredErrorOuter([1.0]), F)
+    y = SquaredErrorOuter([1.0], 1.2).grad(np.array([0.3]))
+    triple = StationarityTriple([0.0], y, [0.3])
+    report = near_solution_transfer([(triple, 1e-9)], actual, 6.0, 0.1)
+    row = report.rows[0]
+    assert report.passed and not row.counterexample
+    assert row.displacement == pytest.approx(abs(2.0 * 0.3 - y[0] - 2.0) / 3.0, abs=1e-12)
+
+
 def test_transfer_counterexample_flagged():
     # an arbitrary far-from-stationary triple with zero tolerance is reported,
     # not dropped
@@ -458,13 +475,93 @@ def test_uniform_outer_gap_golden(case, expected):
 def test_graph_distances_do_not_depend_on_batching():
     h_from, h_to = AugLagrangianOuter([0.3, -0.1], 5.0), GoalOuter([1.2, 0.8, 0.5], [0.1, -0.4, 0.0])
     graphs_to = [h_to.graph_1d(i) for i in range(h_to.m)]
-    pts = sample_product_graph([h_from.graph_1d(i) for i in range(h_from.m)], 2.0, count=64)
-    Z, V = np.array([z for z, _ in pts]), np.array([v for _, v in pts])
-    hint = np.linspace(0.0, 3.0, len(Z))
-    batch = _graph_distances(Z, V, graphs_to, hint)
-    one_by_one = [_graph_distances(Z[k:k + 1], V[k:k + 1], graphs_to, hint[k:k + 1])[0]
-                  for k in range(len(Z))]
+    Z, V = _sample_product_arrays([h_from.graph_1d(i) for i in range(h_from.m)], 2.0, 64)
+    batch = _graph_distances(Z, V, graphs_to)
+    one_by_one = [_graph_distances(Z[k:k + 1], V[k:k + 1], graphs_to)[0] for k in range(len(Z))]
     assert batch.tobytes() == np.array(one_by_one).tobytes()
+
+
+# exact distances against a dense discretisation of the target graph
+
+
+def _separable_kinds(rng, m):
+    """Random separable outers of dimension m: sloped, staircase and vertical pieces."""
+    kinds = [lambda: GoalOuter(rng.uniform(0.2, 2.0, m), rng.uniform(-1.0, 1.0, m)),
+             lambda: SquaredErrorOuter(rng.uniform(-1.0, 1.0, m), rng.uniform(0.2, 3.0)),
+             lambda: EqualityIndicatorOuter(m, first_linear=False)]
+    if m >= 2:
+        kinds += [lambda: AugLagrangianOuter(rng.uniform(-1.0, 1.0, m - 1), rng.uniform(0.5, 5.0)),
+                  lambda: QuadPenaltyOuter(rng.uniform(0.5, 5.0), m),
+                  lambda: EqualityIndicatorOuter(m)]
+    return kinds
+
+
+def _graph_grid(graph, bound, step):
+    """Points of the graph within |z|, |v| <= bound, neighbours at most step apart."""
+    zs, vs = [], []
+    for p in graph.clipped(bound):
+        count = int(math.ceil(math.hypot(p.z_hi - p.z_lo, p.v_hi - p.v_lo) / step)) + 1
+        t = np.linspace(0.0, 1.0, count)
+        if p.is_vertical:
+            z, v = np.full(count, p.z_lo), p.v_lo + t * (p.v_hi - p.v_lo)
+        else:
+            z = p.z_lo + t * (p.z_hi - p.z_lo)
+            v = np.full(count, p.v_lo) if p.is_flat else p.intercept + p.slope * z
+        zs.append(z)
+        vs.append(v)
+    return np.concatenate(zs), np.concatenate(vs)
+
+
+def _grid_distance(z, v, grids):
+    """Distance from (z, v) to the product of per-coordinate point grids.
+
+    Under max{||z - z'||_2, ||v - v'||_2}, by brute force over every product point.
+    """
+    qz, qv = np.zeros(()), np.zeros(())
+    for i, (gz, gv) in enumerate(grids):
+        qz = qz[..., None] + (z[i] - gz) ** 2
+        qv = qv[..., None] + (v[i] - gv) ** 2
+    return math.sqrt(np.min(np.maximum(qz, qv)))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_graph_distances_match_dense_oracle(seed):
+    # every target kind comes up, against a random source kind
+    rng = np.random.default_rng(seed)
+    m = 1 + seed % 2
+    kinds = _separable_kinds(rng, m)
+    h_to = kinds[(seed // 2) % len(kinds)]()
+    h_from = kinds[rng.integers(len(kinds))]()
+    Z, V = _sample_product_arrays([h_from.graph_1d(i) for i in range(m)],
+                                  rng.uniform(1.5, 3.0), 24)
+    assert len(Z) > 0
+    graphs_to = [h_to.graph_1d(i) for i in range(m)]
+    d = _graph_distances(Z, V, graphs_to)
+    # a nearest point lies within |z|, |v| <= bound whenever d is not too small;
+    # if d is too small, the oracle (an upper bound) exposes it all the same
+    bound = max(np.max(np.abs(Z)), np.max(np.abs(V))) + np.max(d) + 1.0
+    step = 0.02
+    grids = [_graph_grid(g, bound, step) for g in graphs_to]
+    for k in range(len(Z)):
+        oracle = _grid_distance(Z[k], V[k], grids)
+        assert oracle - step <= d[k] <= oracle + 1e-12
+
+
+@pytest.mark.parametrize("seed", range(9))
+def test_graph_nearest_sloped_not_farther_than_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.2, 8.0)
+    graph = [SquaredErrorOuter([rng.uniform(-1.0, 1.0)], theta).graph_1d(0),
+             QuadPenaltyOuter(theta, 2).graph_1d(1),
+             AugLagrangianOuter([rng.uniform(-1.0, 1.0)], theta).graph_1d(1)][seed % 3]
+    clip = rng.uniform(1.0, 5.0)
+    gz, gv = _graph_grid(graph, clip, 1e-4)
+    for zb, vb in rng.uniform(-4.0, 4.0, (20, 2)):
+        zp, vp = _graph_nearest_1d(graph, zb, vb, clip)
+        brute = np.min(np.maximum(np.abs(zb - gz), np.abs(vb - gv)))
+        assert max(abs(zb - zp), abs(vb - vp)) <= brute + 1e-12
+        # the point returned lies on the clipped graph
+        assert np.min(np.maximum(np.abs(zp - gz), np.abs(vp - gv))) <= 1e-4
 
 
 def test_ball_points_are_cached_and_read_only():

@@ -81,6 +81,18 @@ def test_value_batch_matches_value_bit_for_bit(m):
         GoalOuter(alpha, tau).value_batch(Z[:, :-1] if m > 1 else Z[0])
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 8, 9, 33])
+def test_support_value_batch_matches_one_product_per_row(m):
+    # value is the one-row case of value_batch, so pin the batch to the
+    # matrix-vector product of each row
+    rng = np.random.default_rng(m)
+    Z = rng.normal(0.0, 3.0, size=(257, m)) * rng.choice([1e-3, 1.0, 1e3], size=(257, 1))
+    for k in (1, 4, 9):
+        h = SupportOuter(rng.dirichlet(np.ones(m), size=k))
+        expected = np.array([np.max(h.points @ z) for z in Z])
+        assert h.value_batch(Z).tobytes() == expected.tobytes()
+
+
 def test_equality_indicator_value():
     h = EqualityIndicatorOuter(2)
     assert h.value([4.0, 0.0]) == 4.0
