@@ -396,6 +396,14 @@ def _fmax(values) -> float:
     return float(np.fmax.reduce(values, axis=None, initial=0.0))
 
 
+def ball_anchor(X, rho: float) -> np.ndarray:
+    """P_X(0), the point of X nearest the origin; ValueError if it lies outside B(0, rho)."""
+    anchor = X.project(np.zeros(X.n))
+    if np.linalg.norm(anchor) > rho:
+        raise ValueError("X does not meet the ball B(0, rho)")
+    return anchor
+
+
 def estimate_eta(F_approx: InnerMapping, F_actual: InnerMapping, X, rho: float,
                  samples: int = 500) -> EtaReport:
     """Sampled eta0 = sup ||F^nu - F|| and eta = sup exs(df_i^nu ; con df_i).
@@ -408,9 +416,7 @@ def estimate_eta(F_approx: InnerMapping, F_actual: InnerMapping, X, rho: float,
     """
     if F_approx.n != F_actual.n or F_approx.m != F_actual.m:
         raise ValueError("mappings must share dimensions")
-    anchor = X.project(np.zeros(X.n))
-    if np.linalg.norm(anchor) > rho:
-        raise ValueError("X does not meet the ball B(0, rho)")
+    anchor = ball_anchor(X, rho)
     ball = _ball_samples(F_approx.n, rho, samples)
     P = np.vstack([ball[X.contains_batch(ball)], anchor])
     eta0 = _fmax(row_norms(F_approx.eval_batch(P) - F_actual.eval_batch(P)))

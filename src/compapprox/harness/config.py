@@ -183,7 +183,7 @@ def _validate_problem(problem, errors, outer_dim_offset, seed, base_dir):
     return X, h, F
 
 
-def _validate_family(family, entry, problem, errors):
+def _validate_family(family, entry, problem, built, errors):
     if not isinstance(family, dict):
         errors.append("family: must be an object")
         return
@@ -194,7 +194,7 @@ def _validate_family(family, entry, problem, errors):
         errors.append(f"family: unknown name {family.get('name')!r} "
                       f"(expected one of {FAMILY_NAMES})")
     else:
-        entry.validate(family, problem, errors)
+        entry.validate(family, problem, built, errors)
 
 
 def _family_entry(family):
@@ -266,12 +266,13 @@ def _validate(doc, base_dir):
     if "problem" in doc:
         offset = entry.outer_dim_offset if entry is not None else 0
         X, h, F = _validate_problem(doc["problem"], errors, offset, seed, base_dir)
+    diagnostics = _validate_diagnostics(doc.get("diagnostics", {}), errors)
+    built = {"X": X, "h": h, "F": F, "diagnostics": diagnostics}
     if "family" in doc:
-        _validate_family(doc["family"], entry, doc.get("problem"), errors)
+        _validate_family(doc["family"], entry, doc.get("problem"), built, errors)
     if "epca" in doc:
         _validate_epca(doc["epca"], None if X is None else X.n, errors)
-    diagnostics = _validate_diagnostics(doc.get("diagnostics", {}), errors)
-    return errors, {"X": X, "h": h, "F": F, "diagnostics": diagnostics}
+    return errors, built
 
 
 def validate_config(doc, base_dir=".") -> list:

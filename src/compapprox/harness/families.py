@@ -30,11 +30,13 @@ from ..rng import stream
 class Family:
     """Everything one approximation family does differently from the others.
 
-    * ``validate(family, problem, errors)`` appends one message per broken
-      family parameter or unmet requirement on the actual problem; together
-      with the checks common to all families it guarantees theta
-      nondecreasing, homotopy lambda nonincreasing in (0, 1) and delta
-      nonincreasing along the schedule;
+    * ``validate(family, problem, built, errors)`` appends one message per
+      broken family parameter or unmet requirement on the actual problem,
+      given as its document and as the ``built`` parts X, h, F and
+      diagnostics (None where a part failed to build); together with the
+      checks common to all families it guarantees theta nondecreasing,
+      homotopy lambda nonincreasing in (0, 1), delta nonincreasing along the
+      schedule, and the preconditions of the family's rate diagnostic;
     * ``build(cfg, X, h, F)`` returns (actual CompositeProblem, [Stage, ...]);
     * ``rate(stage, actual, rho, samples)`` returns the stage's
       (excess_lower, excess_upper, paper_bound, eta0, eta);
@@ -121,7 +123,7 @@ def _needs(problem, part, variant, name, errors):
 
 def _theta_checks(outer=None, inner=None):
     """Validator of a theta-driven family that needs the given problem variants."""
-    def validate(fam, problem, errors):
+    def validate(fam, problem, built, errors):
         name = fam["name"]
         check_number(fam, "theta0", errors, f"family {name}", 0)
         check_number(fam, "theta_growth", errors, f"family {name}", 1)
@@ -132,8 +134,29 @@ def _theta_checks(outer=None, inner=None):
     return validate
 
 
-def _validate_aug_lagrangian(fam, problem, errors):
-    _theta_checks()(fam, problem, errors)
+def _rho(built):
+    """diagnostics.rho when it is valid, else None (its own check reports it)."""
+    diag = built["diagnostics"]
+    rho = None if diag is None else diag.rho
+    return rho if is_number(rho) and rho > 0 else None
+
+
+def _eta_checks(validate):
+    """``validate`` followed by the precondition of the eta rate diagnostic."""
+    def checks(fam, problem, built, errors):
+        validate(fam, problem, built, errors)
+        X, rho = built["X"], _rho(built)
+        if X is not None and rho is not None:
+            try:
+                cons.ball_anchor(X, rho)
+            except ValueError:
+                errors.append(f"family {fam['name']}: problem.set must meet the ball "
+                              "B(0, diagnostics.rho) that the eta diagnostic samples")
+    return checks
+
+
+def _validate_aug_lagrangian(fam, problem, built, errors):
+    _theta_checks()(fam, problem, built, errors)
     m = _needs(problem, "outer", "equality_indicator", "aug_lagrangian", errors).get("m")
     if "y_estimate" in fam:
         y = fam["y_estimate"]
@@ -143,20 +166,28 @@ def _validate_aug_lagrangian(fam, problem, errors):
                           "m - 1 finite numbers")
 
 
-def _validate_min_smoothing(fam, problem, errors):
-    _theta_checks()(fam, problem, errors)
+def _validate_min_smoothing(fam, problem, built, errors):
+    _theta_checks()(fam, problem, built, errors)
     spec = _needs(problem, "inner", "min_smooth", "min_smoothing", errors)
     if spec.get("theta") is not None:
         errors.append("family min_smoothing: the min_smooth inner mapping must be "
                       "exact (no theta)")
 
 
-def _validate_homotopy(fam, problem, errors):
+def _validate_homotopy(fam, problem, built, errors):
     check_number(fam, "lam0", errors, "family homotopy", 0, 1)
     check_number(fam, "lam_decay", errors, "family homotopy", 0, 1)
+    h, lam0, rho = built["h"], fam.get("lam0"), _rho(built)
+    # the certificate and the graph excess read h coordinate by coordinate
+    if h is not None and not h.separable:
+        errors.append("family homotopy: needs a coordinate-separable problem.outer, "
+                      f"got {type(h).__name__}")
+    # the graph excess of the first stage, the largest lambda, needs rho >= lam0/2
+    if rho is not None and is_number(lam0) and rho < lam0 / 2.0:
+        errors.append(f"family homotopy: diagnostics.rho must be >= lam0/2 = {lam0 / 2.0}")
 
 
-def _validate_support_perturb(fam, problem, errors):
+def _validate_support_perturb(fam, problem, built, errors):
     _needs(problem, "outer", "support", "support_perturb", errors)
     alphas, length = fam.get("alphas"), fam.get("length")
     if not (isinstance(alphas, list) and len(alphas) == length
@@ -166,7 +197,7 @@ def _validate_support_perturb(fam, problem, errors):
                       f"{length!r} of finite numbers > 0, nonincreasing")
 
 
-def _validate_sample_average(fam, problem, errors):
+def _validate_sample_average(fam, problem, built, errors):
     check_number(fam, "count0", errors, "family sample_average", 1, closed=True)
     check_number(fam, "count_growth", errors, "family sample_average", 1)
     _needs(problem, "inner", "sample_average", "sample_average", errors)
@@ -295,16 +326,17 @@ FAMILIES = {
         _stages(lambda fam: [float(a) for a in fam["alphas"]], _support_stage),
         _support_perturb_rate),
     "min_smoothing": Family(
-        _validate_min_smoothing,
+        _eta_checks(_validate_min_smoothing),
         _stages(_thetas, lambda h, F, th, fam: (h, F.with_theta(th))),
         _eta_rate),
-    "sample_average": Family(_validate_sample_average, _build_sample_average, _eta_rate),
+    "sample_average": Family(_eta_checks(_validate_sample_average),
+                             _build_sample_average, _eta_rate),
     "network_softplus": Family(
-        _theta_checks(inner="network"),
+        _eta_checks(_theta_checks(inner="network")),
         _stages(_thetas, lambda h, F, th, fam: (h, _softened_network(F, th))),
         _eta_rate),
     "identity": Family(
-        lambda fam, problem, errors: None,
+        lambda fam, problem, built, errors: None,
         _stages(lambda fam: [float(k + 1) for k in range(fam["length"])],
                 lambda h, F, p, fam: (h, F)),
         _identity_rate),

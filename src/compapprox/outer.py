@@ -5,6 +5,12 @@ never -inf), and, where the structure allows, coordinate subdifferential
 intervals, proximal maps, and piecewise-linear descriptions of the
 per-coordinate subdifferential graph.
 
+Where that graph is piecewise linear, ``graph_1d`` is the one definition of
+dh_i: the base class reads the subdifferential intervals off it. Variants
+with curved graphs (softplus goal, log barrier) give the intervals in closed
+form instead, and the homotopy and block-separable wrappers delegate to
+their parts.
+
 Subdifferential interval queries take a ``slack`` argument: the returned
 interval is the hull of the subdifferential over [t - slack, t + slack].
 With slack 0 this is the exact subdifferential. A small positive slack
@@ -121,15 +127,6 @@ class GraphPiece:
         return GraphPiece(z_lo, z_hi, self.intercept + self.slope * z_lo,
                           self.intercept + self.slope * z_hi, self.slope, self.intercept)
 
-    def point_at(self, s: float):
-        """Point at parameter s in [0,1] along the (bounded) piece."""
-        if self.is_vertical:
-            return self.z_lo, self.v_lo + s * (self.v_hi - self.v_lo)
-        z = self.z_lo + s * (self.z_hi - self.z_lo)
-        if self.is_flat:
-            return z, self.v_lo
-        return z, self.intercept + self.slope * z
-
 
 class SubdifferentialGraph1D:
     """gph dh_i as an ordered, connected, monotone list of pieces."""
@@ -202,8 +199,24 @@ class OuterFunction:
 
     # -- subdifferentials ---------------------------------------------------
     def subdiff_1d(self, i: int, t: float, slack: float = 0.0):
-        """Closed interval [v_lo, v_hi] of dh_i over [t-slack, t+slack]; None if empty."""
-        raise CapabilityError(f"{type(self).__name__} is not coordinate-separable")
+        """Closed interval [v_lo, v_hi] of dh_i over [t-slack, t+slack]; None if empty.
+
+        Read off ``graph_1d(i)``: the graph is monotone, so the pieces that
+        meet the window are consecutive, the lower end lies on the first of
+        them and the upper end on the last.
+        """
+        if not self.separable:
+            raise CapabilityError(f"{type(self).__name__} is not coordinate-separable")
+        lo_t, hi_t = t - slack, t + slack
+        hit = [p for p in self.graph_1d(i).pieces if p.z_lo <= hi_t and lo_t <= p.z_hi]
+        if not hit:
+            return None
+        first, last = hit[0], hit[-1]
+        lo = (first.v_lo if first.is_flat or first.is_vertical
+              else first.intercept + first.slope * max(lo_t, first.z_lo))
+        hi = (last.v_hi if last.is_flat or last.is_vertical
+              else last.intercept + last.slope * min(hi_t, last.z_hi))
+        return (lo, hi)
 
     def subdiff_generators(self, z, slack: float = 0.0):
         """Generators whose hull is dh(z), for non-separable variants."""
@@ -266,12 +279,6 @@ class GoalOuter(OuterFunction):
     def value_batch(self, Z):
         Z = self._check_batch(Z)
         return np.sum(self.alpha * np.maximum(0.0, Z - self.tau), axis=1)
-
-    def subdiff_1d(self, i, t, slack=0.0):
-        a, tau = self.alpha[i], self.tau[i]
-        lo = 0.0 if t - slack <= tau else a
-        hi = a if t + slack >= tau else 0.0
-        return (lo, hi)
 
     def prox(self, z, step):
         z = self._check(z)
@@ -384,9 +391,6 @@ class LinearOuter(OuterFunction):
         self._check(z)
         return self.p.copy()
 
-    def subdiff_1d(self, i, t, slack=0.0):
-        return (self.p[i], self.p[i])
-
     def prox(self, z, step):
         return self._check(z) - step * self.p
 
@@ -413,13 +417,6 @@ class EqualityIndicatorOuter(OuterFunction):
         if np.any(z[start:] != 0.0):
             return _INF
         return float(z[0]) if self.first_linear else 0.0
-
-    def subdiff_1d(self, i, t, slack=0.0):
-        if not self._constrained(i):
-            return (1.0, 1.0)
-        if abs(t) <= slack:
-            return (-_INF, _INF)
-        return None
 
     def prox(self, z, step):
         z = self._check(z)
@@ -459,15 +456,6 @@ class InequalityIndicatorOuter(OuterFunction):
         if np.any(z[start:] > 0.0):
             return _INF
         return float(z[0]) if self.first_linear else 0.0
-
-    def subdiff_1d(self, i, t, slack=0.0):
-        if not self._constrained(i):
-            return (1.0, 1.0)
-        if t - slack > 0.0:
-            return None
-        if t + slack >= 0.0:
-            return (0.0, _INF)
-        return (0.0, 0.0)
 
     def prox(self, z, step):
         z = self._check(z)
@@ -521,12 +509,6 @@ class AugLagrangianOuter(OuterFunction):
         g[1:] = self.y_est + self.theta * z[1:]
         return g
 
-    def subdiff_1d(self, i, t, slack=0.0):
-        if i == 0:
-            return (1.0, 1.0)
-        y = self.y_est[i - 1]
-        return (y + self.theta * (t - slack), y + self.theta * (t + slack))
-
     def prox(self, z, step):
         z = self._check(z)
         w = np.empty_like(z)
@@ -570,12 +552,6 @@ class QuadPenaltyOuter(OuterFunction):
         g[1:] = 2.0 * self.theta * np.maximum(0.0, z[1:])
         return g
 
-    def subdiff_1d(self, i, t, slack=0.0):
-        if i == 0:
-            return (1.0, 1.0)
-        return (2.0 * self.theta * max(0.0, t - slack),
-                2.0 * self.theta * max(0.0, t + slack))
-
     def prox(self, z, step):
         z = self._check(z)
         w = z.copy()
@@ -613,14 +589,6 @@ class ExactPenaltyOuter(OuterFunction):
     def value(self, z):
         z = self._check(z)
         return float(z[0] + self.theta * np.sum(np.abs(z[1:])))
-
-    def subdiff_1d(self, i, t, slack=0.0):
-        if i == 0:
-            return (1.0, 1.0)
-        th = self.theta
-        lo = -th if t - slack <= 0.0 else th
-        hi = th if t + slack >= 0.0 else -th
-        return (lo, hi)
 
     def prox(self, z, step):
         z = self._check(z)
@@ -820,11 +788,6 @@ class SquaredErrorOuter(OuterFunction):
     def grad(self, z):
         return 2.0 * self.weight * (self._check(z) - self.target)
 
-    def subdiff_1d(self, i, t, slack=0.0):
-        c = 2.0 * self.weight
-        ti = self.target[i]
-        return (c * (t - slack - ti), c * (t + slack - ti))
-
     def prox(self, z, step):
         z = self._check(z)
         c = 2.0 * step * self.weight
@@ -899,23 +862,3 @@ class BlockSeparableOuter(OuterFunction):
     def sample_domain_point(self, rng, scale=2.0):
         return np.concatenate([b.sample_domain_point(rng, scale) for b in self.blocks])
 
-
-def check_midpoint_convexity(h: OuterFunction, rng, samples: int = 50,
-                             tol: float = 1e-9) -> int:
-    """Midpoint convexity spot check on domain samples.
-
-    Returns the number of finite pairs actually tested; raises AssertionError
-    on a violation h((z+z')/2) > (h(z)+h(z'))/2 + tol.
-    """
-    tested = 0
-    for _ in range(samples):
-        z0 = h.sample_domain_point(rng)
-        z1 = h.sample_domain_point(rng)
-        v0, v1 = h.value(z0), h.value(z1)
-        if math.isinf(v0) or math.isinf(v1):
-            continue
-        mid = h.value(0.5 * (z0 + z1))
-        if mid > 0.5 * (v0 + v1) + tol * (1.0 + abs(v0) + abs(v1)):
-            raise AssertionError(f"midpoint convexity violated for {type(h).__name__}")
-        tested += 1
-    return tested

@@ -251,8 +251,7 @@ def test_criterion_11_network_lift():
 def test_criterion_12_property_suites(tmp_path):
     from compapprox.harness.fixtures import fixture_config
     from compapprox.harness.runner import run_experiment
-    from compapprox.outer import check_midpoint_convexity
-    from test_outer import catalogue
+    from test_outer import catalogue, check_midpoint_convexity, point_at
 
     violations = []
     rng = stream(20260811, "acceptance", "criterion-12")
@@ -281,7 +280,7 @@ def test_criterion_12_property_suites(tmp_path):
                 pieces = h.graph_1d(i).clipped(25.0)
             except Exception:
                 continue
-            pts = [p.point_at(float(s)) for p in pieces for s in rng.random(6)]
+            pts = [point_at(p, float(s)) for p in pieces for s in rng.random(6)]
             for (z1, v1) in pts:
                 for (z2, v2) in pts:
                     if (z1 - z2) * (v1 - v2) < -1e-12:

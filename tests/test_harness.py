@@ -1,5 +1,6 @@
 import copy
 import functools
+import hashlib
 import importlib.util
 import json
 import math
@@ -304,8 +305,8 @@ def test_cli_rejects_nonfinite_x0(tmp_path, capsys, bad):
 
 
 def _edit(fixture, value, *path):
-    """The bundled document with the node at path set to value."""
-    doc = fixture_document(fixture)
+    """The bundled document (or the given one) with the node at path set to value."""
+    doc = fixture_document(fixture) if isinstance(fixture, str) else fixture
     *parents, last = path
     functools.reduce(operator.getitem, parents, doc)[last] = value
     return doc
@@ -402,6 +403,19 @@ _BAD_INPUTS = {
     "output-absolute": ("exact_penalty", "/abs/exact_penalty", "output"),
     "output-dotdot": ("exact_penalty", "runs/../../exact_penalty", "output"),
     "output-dot": ("exact_penalty", ".", "output"),
+    # preconditions of the certificate and the rate diagnostics
+    "homotopy-support-outer": ("homotopy", {"variant": "support", "points": [[1.0]]},
+                               "problem", "outer"),
+    "homotopy-rho-below-half-lam0": ("homotopy", 0.1, "diagnostics", "rho"),
+    "min_smoothing-set-outside-rho-ball": (
+        _edit("min_smoothing", [5.5], "epca", "x0"),
+        {"kind": "box", "lower": [5.0], "upper": [6.0]}, "problem", "set"),
+    "sample_average-set-outside-rho-ball": (
+        _edit("sample_average", {"kind": "box", "lower": [0.5], "upper": [1.0]},
+              "problem", "set"), 0.1, "diagnostics", "rho"),
+    "network_softplus-set-outside-rho-ball": (
+        _edit("network_inverse", [1.5, 0.0], "epca", "x0"),
+        {"kind": "box", "lower": [1.5, -2.0], "upper": [2.0, 2.0]}, "problem", "set"),
 }
 
 
@@ -501,6 +515,20 @@ def test_summary_assertions_map_to_criteria(fixture_runs):
             summary = json.load(fh)
         for key in summary["assertions"]:
             assert key.startswith("criterion_"), key
+
+
+#: sha256 over every fixture's trace, rates and summary artifacts, in
+#: FIXTURE_ORDER; a change to the algorithm made on purpose updates it and says so
+FIXTURE_ARTIFACTS_SHA256 = "c2cb12cbd67589d63e98d2692a371687e33486cd38cefc7954f5e316aa4d87ae"
+
+
+def test_fixture_artifacts_byte_identical(fixture_runs):
+    digest = hashlib.sha256()
+    for name in FIXTURE_ORDER:
+        _, outdir = fixture_runs.run(name)
+        for suffix in ("trace.csv", "rates.csv", "summary.json"):
+            digest.update((outdir / f"{name}_{suffix}").read_bytes())
+    assert digest.hexdigest() == FIXTURE_ARTIFACTS_SHA256
 
 
 @pytest.mark.parametrize("name", FIXTURE_ORDER)

@@ -1,17 +1,18 @@
+import hashlib
 import math
+import struct
 
 import mpmath
 import numpy as np
 import pytest
 
 from compapprox.errors import CapabilityError, NonconvergenceError
-from compapprox.outer import (AugLagrangianOuter, BlockSeparableOuter,
+from compapprox.outer import (KINK_TOL, AugLagrangianOuter, BlockSeparableOuter,
                               EqualityIndicatorOuter, ExactPenaltyOuter,
                               GoalOuter, HomotopyOuter, InequalityIndicatorOuter,
                               LinearOuter, LogBarrierOuter, QuadPenaltyOuter,
                               SoftplusGoalOuter, SquaredErrorOuter, SupportOuter,
-                              check_midpoint_convexity, softplus,
-                              softplus_grad)
+                              softplus, softplus_grad)
 from compapprox.rng import stream
 
 
@@ -31,6 +32,36 @@ def catalogue():
         SquaredErrorOuter([0.5, -0.5], 1.5),
         BlockSeparableOuter([LinearOuter([2.0]), ExactPenaltyOuter(1.0, 2)]),
     ]
+
+
+def check_midpoint_convexity(h, rng, samples: int = 50, tol: float = 1e-9) -> int:
+    """Midpoint convexity spot check on domain samples.
+
+    Returns the number of finite pairs actually tested; raises AssertionError
+    on a violation h((z+z')/2) > (h(z)+h(z'))/2 + tol.
+    """
+    tested = 0
+    for _ in range(samples):
+        z0 = h.sample_domain_point(rng)
+        z1 = h.sample_domain_point(rng)
+        v0, v1 = h.value(z0), h.value(z1)
+        if math.isinf(v0) or math.isinf(v1):
+            continue
+        mid = h.value(0.5 * (z0 + z1))
+        if mid > 0.5 * (v0 + v1) + tol * (1.0 + abs(v0) + abs(v1)):
+            raise AssertionError(f"midpoint convexity violated for {type(h).__name__}")
+        tested += 1
+    return tested
+
+
+def point_at(piece, s: float):
+    """Point at parameter s in [0,1] along a (bounded) graph piece."""
+    if piece.is_vertical:
+        return piece.z_lo, piece.v_lo + s * (piece.v_hi - piece.v_lo)
+    z = piece.z_lo + s * (piece.z_hi - piece.z_lo)
+    if piece.is_flat:
+        return z, piece.v_lo
+    return z, piece.intercept + piece.slope * z
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +183,86 @@ def test_exact_penalty_subdiff_finite_difference_oracle():
     assert lo == pytest.approx(left, abs=1e-6)
     assert hi == pytest.approx(right, abs=1e-6)
     assert (lo, hi) == (-5.0, 5.0)
+
+
+def graph_members():
+    """Every separable catalogue member with a graph, and its degenerate cases."""
+    curved = (SoftplusGoalOuter, LogBarrierOuter)
+    return [h for h in catalogue() if h.separable and not isinstance(h, curved)] + [
+        GoalOuter([0.0, 1.5], [0.25, -1.0]),
+        EqualityIndicatorOuter(2, first_linear=False),
+        InequalityIndicatorOuter(2, first_linear=False),
+        AugLagrangianOuter([0.5, -1.0], 0.0),
+        AugLagrangianOuter([0.3, -0.7], 0.37),
+        QuadPenaltyOuter(0.0, 3),
+        QuadPenaltyOuter(0.37, 2),
+        ExactPenaltyOuter(0.0, 3),
+        SquaredErrorOuter([0.5, -0.5], 0.0),
+        SquaredErrorOuter([0.3, -0.7], 1.0),
+    ]
+
+
+def interval_digest(h):
+    """sha256 of subdiff_1d at every breakpoint, at +-slack around it and off the kinks."""
+    digest = hashlib.sha256()
+    for i in range(h.m):
+        kinks = {z for p in h.graph_1d(i).pieces for z in (p.z_lo, p.z_hi)
+                 if math.isfinite(z)}
+        for b in sorted(kinks | {-1.5, -0.5, 0.0, 0.5, 1.0, 2.25}):
+            for k in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
+                for slack in (0.0, KINK_TOL):
+                    iv = h.subdiff_1d(i, b + k * KINK_TOL, slack)
+                    digest.update(b"none" if iv is None else struct.pack("<dd", *iv))
+    return digest.hexdigest()[:16]
+
+
+def test_subdiff_intervals_read_off_the_graph_are_pinned():
+    # the intervals each member gave from its own closed form, bit for bit,
+    # except where SquaredErrorOuter's ends now round as the graph's line
+    # intercept + slope*t: at weight 1.5 (c*(t - target) gave e47ac04987c9bf59)
+    # and at weight 0 (-0.0 left of the target gave af415d346df8d694)
+    expected = [
+        ("GoalOuter", "cd5db11019883f78"),
+        ("LinearOuter", "b5410ed89ed6b996"),
+        ("EqualityIndicatorOuter", "70c39c7138d1ddc7"),
+        ("InequalityIndicatorOuter", "6cfc7c6328ef724f"),
+        ("AugLagrangianOuter", "fccddcd6a9e06350"),
+        ("QuadPenaltyOuter", "2211aa74db464c66"),
+        ("ExactPenaltyOuter", "3a6f6b0ebf5e3c94"),
+        ("HomotopyOuter", "b26a9f32c0c91113"),
+        ("SquaredErrorOuter", "ef18827ac06576ae"),  # weight 1.5
+        ("BlockSeparableOuter", "f36fa570807a753f"),
+        ("GoalOuter", "357a64a4dc86c1b3"),
+        ("EqualityIndicatorOuter", "bd0e8387d4b5eedf"),
+        ("InequalityIndicatorOuter", "c9c72709a32a978a"),
+        ("AugLagrangianOuter", "428f650a9aed0dd4"),
+        ("AugLagrangianOuter", "547a71c540d46530"),
+        ("QuadPenaltyOuter", "1340ba411d302ef4"),
+        ("QuadPenaltyOuter", "33a258271e46ed92"),
+        ("ExactPenaltyOuter", "811eebe7d4455769"),
+        ("SquaredErrorOuter", "bb270d5b01806f81"),  # weight 0
+        ("SquaredErrorOuter", "08c3f046ae66d5cf"),
+    ]
+    assert [(type(h).__name__, interval_digest(h)) for h in graph_members()] == expected
+
+
+def test_squared_error_intervals_match_the_closed_form():
+    # the graph's line intercept + slope*t against c*(t - target): the same
+    # numbers to rounding, and bit for bit (up to the sign of zero) when
+    # c = 2*weight is a power of two, as with the default weight 1
+    rng = stream(5, "squared-error-intervals")
+    target = rng.normal(size=4)
+    for weight in (0.0, 0.5, 1.0, 2.0, 1.5, 0.37):
+        h, c = SquaredErrorOuter(target, weight), 2.0 * weight
+        for i in range(h.m):
+            for t in np.concatenate([target, rng.normal(scale=3.0, size=50)]):
+                for slack in (0.0, KINK_TOL, 0.1):
+                    lo, hi = h.subdiff_1d(i, float(t), slack)
+                    old = (c * (t - slack - target[i]), c * (t + slack - target[i]))
+                    if weight in (0.0, 0.5, 1.0, 2.0):
+                        assert (lo, hi) == old
+                    tol = 4e-16 * c * (abs(t) + slack + abs(target[i]))
+                    assert abs(lo - old[0]) <= tol and abs(hi - old[1]) <= tol
 
 
 def test_support_subdiff_not_separable():
@@ -288,7 +399,7 @@ def test_graph_monotonicity_property():
             pts = []
             for pc in g.clipped(50.0):
                 for s in rng.random(8):
-                    pts.append(pc.point_at(float(s)))
+                    pts.append(point_at(pc, float(s)))
             for (z1, v1) in pts:
                 for (z2, v2) in pts:
                     assert (z1 - z2) * (v1 - v2) >= -1e-12
