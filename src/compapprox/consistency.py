@@ -59,6 +59,19 @@ class EtaReport:
 
 
 @dataclass(frozen=True)
+class EtaReference:
+    """The actual mapping's side of ``estimate_eta``: the sample points of X
+    intersected with the rho-ball (and the anchor), with F's values, Jacobian
+    selections and multi-generator mask there. Every stage of a family shares
+    it."""
+
+    points: np.ndarray
+    values: np.ndarray
+    jacobians: np.ndarray
+    multi: np.ndarray
+
+
+@dataclass(frozen=True)
 class RateRow:
     nu: int
     parameter: float
@@ -404,27 +417,36 @@ def ball_anchor(X, rho: float) -> np.ndarray:
     return anchor
 
 
+def eta_reference(F_actual: InnerMapping, X, rho: float, samples: int = 500) -> EtaReference:
+    """The sample points of ``estimate_eta`` and the actual mapping's side there."""
+    anchor = ball_anchor(X, rho)
+    ball = _ball_samples(F_actual.n, rho, samples)
+    P = np.vstack([ball[X.contains_batch(ball)], anchor])
+    J, multi = F_actual.jacobian_batch(P)
+    return EtaReference(P, F_actual.eval_batch(P), J, multi)
+
+
 def estimate_eta(F_approx: InnerMapping, F_actual: InnerMapping, X, rho: float,
-                 samples: int = 500) -> EtaReport:
+                 samples: int = 500, reference: EtaReference = None) -> EtaReport:
     """Sampled eta0 = sup ||F^nu - F|| and eta = sup exs(df_i^nu ; con df_i).
 
     Lower estimates over X intersected with the rho-ball (low-discrepancy with
     rejection). For smoothed-min against exact-min pairs a certified eta0
     upper bound ln(s_i)/theta is attached; for sample-average against its
     affine mean the certified bound is the affine difference's norm over the
-    ball.
+    ball. ``reference`` is ``eta_reference(F_actual, X, rho, samples)``, which
+    a caller estimating every stage of a family computes once.
     """
     if F_approx.n != F_actual.n or F_approx.m != F_actual.m:
         raise ValueError("mappings must share dimensions")
-    anchor = ball_anchor(X, rho)
-    ball = _ball_samples(F_approx.n, rho, samples)
-    P = np.vstack([ball[X.contains_batch(ball)], anchor])
-    eta0 = _fmax(row_norms(F_approx.eval_batch(P) - F_actual.eval_batch(P)))
+    if reference is None:
+        reference = eta_reference(F_actual, X, rho, samples)
+    P = reference.points
+    eta0 = _fmax(row_norms(F_approx.eval_batch(P) - reference.values))
     J_a, multi_a = F_approx.jacobian_batch(P)
-    J_t, multi_t = F_actual.jacobian_batch(P)
-    multi = multi_a | multi_t
+    multi = multi_a | reference.multi
     # a component with one generator on each side: the distance of the two rows
-    eta = _fmax(row_norms(J_a - J_t)[~multi])
+    eta = _fmax(row_norms(J_a - reference.jacobians)[~multi])
     # otherwise the hull distance of every approximating generator
     for k in np.flatnonzero(multi.any(axis=1)):
         rep_a, rep_t = F_approx.jacobian(P[k]), F_actual.jacobian(P[k])

@@ -21,10 +21,13 @@ come from the subproblem's optimality at x* around whichever x_bar was used,
 so the certified triple is valid for any x_bar in X.
 
 Subproblems minimize h(F(x_bar) + dF(x_bar)(x - x_bar)) + ||x - x_bar||^2 /
-(2 lambda) over X. Two solvers cover the catalogue: projected gradient with
-backtracking when h is differentiable, and a primal-dual (Chambolle-Pock)
-splitting driven by h's conjugate prox otherwise. Setting lambda = inf drops
-the proximal term, which turns the splitting solver into a direct solver for
+(2 lambda) over X. Two solvers cover the catalogue. When h is differentiable,
+an accelerated proximal gradient method (FISTA, Beck and Teboulle) with
+backtracking and adaptive restart (O'Donoghue and Candes), plus a fixed-step
+phase once objective differences fall below floating-point resolution;
+otherwise a primal-dual (Chambolle-Pock) splitting driven by h's conjugate
+prox. Both certify at the point they return. Setting lambda = inf drops the
+proximal term, which turns the splitting solver into a direct solver for
 composite problems with affine F.
 """
 
@@ -128,45 +131,66 @@ def _certificate(X, h, c, J, x_bar, lam, x, y):
 
 
 def _solve_smooth(X, h, c, J, x_bar, lam, tol, max_iter):
-    """Projected gradient with backtracking, plus a fixed-step local phase.
+    """Accelerated projected gradient (FISTA) with adaptive restart.
 
-    Backtracking certifies sufficient decrease while objective differences are
-    resolvable; once they sink below floating-point resolution, the iteration
-    switches to a fixed step at the last Armijo-accepted size (a local
-    curvature estimate), where plain gradient arithmetic still contracts.
-    Gross divergence in the fixed-step phase is caught by a coarse value test.
+    Each step is a projected gradient step from the extrapolated point
+    v = x + beta (x - x_prev), sized by Beck-Teboulle backtracking from v. The
+    momentum restarts (v <- x) when the objective rises, when the step turns
+    against the previous one, (v - x+).(x+ - x) > 0, when the model is
+    infinite at v (outside dom h), or when backtracking from v finds no step.
+
+    Once objective differences sink below floating-point resolution, the
+    value test can no longer size a step: the step is frozen at the last
+    accepted size (a local curvature estimate) and checked instead by its
+    gradient form, ||grad phi(x+) - grad phi(v)|| <= ||x+ - v|| / t, which
+    stays resolvable; a failed check halves the step. In this phase the
+    certificate takes the objective's place as the restart signal, and a
+    certificate that stalls for 30 iterations also halves the step.
+
+    The certificate is the normal-cone residual of -grad phi at the iterate x
+    itself, with y = grad h at x's model point, so it is exact at the point
+    returned.
     """
-    x = X.project(x_bar)
+    prox = math.isfinite(lam)
 
     def model(xx):
-        # the value and the model point, which the next gradient reuses
+        # the value and the model point, which the gradient reuses
         zz = _model_point(c, J, xx, x_bar)
         val = h.value(zz)
-        if math.isfinite(lam):
+        if prox:
             d = xx - x_bar
             val += 0.5 * (d @ d) / lam
         return val, zz
 
+    def gradient(xx, zz):
+        yy = h.grad(zz)
+        g = J.T @ yy
+        if prox:
+            g = g + (xx - x_bar) / lam
+        return g, yy
+
+    x = X.project(x_bar)
     val, z = model(x)
     if math.isinf(val):
         raise EvaluationError("subproblem start lies outside dom h")
+    g, y = gradient(x, z)
+    x_prev = x
+    theta = 1.0                      # FISTA's t_k; 1 means no momentum
     t = 1.0
     t_ref = None
     fixed_step = False
-    window_best = math.inf
+    cert_prev = window_best = math.inf
     since_improve = 0
     best = (math.inf, x, None)
     for it in range(1, max_iter + 1):
-        y = h.grad(z)
-        g = J.T @ y
-        if math.isfinite(lam):
-            g = g + (x - x_bar) / lam
         cert = max(normal_cone_residual(X, x, -g), 0.0)
         if cert < best[0]:
             best = (cert, x.copy(), y.copy())
         if cert <= tol:
             return SubproblemResult(x, y, cert, it)
         if fixed_step:
+            if cert > cert_prev:     # the restart test of this phase
+                theta = 1.0
             # residual-trend control: halve the step when the certificate stalls
             if cert < 0.999 * window_best:
                 window_best = cert
@@ -175,40 +199,68 @@ def _solve_smooth(X, h, c, J, x_bar, lam, tol, max_iter):
                 since_improve += 1
                 if since_improve > 30:
                     t_ref *= 0.5
+                    theta = 1.0
                     since_improve = 0
                     window_best = cert
                     if t_ref < 1e-18:
                         raise NonconvergenceError("fixed-step phase collapsed",
                                                   best=best[1], residual=best[0])
-            x_new = X.project(x - t_ref * g)
+        cert_prev = cert
+        theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
+        v, v_val, v_g = x, val, g
+        if theta > 1.0:
+            v = x + ((theta - 1.0) / theta_next) * (x - x_prev)
+            v_val, v_z = model(v)
+            if math.isfinite(v_val):
+                v_g, _ = gradient(v, v_z)
+            else:
+                v, v_val, theta_next = x, val, 1.0
+        if fixed_step:
+            x_new = X.project(v - t_ref * v_g)
             val_new, z_new = model(x_new)
             if math.isinf(val_new):
                 t_ref *= 0.5
+                theta = 1.0
                 continue
-            x, z = x_new, z_new
-            continue
-        accepted = False
-        while t >= 1e-18:
-            x_new = X.project(x - t * g)
-            step = x_new - x
-            val_new, z_new = model(x_new)
-            if val_new <= val + g @ step + (step @ step) / (2.0 * t) + 1e-15 * (1.0 + abs(val)):
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            t = max(t, 1e-18)
-            val_new, x_new, z_new = val, x, z
-        if t_ref is None or accepted:
-            t_ref = t
-        # objective differences below resolution: switch to the fixed-step phase
-        if not accepted or (val - val_new) < 1e-13 * (1.0 + abs(val)):
-            fixed_step = True
-            window_best = cert
-            since_improve = 0
+            restart = False
+        else:
+            accepted = False
+            while t >= 1e-18:
+                x_new = X.project(v - t * v_g)
+                step = x_new - v
+                val_new, z_new = model(x_new)
+                if val_new <= v_val + v_g @ step + (step @ step) / (2.0 * t) \
+                        + 1e-15 * (1.0 + abs(v_val)):
+                    accepted = True
+                    break
+                t *= 0.5
+            if not accepted and v is not x:
+                # no step from the extrapolated point: restart from x
+                t, theta = t_ref, 1.0
+                continue
+            if not accepted:
+                t = max(t, 1e-18)
+                val_new, x_new, z_new = val, x, z
+            if t_ref is None or accepted:
+                t_ref = t
+            restart = val_new > val
+            # objective differences below resolution: freeze the step
+            if not accepted or abs(val - val_new) < 1e-13 * (1.0 + abs(val)):
+                fixed_step = True
+                window_best = cert
+                since_improve = 0
+            t = min(t * 2.0, 1e8)
+        restart = restart or (v - x_new) @ (x_new - x) > 0.0
+        x_prev = x
         x, val, z = x_new, val_new, z_new
-        t = min(t * 2.0, 1e8)
-    raise NonconvergenceError("projected-gradient subproblem hit its iteration cap",
+        g, y = gradient(x, z)
+        if fixed_step:
+            dg, dx = g - v_g, x - v
+            if t_ref * t_ref * (dg @ dg) > dx @ dx:
+                t_ref *= 0.5
+                restart = True
+        theta = 1.0 if restart else theta_next
+    raise NonconvergenceError("accelerated-gradient subproblem hit its iteration cap",
                               best=best[1], residual=best[0])
 
 

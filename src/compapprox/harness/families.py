@@ -38,8 +38,9 @@ class Family:
       homotopy lambda nonincreasing in (0, 1), delta nonincreasing along the
       schedule, and the preconditions of the family's rate diagnostic;
     * ``build(cfg, X, h, F)`` returns (actual CompositeProblem, [Stage, ...]);
-    * ``rate(stage, actual, rho, samples)`` returns the stage's
-      (excess_lower, excess_upper, paper_bound, eta0, eta);
+    * ``rate(stages, actual, rho, samples)`` returns one (excess_lower,
+      excess_upper, paper_bound, eta0, eta) per stage; ``_per_stage`` builds
+      it from a function of one stage;
     * ``outer_dim_offset`` counts the trailing inner components that the
       actual outer function does not see.
     """
@@ -260,6 +261,12 @@ def _build_sample_average(cfg, X, h, F):
 # per-stage rate diagnostics
 
 
+def _per_stage(rate):
+    """A family rate that evaluates ``rate(stage, actual, rho, samples)`` per stage."""
+    return lambda stages, actual, rho, samples: [rate(st, actual, rho, samples)
+                                                 for st in stages]
+
+
 def _separable_rate(st, actual, rho, samples):
     rep = cons.graph_excess_separable(st.h, actual.h, rho, samples)
     bound = rep.paper_bound if rep.paper_bound is not None else math.nan
@@ -283,9 +290,16 @@ def _support_perturb_rate(st, actual, rho, samples):
     return math.sqrt(gap), math.sqrt(rho * alpha), math.nan, 0.0, 0.0
 
 
-def _eta_rate(st, actual, rho, samples):
-    rep = cons.estimate_eta(st.F, actual.F, st.X, rho, samples=min(samples, 500))
-    return 0.0, 0.0, math.nan, rep.eta0, rep.eta
+def _eta_rate(stages, actual, rho, samples):
+    # every stage keeps the actual set, so the actual mapping's side of the
+    # estimate is evaluated once for all of them
+    samples = min(samples, 500)
+    ref = cons.eta_reference(actual.F, actual.X, rho, samples)
+    rows = []
+    for st in stages:
+        rep = cons.estimate_eta(st.F, actual.F, st.X, rho, samples, reference=ref)
+        rows.append((0.0, 0.0, math.nan, rep.eta0, rep.eta))
+    return rows
 
 
 def _identity_rate(st, actual, rho, samples):
@@ -301,30 +315,30 @@ FAMILIES = {
     "softplus_goal": Family(
         _theta_checks(outer="goal"),
         _stages(_thetas, lambda h, F, th, fam: (SoftplusGoalOuter(h.alpha, h.tau, th), F)),
-        _softplus_goal_rate),
+        _per_stage(_softplus_goal_rate)),
     "aug_lagrangian": Family(
         _validate_aug_lagrangian,
         _stages(_thetas, _aug_lagrangian_stage),
-        _separable_rate),
+        _per_stage(_separable_rate)),
     "quad_penalty": Family(
         _theta_checks(outer="inequality_indicator"),
         _stages(_thetas, lambda h, F, th, fam: (QuadPenaltyOuter(th, h.m), F)),
-        _separable_rate),
+        _per_stage(_separable_rate)),
     "exact_penalty": Family(
         _theta_checks(outer="equality_indicator"),
         _stages(_thetas, lambda h, F, th, fam: (ExactPenaltyOuter(th, h.m), F)),
-        _separable_rate),
+        _per_stage(_separable_rate)),
     "log_barrier": Family(
         _theta_checks(outer="inequality_indicator"),
         _stages(_thetas, lambda h, F, th, fam: (LogBarrierOuter(th, h.m), F)),
-        _no_rate),
+        _per_stage(_no_rate)),
     # h acts on the first m-1 inner components; the last is the homotopy term
-    "homotopy": Family(_validate_homotopy, _build_homotopy, _homotopy_rate,
+    "homotopy": Family(_validate_homotopy, _build_homotopy, _per_stage(_homotopy_rate),
                        outer_dim_offset=1),
     "support_perturb": Family(
         _validate_support_perturb,
         _stages(lambda fam: [float(a) for a in fam["alphas"]], _support_stage),
-        _support_perturb_rate),
+        _per_stage(_support_perturb_rate)),
     "min_smoothing": Family(
         _eta_checks(_validate_min_smoothing),
         _stages(_thetas, lambda h, F, th, fam: (h, F.with_theta(th))),
@@ -339,5 +353,5 @@ FAMILIES = {
         lambda fam, problem, built, errors: None,
         _stages(lambda fam: [float(k + 1) for k in range(fam["length"])],
                 lambda h, F, p, fam: (h, F)),
-        _identity_rate),
+        _per_stage(_identity_rate)),
 }

@@ -109,10 +109,10 @@ def _check_assertion(record):
 def _rate_rows(cfg: ExperimentConfig, actual: CompositeProblem, stages):
     rate = FAMILIES[cfg.family["name"]].rate
     rho = cfg.diagnostics.rho
-    samples = cfg.diagnostics.samples
+    rates = rate(stages, actual, rho, cfg.diagnostics.samples)
     rows = []
-    for nu, st in enumerate(stages, start=1):
-        lower, upper, paper_bound, eta0, eta = rate(st, actual, rho, samples)
+    for nu, (st, stage_rates) in enumerate(zip(stages, rates), start=1):
+        lower, upper, paper_bound, eta0, eta = stage_rates
         ex_for_bound = upper if math.isfinite(upper) else 0.0
         bound = cons.solution_error_bound(eta0, eta, ex_for_bound, rho, actual.m)
         rows.append(cons.RateRow(nu, st.parameter, lower, upper, paper_bound,

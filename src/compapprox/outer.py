@@ -21,7 +21,7 @@ floating-point accuracy does not reject an exact multiplier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +31,9 @@ from .geometry import as_count, dist_to_hull, finite_array, project_onto_hull
 KINK_TOL = 1e-9
 
 _INF = math.inf
+# softplus_grad's clamp into the open interval (0, 1)
+_TINY = np.finfo(float).tiny
+_BELOW_ONE = 1.0 - np.finfo(float).epsneg
 
 
 # ---------------------------------------------------------------------------
@@ -52,17 +55,16 @@ def softplus(theta: float, gamma):
 
 
 def softplus_grad(theta: float, gamma):
-    """Derivative exp(theta*g)/(1 + exp(theta*g)), clamped into the open (0,1)."""
+    """Derivative exp(theta*g)/(1 + exp(theta*g)), clamped into the open (0,1).
+
+    One pass: with e = exp(-theta*|g|) in [0, 1], the derivative is 1/(1+e)
+    for g >= 0 and e/(1+e) otherwise, so no exponential overflows.
+    """
     if theta <= 0:
         raise ValueError("theta must be positive")
     g = np.asarray(gamma, dtype=float)
-    out = np.empty_like(g, dtype=float)
-    pos = g >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-theta * g[pos]))
-    e = np.exp(theta * g[~pos])
-    out[~pos] = e / (1.0 + e)
-    tiny = np.finfo(float).tiny
-    out = np.clip(out, tiny, 1.0 - np.finfo(float).epsneg)
+    e = np.exp(-theta * np.abs(g))
+    out = np.minimum(np.maximum(np.where(g >= 0, 1.0, e) / (1.0 + e), _TINY), _BELOW_ONE)
     return float(out) if np.isscalar(gamma) else out
 
 
@@ -70,12 +72,12 @@ def softplus_grad(theta: float, gamma):
 # 1-D subdifferential graphs
 
 
-@dataclass(frozen=True)
-class GraphPiece:
+class GraphPiece(NamedTuple):
     """One monotone segment of gph dh_i in R^2.
 
     Vertical pieces have z_lo == z_hi; flat pieces have v_lo == v_hi; sloped
-    pieces satisfy v = intercept + slope * z with slope > 0.
+    pieces satisfy v = intercept + slope * z with slope > 0. A named tuple,
+    so building one is a single tuple allocation.
     """
 
     z_lo: float

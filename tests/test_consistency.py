@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from compapprox import consistency
 from compapprox.consistency import (_graph_distances, _graph_nearest_1d, _sample_product_arrays,
                                     epi_probe, estimate_eta, fit_loglog_slope,
                                     graph_excess_measured,
@@ -13,7 +14,7 @@ from compapprox.consistency import (_graph_distances, _graph_nearest_1d, _sample
                                     support_set_excess, uniform_outer_gap)
 from compapprox.errors import CapabilityError
 from compapprox.geometry import Box, WholeSpace
-from compapprox.harness.families import build_stages
+from compapprox.harness.families import FAMILIES, build_stages
 from compapprox.harness.fixtures import fixture_config
 from compapprox.inner import (Activation, AffineMapping, MinSmoothMapping,
                               NetworkForwardMapping, QuadraticArrayMapping)
@@ -620,6 +621,23 @@ def test_estimate_eta_golden_fixture_stages(name):
     rho, samples = cfg.diagnostics.rho, min(cfg.diagnostics.samples, 500)
     got = [repr(estimate_eta(st.F, actual.F, st.X, rho, samples=samples)) for st in stages]
     assert got == _ETA_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", list(_ETA_GOLDEN))
+def test_family_eta_rate_evaluates_the_actual_side_once(name, monkeypatch):
+    # the family's rate shares one eta_reference across its stages and gives
+    # the per-stage estimates bit for bit
+    cfg = fixture_config(name)
+    actual, stages = build_stages(cfg)
+    rho, samples = cfg.diagnostics.rho, cfg.diagnostics.samples
+    calls = []
+    original = consistency.eta_reference
+    monkeypatch.setattr(consistency, "eta_reference",
+                        lambda *args: calls.append(args) or original(*args))
+    rows = FAMILIES[cfg.family["name"]].rate(stages, actual, rho, samples)
+    assert len(calls) == 1
+    expected = [estimate_eta(st.F, actual.F, st.X, rho, min(samples, 500)) for st in stages]
+    assert [(r[3], r[4]) for r in rows] == [(e.eta0, e.eta) for e in expected]
 
 
 def _relu_net(widths):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from compapprox.epca import (EpcaConfig, Stage, extract_multipliers_step4,
                              run_epca, solve_affine_composite, solve_subproblem,
                              step5_residuals, sufficient_decrease_test)
 from compapprox.errors import CertificationError, EvaluationError, NonconvergenceError
-from compapprox.geometry import Box, WholeSpace
+from compapprox.geometry import Box, WholeSpace, normal_cone_residual
 from compapprox.inner import AffineMapping, QuadraticArrayMapping
 from compapprox.model import CompositeProblem, stationarity_residual
-from compapprox.outer import (EqualityIndicatorOuter, ExactPenaltyOuter, GoalOuter,
+from compapprox.outer import (KINK_TOL, EqualityIndicatorOuter, ExactPenaltyOuter, GoalOuter,
                               LinearOuter, LogBarrierOuter, QuadPenaltyOuter,
                               SoftplusGoalOuter, softplus_grad)
 from compapprox.rng import stream
@@ -93,16 +94,20 @@ def _smooth_cases():
 
 
 #: iterations and sha256 over the bytes of x, y and the residual, recorded
-#: before the smooth solver reused the accepted trial's model point; each
-#: case runs through both the backtracking and the fixed-step phase
+#: at the accelerated solver; each case runs through both the backtracking and
+#: the fixed-step phase
 SMOOTH_DIGESTS = {
     "softplus_box_lam10":
-        (972, "5f4ca0b79712c34b466e10082d679ef65c025eff3e8eea07e287f9250099ef54"),
+        (173, "de8aeacd0854e0126de4447a1500bb22b6dd21252947ee70270401839efccd2c"),
     "softplus_box_laminf":
-        (356, "6cc5eaf14447c24a8a08bf4ee770fd1ac285a74b968ffc19ee7faf958df0211b"),
+        (131, "f382c6700e8e207934dc05e15dfa38c4af7b28f27009e13b83f22c0de148350c"),
     "quad_penalty_whole":
-        (39, "3623d8b7a3caa5e37c4ed5efb5af037174b8c4aaa39f3d2423680337b8bceda6"),
+        (36, "4856387636738a59f5aec2748025f954e1bd809361de62533d4dfeba717ce39a"),
 }
+
+#: iterations the projected-gradient solver took on the same cases
+PROJECTED_GRADIENT_ITERATIONS = {"softplus_box_lam10": 972, "softplus_box_laminf": 356,
+                                 "quad_penalty_whole": 39}
 
 
 @pytest.mark.parametrize("name", sorted(SMOOTH_DIGESTS))
@@ -112,6 +117,81 @@ def test_smooth_subproblem_matches_recorded_digests(name):
     for part in (r.x, r.y, np.float64(r.residual)):
         digest.update(part.tobytes())
     assert (r.iterations, digest.hexdigest()) == SMOOTH_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SMOOTH_DIGESTS))
+def test_accelerated_solver_takes_fewer_iterations_than_projected_gradient(name):
+    assert solve_subproblem(*_smooth_cases()[name]).iterations \
+        < PROJECTED_GRADIENT_ITERATIONS[name]
+
+
+def _recomputed_residual(X, h, c, J, x_bar, lam, r):
+    """The subproblem certificate at the returned (x, y), rebuilt without the solver."""
+    z = c + J @ (r.x - x_bar)
+    assert r.y.tobytes() == h.grad(z).tobytes()
+    d = J.T @ r.y
+    if math.isfinite(lam):
+        d = d + (r.x - x_bar) / lam
+    r_sub, _ = h.subdiff_distance(r.y, z, KINK_TOL)
+    return max(normal_cone_residual(X, r.x, -d), r_sub)
+
+
+class _CountingLogBarrier(LogBarrierOuter):
+    """Counts the model points that fall outside dom h."""
+
+    outside = 0
+
+    def value(self, z):
+        v = super().value(z)
+        if math.isinf(v):
+            self.outside += 1
+        return v
+
+
+def _random_smooth_case(kind, seed):
+    rng = stream(seed, "smooth-subproblem-certificate", kind)
+    n = int(rng.integers(5, 25))
+    box = Box(-np.ones(n), np.ones(n))
+    x_bar = rng.uniform(-0.5, 0.5, size=n)
+    if kind.startswith("softplus"):
+        J = rng.normal(size=(n, n)) / n ** 0.5
+        h = SoftplusGoalOuter(rng.uniform(0.5, 1.5, size=n), rng.uniform(-0.5, 0.5, size=n),
+                              float(rng.choice([1.0, 64.0, 1e3])))
+        lam = 10.0 if kind == "softplus_box_lam10" else math.inf
+        return box, h, rng.normal(size=n), J, x_bar, lam, 1e-10
+    if kind == "quad_penalty_whole":
+        m = int(rng.integers(2, 6))
+        return (WholeSpace(n), QuadPenaltyOuter(float(rng.choice([1.0, 10.0, 100.0])), m),
+                rng.normal(size=m), rng.normal(size=(m, n)), x_bar, 1.0, 1e-10)
+    # log barrier: the start's model point sits just inside dom h
+    m = int(rng.integers(2, 6))
+    c = rng.normal(size=m)
+    c[1:] = -rng.uniform(1e-6, 1e-3, size=m - 1)
+    h = _CountingLogBarrier(float(rng.choice([1.0, 10.0, 1e3])), m)
+    return box, h, c, rng.normal(size=(m, n)), x_bar, 1.0, 1e-9
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", ["softplus_box_lam10", "softplus_box_laminf",
+                                  "quad_penalty_whole", "log_barrier_near_edge"])
+def test_smooth_certificate_recomputed_at_returned_point(kind, seed):
+    case = _random_smooth_case(kind, seed)
+    r = solve_subproblem(*case)
+    tol = case[-1]
+    assert _recomputed_residual(*case[:-1], r) == r.residual <= tol
+
+
+def test_model_points_outside_dom_h_are_not_errors():
+    # near the barrier the momentum carries extrapolated points (and trial
+    # steps) outside dom h; the first restart the momentum, the second shrink
+    # the step, and every solve still certifies
+    outside = 0
+    for seed in range(4):
+        case = _random_smooth_case("log_barrier_near_edge", seed)
+        r = solve_subproblem(*case)
+        assert r.residual <= case[-1]
+        outside += case[1].outside
+    assert outside > 0
 
 
 # ---------------------------------------------------------------------------

@@ -519,7 +519,7 @@ def test_summary_assertions_map_to_criteria(fixture_runs):
 
 #: sha256 over every fixture's trace, rates and summary artifacts, in
 #: FIXTURE_ORDER; a change to the algorithm made on purpose updates it and says so
-FIXTURE_ARTIFACTS_SHA256 = "c2cb12cbd67589d63e98d2692a371687e33486cd38cefc7954f5e316aa4d87ae"
+FIXTURE_ARTIFACTS_SHA256 = "37b4bee26369f7ef2f3efae57415bc5fdf835d1156c005c1f4d32fa7bddbbd2c"
 
 
 def test_fixture_artifacts_byte_identical(fixture_runs):

@@ -162,6 +162,31 @@ def test_softplus_grad_strictly_inside_unit_interval():
     assert np.all(vals > 0.0) and np.all(vals < 1.0)
 
 
+def _softplus_grad_masked(theta, g):
+    # the two-mask formula softplus_grad replaced, kept as its bit reference
+    out = np.empty_like(g, dtype=float)
+    pos = g >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-theta * g[pos]))
+    e = np.exp(theta * g[~pos])
+    out[~pos] = e / (1.0 + e)
+    return np.clip(out, np.finfo(float).tiny, 1.0 - np.finfo(float).epsneg)
+
+
+def test_softplus_grad_bit_identical_to_masked_formula():
+    rng = stream(11, "softplus-grad-bits")
+    special = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308])
+    for theta in (1e-3, 1e-1, 1.0, 7.5, 64.0, 1e3, 1e6):
+        for g in (special, rng.normal(size=500), rng.normal(scale=1e3, size=500),
+                  rng.uniform(-1e-6, 1e-6, size=500)):
+            with np.errstate(over="ignore"):     # theta * 1e308
+                got, ref = softplus_grad(theta, g), _softplus_grad_masked(theta, g)
+            assert got.tobytes() == ref.tobytes(), theta
+        for gamma in (0.0, -0.0, 2.5, -2.5, math.nan):
+            got = softplus_grad(theta, gamma)
+            ref = float(_softplus_grad_masked(theta, np.array([gamma]))[0])
+            assert struct.pack("<d", got) == struct.pack("<d", ref), (theta, gamma)
+
+
 # ---------------------------------------------------------------------------
 # subdifferential intervals
 
