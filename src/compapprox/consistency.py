@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import CapabilityError
 from .geometry import dist_to_hull, project_onto_hull, row_norms
@@ -98,10 +97,40 @@ def fit_loglog_slope(params, values) -> float:
 # Halton points
 
 
+def _first_primes(d: int) -> list:
+    """The first d primes, by trial division."""
+    primes, k = [], 2
+    while len(primes) < d:
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def _radical_inverse(base: int, count: int) -> np.ndarray:
+    """The van der Corput points 0, 1, ..., count - 1 in the given base.
+
+    Digits are added from the least significant one with weights 1/base,
+    1/base^2, ..., in this order, as in scipy's unscrambled Halton sampler.
+    """
+    out = np.zeros(count)
+    quotient = np.arange(count, dtype=np.int64)
+    weight = 1.0 / base
+    while quotient.any():
+        out += (quotient % base) * weight
+        weight /= base
+        quotient //= base
+    return out
+
+
 @functools.lru_cache(maxsize=16)
 def _halton_unit(d: int, count: int) -> np.ndarray:
-    """The first count unscrambled Halton points of [0, 1)^d, read-only."""
-    u = qmc.Halton(d=d, scramble=False).random(count)
+    """The first count unscrambled Halton points of [0, 1)^d, read-only.
+
+    Coordinate j is the radical inverse in the j-th prime, bit for bit the
+    points of ``scipy.stats.qmc.Halton(d, scramble=False).random(count)``.
+    """
+    u = np.array([_radical_inverse(b, count) for b in _first_primes(d)]).T
     u.flags.writeable = False
     return u
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.optimize import linprog
 
 GEOM_TOL = 1e-10
 
@@ -177,6 +176,7 @@ class HalfspaceIntersection(ClosedSet):
 
     def _feasible(self) -> bool:
         # Chebyshev center: max r s.t. a_j.x + r ||a_j|| <= b_j, r >= 0.
+        from scipy.optimize import linprog  # local: keeps scipy off the import path
         k, n = self.normals.shape
         c = np.zeros(n + 1)
         c[-1] = -1.0
@@ -214,6 +214,7 @@ class HalfspaceIntersection(ClosedSet):
     def is_bounded(self):
         # Bounded iff every direction is cut off: max d.x over the set is finite
         # for d = +-e_i. One LP per direction; fine at the sizes used here.
+        from scipy.optimize import linprog
         for i in range(self.n):
             for sign in (1.0, -1.0):
                 c = np.zeros(self.n)

@@ -18,6 +18,18 @@ quadratic-array and lifted-network mappings define the one-point calls, and
 the batch calls loop over them. Batch code keeps one matrix-vector product per
 point (a stacked ``A @ P[:, :, None]``), so a row does not depend on the other
 rows of its batch: a single matrix product ``P @ A.T`` rounds differently.
+
+The network kernels flush tiny values to zero. After each layer, every
+nonzero entry of the layer output and of the Jacobian below ``_FLUSH`` =
+``tiny / eps`` (about 1.0e-292) in magnitude becomes ``0.0``; exact zeros keep
+their sign. A saturated softplus neuron has derivative ``tiny`` and a value of
+order ``exp(-theta |gamma|) / theta``, so at large theta these entries are
+subnormal, and the next layer's stacked product on subnormal operands takes
+the slow path of x86 floating point (tens of times slower). Entries just above
+``tiny`` still make subnormal products, hence the floor ``tiny / eps``. A
+flushed entry changes no sum with a term above about 1e-276, and no weight,
+bias, output or Jacobian row of these networks is that small. The flush is
+elementwise, so a row still does not depend on its batch.
 """
 
 from __future__ import annotations
@@ -38,6 +50,10 @@ ACTIVITY_TOL = 1e-9
 
 #: |pre-activation| below this makes a relu neuron report the full [0,1] interval
 RELU_KINK_TOL = 1e-14
+
+#: nonzero network values and Jacobian entries below this magnitude are flushed
+#: to zero, keeping subnormal operands out of the next layer's matrix products
+_FLUSH = np.finfo(float).tiny / np.finfo(float).eps
 
 
 @dataclass
@@ -405,6 +421,12 @@ def _validate_layers(weights, biases):
     return out, dims
 
 
+def _flush(a):
+    """Set the nonzero entries of a below _FLUSH in magnitude to 0.0, in place."""
+    a[(np.abs(a) < _FLUSH) & (a != 0.0)] = 0.0
+    return a
+
+
 class NetworkForwardMapping(InnerMapping):
     """Direct mapping x0 -> concatenated outputs of s feed-forward networks."""
 
@@ -432,7 +454,7 @@ class NetworkForwardMapping(InnerMapping):
         for layers in self.networks:
             H = P[:, :, None]                    # (N, width, 1): one column per point
             for A, b in layers:
-                H = self.activation.value(A @ H + b[:, None])
+                H = _flush(self.activation.value(A @ H + b[:, None]))
             outs.append(H[:, :, 0])
         return np.concatenate(outs, axis=1)
 
@@ -442,11 +464,12 @@ class NetworkForwardMapping(InnerMapping):
         for layers in self.networks:
             H = P[:, :, None]
             J = np.eye(self.n)
-            for A, b in layers:
+            for k, (A, b) in enumerate(layers, start=1):
                 pre = A @ H + b[:, None]
                 # a stacked A @ J: one matrix product per point
-                J = self.activation.deriv(pre) * (A @ J)
-                H = self.activation.value(pre)
+                J = _flush(self.activation.deriv(pre) * (A @ J))
+                if k < len(layers):          # the last layer's output is not needed
+                    H = _flush(self.activation.value(pre))
             rows.append(J)
         J = np.concatenate(rows, axis=1)
         return J, np.zeros(J.shape[:2], dtype=bool)

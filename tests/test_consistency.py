@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import compapprox
 from compapprox import consistency
-from compapprox.consistency import (_graph_distances, _graph_nearest_1d, _sample_product_arrays,
+from compapprox.consistency import (_graph_distances, _graph_nearest_1d, _halton_unit,
+                                    _sample_product_arrays,
                                     epi_probe, estimate_eta, fit_loglog_slope,
                                     graph_excess_measured,
                                     graph_excess_separable,
@@ -563,6 +568,25 @@ def test_graph_nearest_sloped_not_farther_than_brute_force(seed):
         assert max(abs(zb - zp), abs(vb - vp)) <= brute + 1e-12
         # the point returned lies on the clipped graph
         assert np.min(np.maximum(np.abs(zp - gz), np.abs(vp - gv))) <= 1e-4
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 13, 21, 40])
+def test_halton_points_equal_scipy_bit_for_bit(d):
+    from scipy.stats import qmc
+    for count in (0, 1, 2, 7, 64, 1000, 4097, 20_000):
+        expected = qmc.Halton(d=d, scramble=False).random(count)
+        assert _halton_unit(d, count).tobytes() == expected.tobytes()
+
+
+def test_package_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(compapprox.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, compapprox.harness.runner; "
+             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_ball_points_are_cached_and_read_only():

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from compapprox.consistency import _halton_unit
 from compapprox.errors import CapabilityError
 from compapprox.geometry import dist_to_hull
-from compapprox.inner import (ACTIVITY_TOL, Activation, AffineMapping,
+from compapprox.inner import (_FLUSH, ACTIVITY_TOL, Activation, AffineMapping,
                               MinSmoothMapping, NetworkForwardMapping,
                               NetworkLiftMapping, QuadraticArrayMapping,
-                              SampleAverageMapping, build_network_lift,
+                              SampleAverageMapping, _flush, build_network_lift,
                               resample)
 from compapprox.outer import SquaredErrorOuter
 from compapprox.rng import stream
@@ -377,3 +378,57 @@ def test_batch_calls_check_the_shape():
 def test_inner_constructors_reject_nonfinite_parameters(make):
     with pytest.raises(ValueError):
         make()
+
+
+# ---------------------------------------------------------------------------
+# flushing tiny values in the network kernels
+
+
+def _unflushed_network(F, P):
+    """NetworkForwardMapping's values and Jacobians at the rows of P, without the flush."""
+    values, jacobians = [], []
+    for layers in F.networks:
+        H = P[:, :, None]
+        J = np.eye(F.n)
+        for A, b in layers:
+            pre = A @ H + b[:, None]
+            J = F.activation.deriv(pre) * (A @ J)
+            H = F.activation.value(pre)
+        values.append(H[:, :, 0])
+        jacobians.append(J)
+    return np.concatenate(values, axis=1), np.concatenate(jacobians, axis=1)
+
+
+def test_flush_zeroes_tiny_nonzero_entries_only():
+    tiny = np.finfo(float).tiny
+    a = np.array([-0.0, 0.0, 1e-300, -1e-300, tiny, -5e-324, _FLUSH, -_FLUSH, 1.0,
+                  math.nan, -math.inf])
+    out = _flush(a.copy())
+    assert out[2:6].tolist() == [0.0] * 4 and not np.signbit(out[2:6]).any()
+    assert out[[0, 1, 6, 7, 8, 10]].tobytes() == a[[0, 1, 6, 7, 8, 10]].tobytes()
+    assert np.signbit(out[0]) and math.isnan(out[9])
+
+
+def test_network_kernels_flush_subnormals():
+    # a softplus net of network_scaled's shape at late-stage theta; the saturated
+    # neurons' derivatives (clamped to tiny) and values are subnormal unflushed
+    net = _net(stream(11, "flush-net"), (3, 128, 128, 3))
+    P = 2.0 * _halton_unit(3, 500) - 1.0
+    flushed = 0
+    for theta in (512.0, 2048.0):
+        F = NetworkForwardMapping([net], Activation("softplus", theta))
+        values = F.eval_batch(P)
+        J, _ = F.jacobian_batch(P)
+        ref_values, ref_J = _unflushed_network(F, P)
+        for out, ref in ((values, ref_values), (J, ref_J)):
+            # no nonzero entry below the floor, so none is subnormal
+            assert not ((out != 0.0) & (np.abs(out) < _FLUSH)).any()
+            assert np.all(np.abs(out - ref) < _FLUSH)
+            zeros = ref == 0.0
+            assert np.array_equal(np.signbit(out[zeros]), np.signbit(ref[zeros]))
+            flushed += int(np.count_nonzero(out != ref))
+        for k, p in enumerate(P):
+            assert F.eval(p).tobytes() == values[k].tobytes()
+            assert F.jacobian(p).matrix.tobytes() == J[k].tobytes()
+    # the unflushed reference does reach below the floor on these points
+    assert flushed > 0
