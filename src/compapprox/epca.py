@@ -75,12 +75,9 @@ class EpcaConfig:
 
 
 @dataclass(frozen=True)
-class Stage:
-    """One approximating problem in the outer schedule."""
+class Stage(CompositeProblem):
+    """One approximating problem (X^nu, h^nu, F^nu) and its schedule parameter."""
 
-    X: ClosedSet
-    h: OuterFunction
-    F: object
     parameter: float = math.nan
 
 
@@ -330,32 +327,33 @@ def sufficient_decrease_test(h: OuterFunction, c, J, c_star, x_bar, x_star,
     return v_bar - v_star >= sigma * (v_bar - v_model) - 1e-14 * (1.0 + abs(v_bar))
 
 
-def extract_multipliers_step4(h: OuterFunction, F, X: ClosedSet, x_star,
-                              tol: float, y_hint=None):
-    """Step 4 multipliers at a subproblem fixed point, with certification.
+def extract_multipliers_step4(stage: Stage, x_star, tol: float, y_hint=None):
+    """Step 4 triple (x*, y, F(x*)) at a subproblem fixed point, certified.
 
     Smooth h gives y = grad h(z) uniquely; otherwise the subproblem dual
-    iterate is used. Both the subdifferential membership and the normal-cone
-    inclusion are re-checked; failure raises CertificationError carrying the
-    two residuals.
+    iterate is used. The triple's stationarity residual is computed once and
+    its v- and w-blocks are checked against tol; for nonsmooth F the w-block
+    is the minimum over vertex selections of the active-gradient hull, each
+    an element of the generalized Jacobian. Returns (triple, residual);
+    failure raises CertificationError carrying the two blocks.
     """
     x_star = np.asarray(x_star, dtype=float)
-    z = F.eval(x_star)
-    if h.smooth:
-        y = h.grad(z)
+    z = stage.F.eval(x_star)
+    if stage.h.smooth:
+        y = stage.h.grad(z)
     else:
         if y_hint is None:
             raise CertificationError("nonsmooth h needs the subproblem dual iterate")
         y = np.asarray(y_hint, dtype=float)
-    v_dist, _ = h.subdiff_distance(y, z, KINK_TOL)
-    report = F.jacobian(x_star)
-    w_dist = normal_cone_residual(X, x_star, -(report.matrix.T @ y))
+    triple = StationarityTriple(x_star, y, z)
+    residual = stationarity_residual(stage, triple)
+    v_dist, w_dist = residual.v_dist, residual.w_dist
     cert_tol = tol + 1e-10
     if v_dist > cert_tol or w_dist > cert_tol:
         raise CertificationError(
             f"step-4 certification failed: v={v_dist:.3e}, w={w_dist:.3e}, tol={cert_tol:.3e}",
             residuals=(v_dist, w_dist))
-    return y, z
+    return triple, residual
 
 
 def step5_residuals(c_next, J_prev, J_next, x_prev, x_next, z_next, y_next, lam: float):
@@ -442,12 +440,11 @@ def run_epca(stages, config: EpcaConfig) -> EpcaTrace:
                 x_star, y_star = sub.x, sub.y
                 y_carry = y_star
                 if np.linalg.norm(x_star - x_bar) <= 1e-12 * (1.0 + np.linalg.norm(x_bar)):
-                    y, z = extract_multipliers_step4(stage.h, stage.F, stage.X, x_star,
-                                                     subtol, y_hint=y_star)
-                    triple = StationarityTriple(x_star, y, z)
-                    obj_path.append(stage.h.value(z))
+                    triple, residual = extract_multipliers_step4(stage, x_star, subtol,
+                                                                 y_hint=y_star)
+                    obj_path.append(stage.h.value(triple.z))
                     _record(trace, nu, stage, triple, inner, lam, delta, "step4", None,
-                            obj_path)
+                            obj_path, residual)
                     x_prev = x_star
                     break
                 c_star = stage.F.eval(x_star)
@@ -500,10 +497,14 @@ def run_epca(stages, config: EpcaConfig) -> EpcaTrace:
 
 
 def _record(trace, nu, stage, triple, inner, lam, delta, exit_step, certificate,
-            obj_path):
-    """Append the stage's entry; obj_path ends with h(F(triple.x)), its objective."""
-    problem = CompositeProblem(stage.X, stage.h, stage.F)
-    residual = stationarity_residual(problem, triple)
+            obj_path, residual=None):
+    """Append the stage's entry; obj_path ends with h(F(triple.x)), its objective.
+
+    A Step-4 exit passes the residual its certificate checked; otherwise the
+    triple's residual is computed here.
+    """
+    if residual is None:
+        residual = stationarity_residual(stage, triple)
     trace.entries.append(TraceEntry(nu, stage.parameter, triple, residual, inner,
                                     lam, obj_path[-1], exit_step, delta, certificate,
                                     tuple(obj_path)))

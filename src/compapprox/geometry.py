@@ -9,6 +9,7 @@ so that downstream error accounting has a single constant to track.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -37,6 +38,14 @@ def finite_array(a, name) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} must have finite entries")
     return a
+
+
+def finite_theta(theta, positive=False) -> float:
+    """theta as a float; ValueError unless finite and >= 0 (> 0 if positive)."""
+    theta = float(theta)
+    if not (math.isfinite(theta) and (theta > 0.0 if positive else theta >= 0.0)):
+        raise ValueError(f"theta must be a finite number {'>' if positive else '>='} 0")
+    return theta
 
 
 def row_norms(P) -> np.ndarray:

@@ -28,7 +28,8 @@ from ..inner import (Activation, AffineMapping, InnerMapping, MinSmoothMapping,
                      SampleAverageMapping)
 from ..outer import (EqualityIndicatorOuter, GoalOuter, InequalityIndicatorOuter,
                      LinearOuter, OuterFunction, SquaredErrorOuter, SupportOuter)
-from .families import FAMILIES, check_count, check_number, is_number
+from .families import (FAMILIES, check_count, check_number, check_schedule, geometric,
+                       is_number)
 
 FAMILY_NAMES = tuple(FAMILIES)
 
@@ -63,9 +64,7 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict, repr=False)
 
     def delta_schedule(self):
-        fam = self.family
-        return tuple(fam["delta0"] * fam.get("delta_decay", DELTA_DECAY) ** k
-                     for k in range(fam["length"]))
+        return tuple(geometric(self.family, "delta0", "delta_decay", DELTA_DECAY))
 
     def epca_config(self) -> EpcaConfig:
         e = self.epca
@@ -190,6 +189,7 @@ def _validate_family(family, entry, problem, built, errors):
     check_count(family, "length", errors, "family")
     check_number(family, "delta0", errors, "family", 0)
     check_number(family, "delta_decay", errors, "family", 0, 1, default=DELTA_DECAY)
+    check_schedule(family, "delta0", "delta_decay", errors, "family", default=DELTA_DECAY)
     if entry is None:
         errors.append(f"family: unknown name {family.get('name')!r} "
                       f"(expected one of {FAMILY_NAMES})")

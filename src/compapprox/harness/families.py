@@ -36,7 +36,8 @@ class Family:
       diagnostics (None where a part failed to build); together with the
       checks common to all families it guarantees theta nondecreasing,
       homotopy lambda nonincreasing in (0, 1), delta nonincreasing along the
-      schedule, and the preconditions of the family's rate diagnostic;
+      schedule, every schedule term a finite float > 0, and the
+      preconditions of the family's rate diagnostic;
     * ``build(cfg, X, h, F)`` returns (actual CompositeProblem, [Stage, ...]);
     * ``rate(stages, actual, rho, samples)`` returns one (excess_lower,
       excess_upper, paper_bound, eta0, eta) per stage; ``_per_stage`` builds
@@ -105,6 +106,31 @@ def check_count(doc, key, errors, ctx, default=None):
         errors.append(f"{ctx}: {key} must be an integer >= 1")
 
 
+def geometric(doc, start, rate, default=None):
+    """The schedule doc[start] * doc[rate]**k for k < doc["length"]."""
+    r = doc.get(rate, default)
+    return [doc[start] * r ** k for k in range(doc["length"])]
+
+
+def check_schedule(doc, start, rate, errors, ctx, default=None):
+    """Append an error unless every term of ``geometric`` is a finite float > 0.
+
+    The terms are monotone, so the last one decides. The check waits until
+    start, rate and length pass their own checks.
+    """
+    v, r, length = doc.get(start), doc.get(rate, default), doc.get("length")
+    if not (is_number(v) and v > 0 and is_number(r) and r > 0
+            and isinstance(length, int) and not isinstance(length, bool) and length >= 1):
+        return
+    try:
+        last = float(v) * float(r) ** (length - 1)
+    except OverflowError:
+        last = math.inf
+    if not 0.0 < last < math.inf:
+        errors.append(f"{ctx}: {start} * {rate}**k must stay a finite float > 0 "
+                      f"for k < length = {length}")
+
+
 def _needs(problem, part, variant, name, errors):
     """Append an error unless problem[part] has the given variant; return the spec.
 
@@ -128,6 +154,7 @@ def _theta_checks(outer=None, inner=None):
         name = fam["name"]
         check_number(fam, "theta0", errors, f"family {name}", 0)
         check_number(fam, "theta_growth", errors, f"family {name}", 1)
+        check_schedule(fam, "theta0", "theta_growth", errors, f"family {name}")
         if outer is not None:
             _needs(problem, "outer", outer, name, errors)
         if inner is not None:
@@ -178,6 +205,7 @@ def _validate_min_smoothing(fam, problem, built, errors):
 def _validate_homotopy(fam, problem, built, errors):
     check_number(fam, "lam0", errors, "family homotopy", 0, 1)
     check_number(fam, "lam_decay", errors, "family homotopy", 0, 1)
+    check_schedule(fam, "lam0", "lam_decay", errors, "family homotopy")
     h, lam0, rho = built["h"], fam.get("lam0"), _rho(built)
     # the certificate and the graph excess read h coordinate by coordinate
     if h is not None and not h.separable:
@@ -201,6 +229,7 @@ def _validate_support_perturb(fam, problem, built, errors):
 def _validate_sample_average(fam, problem, built, errors):
     check_number(fam, "count0", errors, "family sample_average", 1, closed=True)
     check_number(fam, "count_growth", errors, "family sample_average", 1)
+    check_schedule(fam, "count0", "count_growth", errors, "family sample_average")
     _needs(problem, "inner", "sample_average", "sample_average", errors)
 
 
@@ -222,7 +251,7 @@ def _stages(params, make):
 
 
 def _thetas(fam):
-    return [fam["theta0"] * fam["theta_growth"] ** k for k in range(fam["length"])]
+    return geometric(fam, "theta0", "theta_growth")
 
 
 def _aug_lagrangian_stage(h, F, theta, fam):
@@ -240,18 +269,16 @@ def _softened_network(F, theta):
 
 
 def _build_homotopy(cfg, X, h, F):
-    fam = cfg.family
-    lams = [fam["lam0"] * fam["lam_decay"] ** k for k in range(fam["length"])]
-    stages = [Stage(X, HomotopyOuter(h, lam), F, parameter=lam) for lam in lams]
+    stages = [Stage(X, HomotopyOuter(h, lam), F, parameter=lam)
+              for lam in geometric(cfg.family, "lam0", "lam_decay")]
     # actual problem: the base objective with the homotopy term switched off
     return CompositeProblem(X, HomotopyOuter(h, 0.0), F), stages
 
 
 def _build_sample_average(cfg, X, h, F):
-    fam = cfg.family
     stages = []
-    for k in range(fam["length"]):
-        count = int(round(fam["count0"] * fam["count_growth"] ** k))
+    for k, count in enumerate(geometric(cfg.family, "count0", "count_growth")):
+        count = int(round(count))
         seed = int(stream(cfg.seed, "sample-average-family", str(k)).integers(2**62))
         stages.append(Stage(X, h, resample(F, count, seed), parameter=float(count)))
     return CompositeProblem(X, h, F.mean_mapping()), stages

@@ -12,8 +12,8 @@ form the convex hull.
 ``eval_batch`` and ``jacobian_batch`` evaluate at the rows of a point array.
 Each primitive has one implementation: the affine, sample-average, network
 and min-smooth mappings define the batch calls, and their one-point
-``eval``/``jacobian`` are the one-row case (min-smooth keeps its own
-``jacobian``, whose report carries the active pieces and weights). The
+``eval``/``jacobian`` are the one-row case (the exact min-smooth report also
+lists every active piece's gradient). The
 quadratic-array and lifted-network mappings define the one-point calls, and
 the batch calls loop over them. Batch code keeps one matrix-vector product per
 point (a stacked ``A @ P[:, :, None]``), so a row does not depend on the other
@@ -40,7 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapabilityError
-from .geometry import Box, ClosedSet, WholeSpace, _as_rows, as_count, finite_array
+from .geometry import (Box, ClosedSet, WholeSpace, _as_rows, as_count, finite_array,
+                       finite_theta)
 from .outer import (BlockSeparableOuter, EqualityIndicatorOuter, OuterFunction,
                     softplus, softplus_grad)
 from .rng import stream
@@ -65,8 +66,6 @@ class JacobianReport:
     #: per component, the list of active generalized gradients (hull generators);
     #: singleton lists for smooth components
     active_grads: list = field(default_factory=list)
-    #: per component, smoothed-min weights mu (empty when not applicable)
-    weights: list = field(default_factory=list)
 
 
 class InnerMapping:
@@ -88,7 +87,7 @@ class InnerMapping:
         gradients define their own ``jacobian``.
         """
         J = self.jacobian_batch(self._check(x)[None])[0][0]
-        return JacobianReport(J.copy(), self.smooth, [[row] for row in J], [])
+        return JacobianReport(J.copy(), self.smooth, [[row] for row in J])
 
     def eval_batch(self, P) -> np.ndarray:
         """Values at the rows of P, shape (N, m), for P of shape (N, n).
@@ -176,7 +175,7 @@ class QuadraticArrayMapping(InnerMapping):
     def jacobian(self, x):
         x = self._check(x)
         J = np.vstack([Q @ x + q for Q, q, _ in self.components])
-        return JacobianReport(J, True, [[row] for row in J], [])
+        return JacobianReport(J, True, [[row] for row in J])
 
 
 def _quadratic(Q, q, c):
@@ -191,13 +190,8 @@ def _quadratic(Q, q, c):
     return Q, q, c
 
 
-def _quad_value_grad(piece, x):
-    Q, q, c = piece
-    return 0.5 * x @ Q @ x + q @ x + c, Q @ x + q
-
-
 def _quad_values_grads(piece, P):
-    """_quad_value_grad at every row of P: values (N,) and gradients (N, n)."""
+    """x'Qx/2 + q'x + c and its gradient Qx + q at every row of P: (N,), (N, n)."""
     Q, q, c = piece
     X = P[:, :, None]
     values = (((0.5 * P)[:, None, :] @ Q) @ X + q[None, None, :] @ X)[:, 0, 0] + c
@@ -229,20 +223,13 @@ class MinSmoothMapping(InnerMapping):
             if not rows:
                 raise ValueError("each component needs at least one piece")
             self.pieces.append(rows)
-        if theta is not None and not (math.isfinite(theta) and theta > 0):
-            raise ValueError("theta must be a finite number > 0")
-        self.theta = None if theta is None else float(theta)
+        self.theta = None if theta is None else finite_theta(theta, positive=True)
         self.n = n
         self.m = len(self.pieces)
         self.smooth = self.theta is not None
 
     def with_theta(self, theta):
-        out = MinSmoothMapping.__new__(MinSmoothMapping)
-        out.pieces = self.pieces
-        out.theta = None if theta is None else float(theta)
-        out.n, out.m = self.n, self.m
-        out.smooth = out.theta is not None
-        return out
+        return MinSmoothMapping(self.pieces, theta)
 
     def piece_counts(self):
         return [len(p) for p in self.pieces]
@@ -268,27 +255,13 @@ class MinSmoothMapping(InnerMapping):
         return out
 
     def jacobian(self, x):
-        x = self._check(x)
-        J = np.zeros((self.m, self.n))
-        active, weights = [], []
-        for i, plist in enumerate(self.pieces):
-            vg = [_quad_value_grad(p, x) for p in plist]
-            vals = np.array([v for v, _ in vg])
-            vmin = float(np.min(vals))
-            if self.theta is None:
-                act = [g for (v, g) in vg if v <= vmin + ACTIVITY_TOL]
-                J[i] = act[0]
-                active.append(act)
-                weights.append(np.array([]))
-            else:
-                w = np.exp(-self.theta * (vals - vmin))
-                w /= w.sum()
-                J[i] = sum(wk * g for wk, (_, g) in zip(w, vg))
-                # the smoothed component is smooth: its only generalized
-                # gradient is the mixture itself
-                active.append([J[i].copy()])
-                weights.append(w)
-        return JacobianReport(J, self.theta is not None, active, weights)
+        """The one-row batch; the exact min lists every active piece's gradient."""
+        rep = super().jacobian(x)
+        if self.theta is None:
+            P = self._check(x)[None]
+            rep.active_grads = [list(grads[0, vals[0] <= vmin[0] + ACTIVITY_TOL])
+                                for vals, grads, vmin in self._pieces_batch(P)]
+        return rep
 
     def jacobian_batch(self, P):
         P = self._check_batch(P)
@@ -572,7 +545,7 @@ class NetworkLiftMapping(InnerMapping):
                     active.append(variants)
                     row += 1
         smooth = self.activation.smooth or all(len(a) == 1 for a in active)
-        return JacobianReport(J, smooth, active, [])
+        return JacobianReport(J, smooth, active)
 
 
 @dataclass

@@ -26,7 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapabilityError, NonconvergenceError
-from .geometry import as_count, dist_to_hull, finite_array, project_onto_hull
+from .geometry import (as_count, dist_to_hull, finite_array, finite_theta,
+                       project_onto_hull)
 
 KINK_TOL = 1e-9
 
@@ -317,9 +318,7 @@ class SoftplusGoalOuter(OuterFunction):
             raise ValueError("alpha and tau must be vectors of equal length")
         if np.any(self.alpha < 0):
             raise ValueError("alpha must be nonnegative")
-        if not (math.isfinite(theta) and theta > 0):
-            raise ValueError("theta must be a finite number > 0")
-        self.theta = float(theta)
+        self.theta = finite_theta(theta, positive=True)
         self.m = self.alpha.size
 
     def value(self, z):
@@ -489,12 +488,10 @@ class AugLagrangianOuter(OuterFunction):
     prox_available = True
 
     def __init__(self, y_est, theta, m=None):
-        self.y_est = np.asarray(y_est, dtype=float)
+        self.y_est = finite_array(y_est, "y_est")
         if self.y_est.ndim != 1:
             raise ValueError("y_est must be a vector over coordinates 2..m")
-        if theta < 0:
-            raise ValueError("theta must be nonnegative")
-        self.theta = float(theta)
+        self.theta = finite_theta(theta)
         self.m = self.y_est.size + 1
         if m is not None and m != self.m:
             raise ValueError("m inconsistent with y_est length")
@@ -535,12 +532,8 @@ class QuadPenaltyOuter(OuterFunction):
     prox_available = True
 
     def __init__(self, theta, m):
-        if theta < 0:
-            raise ValueError("theta must be nonnegative")
-        if m < 2:
-            raise ValueError("m must be at least 2")
-        self.theta = float(theta)
-        self.m = int(m)
+        self.theta = finite_theta(theta)
+        self.m = as_count(m, "m", 2)
 
     def value(self, z):
         z = self._check(z)
@@ -581,12 +574,8 @@ class ExactPenaltyOuter(OuterFunction):
     prox_available = True
 
     def __init__(self, theta, m):
-        if theta < 0:
-            raise ValueError("theta must be nonnegative")
-        if m < 2:
-            raise ValueError("m must be at least 2")
-        self.theta = float(theta)
-        self.m = int(m)
+        self.theta = finite_theta(theta)
+        self.m = as_count(m, "m", 2)
 
     def value(self, z):
         z = self._check(z)
@@ -620,12 +609,8 @@ class LogBarrierOuter(OuterFunction):
     DOM_MARGIN = 1e-12
 
     def __init__(self, theta, m):
-        if theta <= 0:
-            raise ValueError("theta must be positive")
-        if m < 2:
-            raise ValueError("m must be at least 2")
-        self.theta = float(theta)
-        self.m = int(m)
+        self.theta = finite_theta(theta, positive=True)
+        self.m = as_count(m, "m", 2)
 
     def value(self, z):
         z = self._check(z)

@@ -278,10 +278,9 @@ def test_step5_residuals_hand_example():
 
 
 def test_extract_multipliers_linear_h():
-    F = quad_mapping()
-    y, z = extract_multipliers_step4(LinearOuter([1.0]), F, WholeSpace(1),
-                                     np.array([1.0]), 1e-8)
-    assert y[0] == 1.0 and z[0] == pytest.approx(0.0)
+    stage = Stage(WholeSpace(1), LinearOuter([1.0]), quad_mapping())
+    triple, _ = extract_multipliers_step4(stage, np.array([1.0]), 1e-8)
+    assert triple.y[0] == 1.0 and triple.z[0] == pytest.approx(0.0)
 
 
 def test_extract_multipliers_softplus_formula():
@@ -289,9 +288,9 @@ def test_extract_multipliers_softplus_formula():
     F = AffineMapping([[1.0]], [0.0])
     x = np.array([0.25])
     # stationary over a box that pins x: certification passes with y = grad
-    y, z = extract_multipliers_step4(h, F, Box([0.25], [0.25]), x, 1e-8)
-    assert y[0] == pytest.approx(2.0 * softplus_grad(5.0, 0.25 - 1.0))
-    assert z[0] == pytest.approx(0.25)
+    triple, _ = extract_multipliers_step4(Stage(Box([0.25], [0.25]), h, F), x, 1e-8)
+    assert triple.y[0] == pytest.approx(2.0 * softplus_grad(5.0, 0.25 - 1.0))
+    assert triple.z[0] == pytest.approx(0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +398,38 @@ def test_epca_failed_step4_certificate_is_nonconvergence(monkeypatch):
                        match="CertificationError at outer index 1") as err:
         run_epca(demo_stages(2), demo_config(2, x0=1.0))
     assert err.value.partial_trace is not None
+
+
+def test_stage_checks_dimensions_like_a_composite_problem():
+    with pytest.raises(ValueError, match="output dimension"):
+        Stage(WholeSpace(1), LinearOuter([1.0, 1.0]), quad_mapping(), parameter=1.0)
+    with pytest.raises(ValueError, match="input dimension"):
+        Stage(WholeSpace(2), LinearOuter([1.0]), quad_mapping(), parameter=1.0)
+
+
+def test_step4_records_the_residual_its_certificate_checked(monkeypatch):
+    results = []
+
+    def counted(problem, triple, *args, **kwargs):
+        results.append(stationarity_residual(problem, triple, *args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(epca, "stationarity_residual", counted)
+    # x0 = 1 minimizes (x - 1)^2, so the first subproblem returns x_bar: Step 4
+    trace = run_epca(demo_stages(1), demo_config(1, x0=1.0))
+    entry = trace.final()
+    assert entry.exit == "step4"
+    assert len(results) == 1
+    assert entry.residual is results[0]
+    assert max(entry.residual.v_dist, entry.residual.w_dist) <= 0.1 * entry.delta + 1e-10
+
+
+def test_step4_certificate_failure_carries_both_blocks():
+    # x = 0 is not stationary for (x - 1)^2 on the line: the w-block is |F'(0)| = 2
+    stage = Stage(WholeSpace(1), LinearOuter([1.0]), quad_mapping())
+    with pytest.raises(CertificationError, match="step-4 certification failed") as err:
+        extract_multipliers_step4(stage, np.array([0.0]), 1e-8)
+    assert err.value.residuals == (0.0, 2.0)
 
 
 def test_epca_subproblem_failure_names_outer_index(monkeypatch):

@@ -312,31 +312,58 @@ def _edit(fixture, value, *path):
     return doc
 
 
-def _family_edit(fixture, key, value):
-    return _edit(fixture, value, "family", key)
+def _family_edit(fixture, **values):
+    doc = fixture_document(fixture)
+    doc["family"].update(values)
+    return doc
+
+
+#: schedules whose last term leaves the positive floats: (doc, start key, rate key)
+_OUT_OF_RANGE = {
+    "theta-overflow": (_family_edit("exact_penalty", theta_growth=10, length=400),
+                       "theta0", "theta_growth"),
+    "theta-inf": (_family_edit("quad_penalty", theta0=1e200, theta_growth=1e150, length=3),
+                  "theta0", "theta_growth"),
+    "theta-inf-at-two": (_family_edit("exact_penalty", theta0=1e200, theta_growth=1e150,
+                                      length=2), "theta0", "theta_growth"),
+    "count-overflow": (_family_edit("sample_average", count_growth=1e300, length=3),
+                       "count0", "count_growth"),
+    "delta-underflow": (_family_edit("goal_softplus", delta0=1e-300, delta_decay=1e-300,
+                                     length=3), "delta0", "delta_decay"),
+    "lam-underflow": (_family_edit("homotopy", lam_decay=1e-300, length=3),
+                      "lam0", "lam_decay"),
+}
 
 
 @pytest.mark.parametrize("doc", [
-    _family_edit("distributionally_robust", "alphas", [0.1, 0.01, 0.0, 1e-4, 1e-5]),
-    _family_edit("distributionally_robust", "alphas", [0.1, 0.01, -1e-3, 1e-4, 1e-5]),
-    _family_edit("distributionally_robust", "alphas", [1e-5, 1e-4, 1e-3, 0.01, 0.1]),
-    _family_edit("distributionally_robust", "alphas", [0.1, 0.01]),
-    _family_edit("goal_softplus", "theta_growth", "2"),
-    _family_edit("goal_softplus", "theta_growth", 0.5),
-    _family_edit("goal_softplus", "theta0", True),
-    _family_edit("homotopy", "lam0", "x"),
-    _family_edit("homotopy", "lam_decay", 1.5),
-    _family_edit("exact_penalty", "delta_decay", 2.0),
-    _family_edit("exact_penalty", "delta_decay", "0.5"),
-    _family_edit("exact_penalty", "length", 0),
-    _family_edit("sample_average", "count_growth", None),
-], ids=["alphas-zero", "alphas-negative", "alphas-increasing", "alphas-short",
-        "theta_growth-string", "theta-decreasing", "theta0-bool", "lam0-string",
+    *(doc for doc, _, _ in _OUT_OF_RANGE.values()),
+    _family_edit("distributionally_robust", alphas=[0.1, 0.01, 0.0, 1e-4, 1e-5]),
+    _family_edit("distributionally_robust", alphas=[0.1, 0.01, -1e-3, 1e-4, 1e-5]),
+    _family_edit("distributionally_robust", alphas=[1e-5, 1e-4, 1e-3, 0.01, 0.1]),
+    _family_edit("distributionally_robust", alphas=[0.1, 0.01]),
+    _family_edit("goal_softplus", theta_growth="2"),
+    _family_edit("goal_softplus", theta_growth=0.5),
+    _family_edit("goal_softplus", theta0=True),
+    _family_edit("homotopy", lam0="x"),
+    _family_edit("homotopy", lam_decay=1.5),
+    _family_edit("exact_penalty", delta_decay=2.0),
+    _family_edit("exact_penalty", delta_decay="0.5"),
+    _family_edit("exact_penalty", length=0),
+    _family_edit("sample_average", count_growth=None),
+], ids=[*_OUT_OF_RANGE, "alphas-zero", "alphas-negative", "alphas-increasing",
+        "alphas-short", "theta_growth-string", "theta-decreasing", "theta0-bool", "lam0-string",
         "lam-increasing", "delta-increasing", "delta_decay-string", "empty-schedule",
         "count_growth-null"])
 def test_cli_rejects_bad_family_parameters(tmp_path, capsys, doc):
     assert _cli_run_doc(tmp_path, doc) == 3
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", list(_OUT_OF_RANGE))
+def test_schedule_leaving_the_float_range_names_its_keys(case):
+    doc, start, rate = _OUT_OF_RANGE[case]
+    errors = validate_config(doc)
+    assert [e for e in errors if f"{start} * {rate}**k" in e], errors
 
 
 @pytest.mark.parametrize("key, value", [

@@ -40,11 +40,13 @@ def test_min_smoothed_sandwich_at_point():
 
 
 def test_smoothed_weights_tie_symmetry():
+    # the row is w_x - w_{-x}, the mixture of the piece gradients 1 and -1
     F = _two_piece().with_theta(1.0)
     rep = F.jacobian(np.array([0.0]))
-    assert np.allclose(rep.weights[0], [0.5, 0.5])
-    assert rep.matrix[0, 0] == pytest.approx(0.0)
-    assert abs(rep.weights[0].sum() - 1.0) <= 1e-12
+    assert rep.matrix[0, 0] == 0.0
+    # the smoothed component is smooth: its only generalized gradient is the row
+    assert len(rep.active_grads[0]) == 1
+    assert np.array_equal(rep.active_grads[0][0], rep.matrix[0])
 
 
 def test_affine_jacobian():
@@ -85,8 +87,9 @@ def test_weight_decay_as_theta_doubles():
     x = np.array([0.3])
     prev = None
     for k in range(11):
-        rep = F.with_theta(2.0**k).jacobian(x)
-        off = rep.weights[0][0]   # piece "x" has value 0.3 > -0.3
+        # weights w_x + w_{-x} = 1, so the row w_x - w_{-x} is 2 w_x - 1
+        row = F.with_theta(2.0**k).jacobian(x).matrix[0, 0]
+        off = (row + 1.0) / 2.0   # piece "x" has value 0.3 > -0.3
         if prev is not None:
             assert off <= prev + 1e-15
         prev = off

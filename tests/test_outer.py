@@ -471,6 +471,30 @@ def test_support_points_validated():
         SupportOuter([[1.2, -0.2]])
 
 
+@pytest.mark.parametrize("make", [
+    lambda: AugLagrangianOuter([math.nan], 1.0),
+    lambda: AugLagrangianOuter([0.0], math.nan),
+    lambda: AugLagrangianOuter([0.0], math.inf),
+    lambda: AugLagrangianOuter([0.0], -1.0),
+    lambda: QuadPenaltyOuter(math.nan, 3),
+    lambda: QuadPenaltyOuter(math.inf, 3),
+    lambda: QuadPenaltyOuter(1.0, 2.7),
+    lambda: QuadPenaltyOuter(1.0, 1),
+    lambda: ExactPenaltyOuter(math.nan, 3),
+    lambda: ExactPenaltyOuter(math.inf, 3),
+    lambda: ExactPenaltyOuter(1.0, True),
+    lambda: LogBarrierOuter(math.inf, 3),
+    lambda: LogBarrierOuter(0.0, 3),
+    lambda: LogBarrierOuter(1.0, 2.0),
+], ids=["aug-y-nan", "aug-theta-nan", "aug-theta-inf", "aug-theta-negative",
+        "quad-theta-nan", "quad-theta-inf", "quad-m-fraction", "quad-m-one",
+        "exact-theta-nan", "exact-theta-inf", "exact-m-bool", "barrier-theta-inf",
+        "barrier-theta-zero", "barrier-m-float"])
+def test_penalty_constructors_reject_bad_parameters(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_homotopy_subdiff_delegation():
     base = GoalOuter([1.0], [0.0])
     h = HomotopyOuter(base, 0.25)
