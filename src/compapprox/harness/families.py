@@ -112,8 +112,8 @@ def geometric(doc, start, rate, default=None):
     return [doc[start] * r ** k for k in range(doc["length"])]
 
 
-def check_schedule(doc, start, rate, errors, ctx, default=None):
-    """Append an error unless every term of ``geometric`` is a finite float > 0.
+def check_schedule(doc, start, rate, errors, ctx, default=None, below=math.inf):
+    """Append an error unless every term of ``geometric`` is a float in (0, below).
 
     The terms are monotone, so the last one decides. The check waits until
     start, rate and length pass their own checks.
@@ -126,8 +126,9 @@ def check_schedule(doc, start, rate, errors, ctx, default=None):
         last = float(v) * float(r) ** (length - 1)
     except OverflowError:
         last = math.inf
-    if not 0.0 < last < math.inf:
-        errors.append(f"{ctx}: {start} * {rate}**k must stay a finite float > 0 "
+    if not 0.0 < last < below:
+        bound = "a finite float > 0" if below == math.inf else f"in (0, {below:g})"
+        errors.append(f"{ctx}: {start} * {rate}**k must stay {bound} "
                       f"for k < length = {length}")
 
 
@@ -229,7 +230,9 @@ def _validate_support_perturb(fam, problem, built, errors):
 def _validate_sample_average(fam, problem, built, errors):
     check_number(fam, "count0", errors, "family sample_average", 1, closed=True)
     check_number(fam, "count_growth", errors, "family sample_average", 1)
-    check_schedule(fam, "count0", "count_growth", errors, "family sample_average")
+    # every rounded count must be a size numpy can index: below 2**63 on 64 bits
+    check_schedule(fam, "count0", "count_growth", errors, "family sample_average",
+                   below=float(np.iinfo(np.intp).max))
     _needs(problem, "inner", "sample_average", "sample_average", errors)
 
 

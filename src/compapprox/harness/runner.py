@@ -612,7 +612,8 @@ def verify_summary(summary_path) -> int:
     """Re-check a summary against its stored artifacts.
 
     0 ok, 1 mismatch, 2 the summary records an incomplete run (for example
-    nonconvergence), 3 the summary or its artifacts cannot be loaded.
+    nonconvergence), 3 the summary or its artifacts cannot be loaded, or a
+    field that the checks read is missing or malformed.
     """
     summary_path = pathlib.Path(summary_path)
     try:
@@ -621,28 +622,35 @@ def verify_summary(summary_path) -> int:
         base = summary_path.parent
         tables = {key: _read_csv(base / rel)
                   for key, rel in summary["artifacts"].items()}
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"verify: cannot load artifacts: {exc}")
+        return _verify_loaded(summary, tables)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        # ValueError covers invalid JSON and non-numeric fields
+        print(f"verify: cannot check {summary_path.name}: {type(exc).__name__}: {exc}")
         return 3
+
+
+def _verify_loaded(summary, tables) -> int:
+    """verify_summary once the summary and its tables are loaded."""
+    name = summary["name"]
     status = summary.get("status")
     if status != "complete":
-        print(f"verify: {summary['name']}: summary status is {status!r}, not 'complete'")
+        print(f"verify: {name}: summary status is {status!r}, not 'complete'")
         return 2
     failures = []
-    for name, record in summary.get("assertions", {}).items():
+    for key, record in summary.get("assertions", {}).items():
         recomputed = _check_assertion(record)
         if recomputed != record["pass"]:
-            failures.append(f"assertion {name}: stored pass={record['pass']} "
+            failures.append(f"assertion {key}: stored pass={record['pass']} "
                             f"but fields give {recomputed}")
         if not record["pass"]:
-            failures.append(f"assertion {name} is failing")
+            failures.append(f"assertion {key} is failing")
     for check in summary.get("artifact_checks", []):
         ok, msg = _run_artifact_check(check, tables)
         if not ok:
             failures.append(f"artifact check {check['kind']}: {msg}")
     for line in failures:
         print(f"verify: {line}")
-    print(f"verify: {summary['name']}: "
+    print(f"verify: {name}: "
           f"{'FAIL' if failures else 'OK'} ({len(summary.get('assertions', {}))} assertions, "
           f"{len(summary.get('artifact_checks', []))} artifact checks)")
     return 1 if failures else 0

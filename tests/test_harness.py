@@ -189,6 +189,51 @@ def test_verify_missing_artifacts(tmp_path):
     assert verify_summary(p) == 3
 
 
+def _without(key):
+    return lambda s: {k: v for k, v in s.items() if k != key}
+
+
+def _set(**values):
+    return lambda s: {**s, **values}
+
+
+def _first_assertion_without_measured(s):
+    first = next(iter(s["assertions"]))
+    record = {k: v for k, v in s["assertions"][first].items() if k != "measured"}
+    return {**s, "assertions": {**s["assertions"], first: record}}
+
+
+def _with_check(check):
+    return lambda s: {**s, "artifact_checks": [*s["artifact_checks"], check]}
+
+
+#: edits of a complete exact_penalty summary that make it malformed
+_MALFORMED_SUMMARIES = {
+    "no-name": _without("name"),
+    "no-name-nonconvergence": lambda s: _set(status="nonconvergence")(_without("name")(s)),
+    "assertion-without-measured": _first_assertion_without_measured,
+    "slope-check-without-fields": _with_check({"kind": "slope"}),
+    "assertions-list": _set(assertions=[]),
+    "slope-on-missing-column": _with_check({"kind": "slope", "file": "rates",
+                                            "param": "parameter", "column": "absent",
+                                            "target": 1.0, "tol": 0.1}),
+    "root-list": lambda s: [s],
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_SUMMARIES))
+def test_verify_malformed_summary_exits_3(fixture_runs, tmp_path, capsys, case):
+    source = fixture_runs.summary_path("exact_penalty")
+    summary = json.loads(source.read_text())
+    for rel in summary["artifacts"].values():
+        (tmp_path / rel).write_bytes((source.parent / rel).read_bytes())
+    path = tmp_path / source.name
+    path.write_text(json.dumps(_MALFORMED_SUMMARIES[case](summary)))
+    capsys.readouterr()
+    assert verify_summary(path) == 3
+    assert capsys.readouterr().out.startswith(f"verify: cannot check {source.name}: ")
+
+
 def test_cli_fixtures_and_exit_codes(tmp_path, capsys, monkeypatch):
     assert cli_main(["fixtures"]) == 0
     out = capsys.readouterr().out
@@ -328,6 +373,8 @@ _OUT_OF_RANGE = {
                                       length=2), "theta0", "theta_growth"),
     "count-overflow": (_family_edit("sample_average", count_growth=1e300, length=3),
                        "count0", "count_growth"),
+    "count-past-intp": (_family_edit("sample_average", count_growth=1e300, length=2),
+                        "count0", "count_growth"),
     "delta-underflow": (_family_edit("goal_softplus", delta0=1e-300, delta_decay=1e-300,
                                      length=3), "delta0", "delta_decay"),
     "lam-underflow": (_family_edit("homotopy", lam_decay=1e-300, length=3),
@@ -546,7 +593,7 @@ def test_summary_assertions_map_to_criteria(fixture_runs):
 
 #: sha256 over every fixture's trace, rates and summary artifacts, in
 #: FIXTURE_ORDER; a change to the algorithm made on purpose updates it and says so
-FIXTURE_ARTIFACTS_SHA256 = "37b4bee26369f7ef2f3efae57415bc5fdf835d1156c005c1f4d32fa7bddbbd2c"
+FIXTURE_ARTIFACTS_SHA256 = "81fdd71f1e93e91d7ef69c03cb50c0ce30173fd003faef9818e3061118700adc"
 
 
 def test_fixture_artifacts_byte_identical(fixture_runs):
