@@ -120,7 +120,8 @@ class Box(ClosedSet):
         self.n = self.lower.size
 
     def project(self, x):
-        return np.clip(_as_vector(x, self.n), self.lower, self.upper)
+        # np.clip's result bit for bit, without its Python-level wrapper
+        return np.minimum(np.maximum(_as_vector(x, self.n), self.lower), self.upper)
 
     def contains_batch(self, P):
         P = _as_rows(P, self.n)

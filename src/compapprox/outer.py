@@ -50,8 +50,7 @@ def softplus(theta: float, gamma):
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
-    g = np.asarray(gamma, dtype=float)
-    out = np.maximum(0.0, g) + np.log1p(np.exp(-theta * np.abs(g))) / theta
+    out = _softplus(theta, np.asarray(gamma, dtype=float))
     return float(out) if np.isscalar(gamma) else out
 
 
@@ -63,10 +62,20 @@ def softplus_grad(theta: float, gamma):
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
-    g = np.asarray(gamma, dtype=float)
-    e = np.exp(-theta * np.abs(g))
-    out = np.minimum(np.maximum(np.where(g >= 0, 1.0, e) / (1.0 + e), _TINY), _BELOW_ONE)
+    out = _softplus_grad(theta, np.asarray(gamma, dtype=float))
     return float(out) if np.isscalar(gamma) else out
+
+
+# the two formulas on float arrays, for callers that have checked theta > 0
+
+
+def _softplus(theta, g):
+    return np.maximum(0.0, g) + np.log1p(np.exp(-theta * np.abs(g))) / theta
+
+
+def _softplus_grad(theta, g):
+    e = np.exp(-theta * np.abs(g))
+    return np.minimum(np.maximum(np.where(g >= 0, 1.0, e) / (1.0 + e), _TINY), _BELOW_ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -323,15 +332,15 @@ class SoftplusGoalOuter(OuterFunction):
 
     def value(self, z):
         z = self._check(z)
-        return float(np.sum(self.alpha * softplus(self.theta, z - self.tau)))
+        return float((self.alpha * _softplus(self.theta, z - self.tau)).sum())
 
     def value_batch(self, Z):
         Z = self._check_batch(Z)
-        return np.sum(self.alpha * softplus(self.theta, Z - self.tau), axis=1)
+        return np.sum(self.alpha * _softplus(self.theta, Z - self.tau), axis=1)
 
     def grad(self, z):
         z = self._check(z)
-        return self.alpha * softplus_grad(self.theta, z - self.tau)
+        return self.alpha * _softplus_grad(self.theta, z - self.tau)
 
     def subdiff_1d(self, i, t, slack=0.0):
         a, tau = self.alpha[i], self.tau[i]

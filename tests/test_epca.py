@@ -10,12 +10,12 @@ from compapprox.epca import (EpcaConfig, Stage, extract_multipliers_step4,
                              run_epca, solve_affine_composite, solve_subproblem,
                              step5_residuals, sufficient_decrease_test)
 from compapprox.errors import CertificationError, EvaluationError, NonconvergenceError
-from compapprox.geometry import Box, WholeSpace, normal_cone_residual
+from compapprox.geometry import Ball, Box, WholeSpace, normal_cone_residual
 from compapprox.inner import AffineMapping, QuadraticArrayMapping
 from compapprox.model import CompositeProblem, stationarity_residual
 from compapprox.outer import (KINK_TOL, EqualityIndicatorOuter, ExactPenaltyOuter, GoalOuter,
-                              LinearOuter, LogBarrierOuter, QuadPenaltyOuter,
-                              SoftplusGoalOuter, softplus_grad)
+                              InequalityIndicatorOuter, LinearOuter, LogBarrierOuter,
+                              QuadPenaltyOuter, SoftplusGoalOuter, softplus_grad)
 from compapprox.rng import stream
 
 
@@ -129,7 +129,8 @@ def test_accelerated_solver_takes_fewer_iterations_than_projected_gradient(name)
 def _recomputed_residual(X, h, c, J, x_bar, lam, r):
     """The subproblem certificate at the returned (x, y), rebuilt without the solver."""
     z = c + J @ (r.x - x_bar)
-    assert r.y.tobytes() == h.grad(z).tobytes()
+    if h.smooth:
+        assert r.y.tobytes() == h.grad(z).tobytes()
     d = J.T @ r.y
     if math.isfinite(lam):
         d = d + (r.x - x_bar) / lam
@@ -221,6 +222,80 @@ def test_smooth_solver_sizes_steps_when_values_are_unresolvable():
             assert _recomputed_residual(*case[:-1], r) == r.residual <= 1e-9
             total += r.iterations
     assert total <= 16_000
+
+
+def _random_dual_case(outer, set_kind, lam, warm):
+    """A finite-lam nonsmooth subproblem, with a random y0 when warm."""
+    rng = stream(5, "dual-subproblem", outer, set_kind, repr(lam), str(warm))
+    n = int(rng.integers(4, 16))
+    m = int(rng.integers(2, n))
+    X = {"box": Box(-np.ones(n), np.ones(n)), "ball": Ball(np.zeros(n), 2.0),
+         "whole": WholeSpace(n)}[set_kind]
+    J = rng.normal(size=(m, n)) / n ** 0.5
+    x_bar = rng.uniform(-0.5, 0.5, size=n)
+    c = rng.normal(size=m)
+    if outer == "goal":
+        h = GoalOuter(rng.uniform(0.5, 1.5, size=m), rng.uniform(-0.5, 0.5, size=m))
+    elif outer == "exact_penalty":
+        h = ExactPenaltyOuter(float(rng.choice([1.0, 4.0, 16.0])), m)
+    else:
+        # rows 2..m vanish (equality) or are negative (inequality) at an
+        # interior point of X, so the constrained subproblem is feasible
+        x_in = rng.uniform(-0.5, 0.5, size=n)
+        c[1:] = -(J @ (x_in - x_bar))[1:]
+        if outer == "equality":
+            h = EqualityIndicatorOuter(m)
+        else:
+            h = InequalityIndicatorOuter(m)
+            c[1:] -= rng.uniform(0.0, 0.5, size=m - 1)
+    tol = 10.0 ** -int(rng.integers(5, 11))
+    y0 = rng.normal(size=m) if warm else None
+    return (X, h, c, J, x_bar, lam, tol), y0
+
+
+DUAL_CASES = [(outer, set_kind, lam, warm)
+              for outer in ("goal", "exact_penalty", "equality", "inequality")
+              for set_kind in ("box", "ball", "whole")
+              for lam in (0.1, 1.0, 100.0)
+              for warm in (False, True)]
+
+#: total iterations of the primal-dual (Chambolle-Pock) solver on DUAL_CASES,
+#: which solved finite-lam nonsmooth subproblems before the dual solver
+SPLITTING_ITERATIONS_ON_DUAL_CASES = 52_410
+
+
+def test_dual_solver_certifies_at_returned_point():
+    total = 0
+    for case in DUAL_CASES:
+        args, y0 = _random_dual_case(*case)
+        r = solve_subproblem(*args, y0=y0)
+        assert _recomputed_residual(*args[:-1], r) == r.residual <= args[-1], case
+        total += r.iterations
+    assert total < SPLITTING_ITERATIONS_ON_DUAL_CASES
+
+
+#: iterations and sha256 over the bytes of x, y and the residual, recorded
+#: at the dual solver
+DUAL_DIGESTS = {
+    ("goal", "box", 100.0, False):
+        (40, "f019dbad89612ddd965d673cbf1dd23962fca7d8f2aab5441e3f2f00e421f3b6"),
+    ("exact_penalty", "ball", 1.0, True):
+        (110, "657db3637d9eca9475c63161a55f2c025901a05d3e635d5862b422dc75b2ecdb"),
+    ("equality", "whole", 0.1, False):
+        (50, "fbcfe323da2024002ab533a2c865feb6700ba165ad57101718ea2f61cef8279e"),
+    ("inequality", "box", 100.0, False):
+        (250, "f52b5c856727899d102eec8caf2cf6cbff2032b7270b5035f855937b89dae3a1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DUAL_DIGESTS), ids=lambda c: "-".join(map(str, c)))
+def test_dual_subproblem_matches_recorded_digests(case):
+    args, y0 = _random_dual_case(*case)
+    r = solve_subproblem(*args, y0=y0)
+    digest = hashlib.sha256()
+    for part in (r.x, r.y, np.float64(r.residual)):
+        digest.update(part.tobytes())
+    assert (r.iterations, digest.hexdigest()) == DUAL_DIGESTS[case]
 
 
 # ---------------------------------------------------------------------------

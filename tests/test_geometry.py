@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,21 @@ from compapprox.geometry import (Ball, Box, HalfspaceIntersection, WholeSpace,
 
 def test_box_projection_clamps():
     assert np.allclose(project(Box([0, 0], [1, 1]), [2, -1]), [1, 0])
+
+
+def test_box_projection_bit_identical_to_clip():
+    # project takes np.minimum(np.maximum(.)) in place of np.clip's wrapper;
+    # np.clip is its bit reference, signed zeros and NaN included
+    values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 0.5, -0.5,
+              1.0, -1.0, 3.0, -3.0, math.inf, -math.inf, math.nan]
+    ends = [-math.inf, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0, math.inf]
+    pairs = [(lo, hi) for lo in ends for hi in ends if not lo > hi]
+    x = np.tile(values, len(pairs))
+    lower = np.repeat([lo for lo, _ in pairs], len(values))
+    upper = np.repeat([hi for _, hi in pairs], len(values))
+    for size in (1, 3, 17, 64, x.size):    # scalar and vector loop tails
+        got = Box(lower[:size], upper[:size]).project(x[:size])
+        assert got.tobytes() == np.clip(x[:size], lower[:size], upper[:size]).tobytes()
 
 
 def test_ball_projection_radial():

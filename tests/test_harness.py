@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import compapprox
+from compapprox import epca
 from compapprox.epca import EpcaConfig, run_epca
 from compapprox.errors import ConfigError
 from compapprox.harness.cli import main as cli_main
@@ -285,15 +286,17 @@ def test_verify_rejects_nonconvergent_summary(tmp_path, capsys):
 
 
 def test_subproblem_cap_names_outer_index(tmp_path, capsys):
-    # delta0 = 1e-300 is below what the primal-dual solver can certify, so its
-    # first solve runs to the iteration cap
+    # delta0 = 1e-300 is below what the dual solver's certificate resolves:
+    # stage 1's solves reach a certificate of exactly 0, but the first solve
+    # of stage 2 gets no lower than about 1e-16 and runs to the iteration cap
     doc = fixture_document("exact_penalty")
     doc["family"]["delta0"] = 1e-300
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     assert cli_main(["run", str(cfg), "--output-dir", str(tmp_path)]) == 2
     out = capsys.readouterr().out
-    assert "at outer index 1 (parameter 1): primal-dual subproblem hit its" in out
+    assert ("at outer index 2 (parameter 2): dual accelerated subproblem hit its "
+            "iteration cap") in out
 
 
 def test_start_outside_dom_h_exits_2_without_traceback(tmp_path):
@@ -593,7 +596,7 @@ def test_summary_assertions_map_to_criteria(fixture_runs):
 
 #: sha256 over every fixture's trace, rates and summary artifacts, in
 #: FIXTURE_ORDER; a change to the algorithm made on purpose updates it and says so
-FIXTURE_ARTIFACTS_SHA256 = "81fdd71f1e93e91d7ef69c03cb50c0ce30173fd003faef9818e3061118700adc"
+FIXTURE_ARTIFACTS_SHA256 = "2d8c7b4c4c543e3e2cfe585ae539037f542303d8e5a62bb590ea4780e83e7438"
 
 
 def test_fixture_artifacts_byte_identical(fixture_runs):
@@ -624,6 +627,25 @@ def _perfbench_workloads():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_exact_penalty_n50_certifies_with_few_dual_iterations(tmp_path, monkeypatch):
+    # primal-dual splitting needs about 126k subproblem iterations here, so
+    # the bound fails if finite-lambda solves fall back to it
+    solve, iterations = epca.solve_subproblem, []
+
+    def counted(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        iterations.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(epca, "solve_subproblem", counted)
+    cfg = config_from_dict(_perfbench_workloads().exact_penalty_config(1, 50))
+    assert run_experiment(cfg, output_dir=tmp_path) == 0
+    rows = (tmp_path / f"{cfg.output}_trace.csv").read_text().splitlines()[1:]
+    assert len(rows) == cfg.family["length"] == 6
+    assert verify_summary(tmp_path / f"{cfg.output}_summary.json") == 0
+    assert sum(iterations) < 20_000
 
 
 #: total EPCA inner iterations of bench_softplus_goal_n50 (seed 1) with the

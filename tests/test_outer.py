@@ -187,6 +187,25 @@ def test_softplus_grad_bit_identical_to_masked_formula():
             assert struct.pack("<d", got) == struct.pack("<d", ref), (theta, gamma)
 
 
+def test_softplus_goal_value_and_grad_bit_identical_to_composition():
+    # value and grad apply the softplus formulas to the array directly; the
+    # composition through softplus/softplus_grad is their bit reference
+    rng = stream(12, "softplus-goal-bits")
+    m = 24
+    alpha, tau = rng.uniform(0.0, 2.0, size=m), rng.uniform(-1.0, 1.0, size=m)
+    extreme = np.resize([0.0, -0.0, 5e-324, -5e-324, 1e-300, 40.0, -40.0, 1e6, -1e6,
+                         1e300, -1e300, math.inf, -math.inf], m)
+    for theta in (1e-3, 1e-1, 1.0, 7.5, 64.0, 1e3, 1e6):
+        h = SoftplusGoalOuter(alpha, tau, theta)
+        for z in (rng.normal(size=m), rng.normal(scale=1e3, size=m),
+                  tau + rng.uniform(-1e-6, 1e-6, size=m), tau + extreme, extreme):
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = float(np.sum(alpha * softplus(theta, z - tau)))
+                grad = alpha * softplus_grad(theta, z - tau)
+                assert struct.pack("<d", h.value(z)) == struct.pack("<d", value), theta
+                assert h.grad(z).tobytes() == grad.tobytes(), theta
+
+
 # ---------------------------------------------------------------------------
 # subdifferential intervals
 
