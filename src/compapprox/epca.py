@@ -20,6 +20,16 @@ centre: u = F(x*) - z_bar and w = (J(x*) - J(x_bar))'y - (x* - x_bar)/lambda
 come from the subproblem's optimality at x* around whichever x_bar was used,
 so the certified triple is valid for any x_bar in X.
 
+Subproblems are solved inexactly, to a tolerance relative to the last step
+(Rockafellar's criterion (B)): tol_k = factor * max(delta^nu, ||w_last||),
+where w_last is the w of the last accepted, uncertified Step-5 step in the
+stage, taken as 0 at the stage's start and after a failed decrease test.
+Far from a stationary point the steps are long and the solves loose; as the
+steps shrink the tolerance returns to factor * delta^nu. Step 5's test uses
+the r_sub actually reached, so it is unchanged. Step 4 certifies only at
+factor * delta^nu: a looser solve that returns x* = x_bar is repeated at that
+tolerance, warm, within the same inner iteration, before the usual tests.
+
 Subproblems minimize h(F(x_bar) + dF(x_bar)(x - x_bar)) + ||x - x_bar||^2 /
 (2 lambda) over X. Three branches cover the catalogue. When h is
 differentiable, an accelerated projected gradient method (FISTA, Beck and
@@ -135,9 +145,10 @@ def _solve_smooth(X, h, c, J, x_bar, lam, tol, max_iter):
     """Accelerated projected gradient (FISTA) with adaptive restart.
 
     Each step x+ = P_X(v - t grad phi(v)) starts at the extrapolated point
-    v = x + beta (x - x_prev); t doubles after every step and halves until x+
-    passes the Beck-Teboulle value test and, where phi(v) - phi(x+) is below
-    floating-point resolution, the curvature test
+    v = x + beta (x - x_prev), whose model point is z + beta (z - z_prev)
+    because the model point is affine in x; t doubles after every step and
+    halves until x+ passes the Beck-Teboulle value test and, where
+    phi(v) - phi(x+) is below floating-point resolution, the curvature test
     <grad phi(x+) - grad phi(v), x+ - v> <= ||x+ - v||^2 / t, read off the
     model points. The momentum restarts (v <- x) when (v - x+).(x+ - x) > 0,
     when a resolvable objective rises, when v lies outside dom h, or when no
@@ -150,26 +161,26 @@ def _solve_smooth(X, h, c, J, x_bar, lam, tol, max_iter):
     """
     prox = math.isfinite(lam)
 
-    def model(xx):
-        # the value and the model point, which the gradient reuses
-        zz = _model_point(c, J, xx, x_bar)
+    def value(xx, zz):
+        # phi at xx, given its model point zz
         val = h.value(zz)
         if prox:
             d = xx - x_bar
             val += 0.5 * (d @ d) / lam
-        return val, zz
+        return val
 
     def gradient(xx, yy):
         g = J.T @ yy
         return g + (xx - x_bar) / lam if prox else g
 
     x = X.project(x_bar)
-    val, z = model(x)
+    z = _model_point(c, J, x, x_bar)
+    val = value(x, z)
     if math.isinf(val):
         raise EvaluationError("subproblem start lies outside dom h")
     y = h.grad(z)
     g = gradient(x, y)
-    x_prev, theta, t = x, 1.0, 1.0   # theta is FISTA's t_k; 1 means no momentum
+    x_prev, z_prev, theta, t = x, z, 1.0, 1.0   # theta is FISTA's t_k; 1 means no momentum
     best = (math.inf, x, None)
     for it in range(1, max_iter + 1):
         cert = float(np.linalg.norm(x - X.project(x - g)))
@@ -180,8 +191,11 @@ def _solve_smooth(X, h, c, J, x_bar, lam, tol, max_iter):
         theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
         v, v_val, v_z, v_y, v_g = x, val, z, y, g
         if theta > 1.0:
-            v = x + ((theta - 1.0) / theta_next) * (x - x_prev)
-            v_val, v_z = model(v)
+            beta = (theta - 1.0) / theta_next
+            v = x + beta * (x - x_prev)
+            # the model point is affine in x: no product with J
+            v_z = z + beta * (z - z_prev)
+            v_val = value(v, v_z)
             if math.isfinite(v_val):
                 v_y = h.grad(v_z)
                 v_g = gradient(v, v_y)
@@ -198,7 +212,8 @@ def _solve_smooth(X, h, c, J, x_bar, lam, tol, max_iter):
             x_new = X.project(v - t * v_g)
             step = x_new - v
             ss = step @ step
-            val_new, z_new = model(x_new)
+            z_new = _model_point(c, J, x_new, x_bar)
+            val_new = value(x_new, z_new)
             if val_new <= v_val + v_g @ step + ss / (2.0 * t) + 1e-15 * (1.0 + abs(v_val)):
                 y_new = h.grad(z_new)
                 flat = abs(v_val - val_new) < 1e-13 * (1.0 + abs(v_val))
@@ -208,7 +223,7 @@ def _solve_smooth(X, h, c, J, x_bar, lam, tol, max_iter):
             t *= 0.5
         restart = (val_new > val and not flat) or (v - x_new) @ (x_new - x) > 0.0
         t = min(t * 2.0, 1e8)
-        x_prev, x, val, z, y = x, x_new, val_new, z_new, y_new
+        x_prev, z_prev, x, val, z, y = x, z, x_new, val_new, z_new, y_new
         g = gradient(x, y)
         theta = 1.0 if restart else theta_next
     raise NonconvergenceError("accelerated-gradient subproblem hit its iteration cap",
@@ -395,6 +410,14 @@ def _level_boundedness_probe(stage: Stage, x_bar):
 def run_epca(stages, config: EpcaConfig) -> EpcaTrace:
     """Run EPCA across the approximation schedule, one certified triple per stage.
 
+    Each inner iteration solves its subproblem to
+    subproblem_tolerance_factor * max(delta, w_last), w_last being ||w|| of
+    the stage's last accepted, uncertified Step-5 step (0 at the stage's start
+    and after a failed decrease test). A solve looser than
+    subproblem_tolerance_factor * delta that returns x_bar is solved again at
+    that tolerance before Step 4 may certify it; the re-solve is part of the
+    same inner iteration.
+
     Raises NonconvergenceError (carrying the partial trace) if an inner loop
     exceeds the iteration cap, lambda collapses below the floor, a subproblem
     fails, or a stage raises EvaluationError or CertificationError. Each
@@ -423,24 +446,23 @@ def run_epca(stages, config: EpcaConfig) -> EpcaTrace:
             obj_path = [stage.h.value(c)]
             inner = 0
             # k counts the accepted uncertified steps since the last reset, and
-            # x_acc is the last accepted x_star, the base of the extrapolation
-            k, x_acc = 0, None
+            # x_acc is the last accepted x_star, the base of the extrapolation;
+            # w_last is ||w|| of the last such step, 0 after a reset
+            k, x_acc, w_last = 0, None, 0.0
             while True:
                 inner += 1
                 if inner > config.inner_iteration_cap:
                     raise NonconvergenceError(
                         f"inner iteration cap exceeded at outer index {nu}",
                         best=x_bar)
-                try:
-                    sub = solve_subproblem(stage.X, stage.h, c, J, x_bar, lam, subtol,
-                                           y0=y_carry)
-                except NonconvergenceError as err:
-                    raise NonconvergenceError(
-                        f"at outer index {nu} (parameter {stage.parameter:.6g}): {err}",
-                        best=err.best, residual=err.residual) from err
+                tol = config.subproblem_tolerance_factor * max(delta, w_last)
+                sub = _solve_stage_subproblem(nu, stage, c, J, x_bar, lam, tol, y_carry)
+                if tol > subtol and _at_centre(sub.x, x_bar):
+                    # Step 4 certifies only at subtol: solve again, warm
+                    sub = _solve_stage_subproblem(nu, stage, c, J, x_bar, lam, subtol, sub.y)
                 x_star, y_star = sub.x, sub.y
                 y_carry = y_star
-                if np.linalg.norm(x_star - x_bar) <= 1e-12 * (1.0 + np.linalg.norm(x_bar)):
+                if _at_centre(x_star, x_bar):
                     triple, residual = extract_multipliers_step4(stage, x_star, subtol,
                                                                  y_hint=y_star)
                     obj_path.append(stage.h.value(triple.z))
@@ -466,7 +488,7 @@ def run_epca(stages, config: EpcaConfig) -> EpcaTrace:
                         break
                     x_bar, c, J = x_star, c_star, J_star
                     lam = lam_next
-                    k += 1
+                    k, w_last = k + 1, w_norm
                     if k > 1:  # beta_1 = 0 would return x_star itself
                         beta = (k - 1) / (k + 2)
                         x_ext = stage.X.project(x_star + beta * (x_star - x_acc))
@@ -479,7 +501,7 @@ def run_epca(stages, config: EpcaConfig) -> EpcaTrace:
                             k = 0
                     x_acc = x_star
                 else:
-                    k = 0
+                    k, w_last = 0, 0.0
                     lam = lam / config.tau
                     if lam < _LAMBDA_FLOOR:
                         raise NonconvergenceError(
@@ -495,6 +517,21 @@ def run_epca(stages, config: EpcaConfig) -> EpcaTrace:
                 f"{type(err).__name__} at outer index {nu}: {err}",
                 best=x_bar, partial_trace=trace) from err
     return trace
+
+
+def _solve_stage_subproblem(nu, stage, c, J, x_bar, lam, tol, y0):
+    """solve_subproblem on a stage; a failure names the outer index and parameter."""
+    try:
+        return solve_subproblem(stage.X, stage.h, c, J, x_bar, lam, tol, y0=y0)
+    except NonconvergenceError as err:
+        raise NonconvergenceError(
+            f"at outer index {nu} (parameter {stage.parameter:.6g}): {err}",
+            best=err.best, residual=err.residual) from err
+
+
+def _at_centre(x, x_bar):
+    """x is the prox centre up to roundoff: the subproblem fixed point of Step 4."""
+    return np.linalg.norm(x - x_bar) <= 1e-12 * (1.0 + np.linalg.norm(x_bar))
 
 
 def _record(trace, nu, stage, triple, inner, lam, delta, exit_step, certificate,

@@ -102,6 +102,9 @@ def _selection_directions(report, y):
     """Candidate d = sum_i y_i g_i over vertex selections of active gradients."""
     options = report.active_grads
     counts = [len(o) for o in options]
+    if all(c == 1 for c in counts):
+        # the one selection is the matrix itself
+        return [report.matrix.T @ y], True
     total = 1
     for c in counts:
         total *= c

@@ -99,11 +99,11 @@ def _smooth_cases():
 #: decrease is below resolution, which the curvature test sizes
 SMOOTH_DIGESTS = {
     "softplus_box_lam10":
-        (146, "0a24f8629b8ae4b2ff5ca2b3b9ee26b69ac9a83a1316120c04cbceb47fe68d5d"),
+        (146, "5f6811848d8e63ee93775e434efe4a2adfcd69a407fe2e8cfe9692d61d181dde"),
     "softplus_box_laminf":
-        (100, "37518d2a3f19e4d06b1432f518e180c513abf831cd478d4c4f85bc430c080dfa"),
+        (100, "5d05241753128be8bce016438704d94e8bbedc8e3f2cc658ba01af5a14634951"),
     "quad_penalty_whole":
-        (30, "05d7bf7fc2a1f123948e3982307ed6e4b0556d71f0b4a6c41ba2f18eecd44c0f"),
+        (30, "7365e10fa8c54bf6f34c9c4c3bc12d48fbd2cf1c30e5d853b5e4138396900ecd"),
 }
 
 #: iterations the projected-gradient solver took on the same cases

@@ -1,3 +1,4 @@
+import collections
 import copy
 import functools
 import hashlib
@@ -596,7 +597,7 @@ def test_summary_assertions_map_to_criteria(fixture_runs):
 
 #: sha256 over every fixture's trace, rates and summary artifacts, in
 #: FIXTURE_ORDER; a change to the algorithm made on purpose updates it and says so
-FIXTURE_ARTIFACTS_SHA256 = "2d8c7b4c4c543e3e2cfe585ae539037f542303d8e5a62bb590ea4780e83e7438"
+FIXTURE_ARTIFACTS_SHA256 = "5a893a56f22c40b8393683f87e985a67cc58411bcac80b4ff6d3770eb119b54c"
 
 
 def test_fixture_artifacts_byte_identical(fixture_runs):
@@ -619,6 +620,89 @@ def test_fixture_trace_rows_certified_at_delta(name):
         if e.exit == "step5":
             u_norm, w_norm, r_sub = e.certificate
             assert max(u_norm, w_norm + r_sub) <= e.delta
+
+
+def _spy_tolerances(monkeypatch):
+    """Record, in order, stage starts and the EPCA calls the tolerance rule reads."""
+    events = []
+
+    def spy(name, record):
+        original = getattr(epca, name)
+
+        def wrapped(*args, **kwargs):
+            result = original(*args, **kwargs)
+            events.append(record(args, result))
+            return result
+
+        monkeypatch.setattr(epca, name, wrapped)
+
+    # the level-boundedness probe runs once, first, in every stage
+    spy("_level_boundedness_probe", lambda a, r: ("stage",))
+    spy("solve_subproblem", lambda a, r: (
+        "solve", a[6], r.residual, bool(epca._at_centre(r.x, np.asarray(a[4], dtype=float)))))
+    spy("sufficient_decrease_test", lambda a, r: ("decrease", r))
+    spy("step5_residuals", lambda a, r: (
+        "step5", float(np.linalg.norm(r[0])), float(np.linalg.norm(r[1]))))
+    spy("extract_multipliers_step4", lambda a, r: ("step4", a[2]))
+    return events
+
+
+def _check_tolerance_rule(events, ecfg):
+    """Replay the events against tol = factor * max(delta, w_last); count what ran."""
+    factor, seen = ecfg.subproblem_tolerance_factor, collections.Counter()
+    nu, resolve, last_tol, r_sub = 0, False, None, None
+    for event in events:
+        kind = event[0]
+        if kind == "stage":
+            delta = ecfg.delta_schedule[nu]
+            nu, subtol, w_last = nu + 1, factor * delta, 0.0
+        elif kind == "solve":
+            _, last_tol, r_sub, at_centre = event
+            if resolve:
+                # a solve looser than subtol that lands on the centre is
+                # repeated at subtol before Step 4 may certify
+                assert last_tol == subtol
+                seen["resolve"] += 1
+            else:
+                assert last_tol == factor * max(delta, w_last)
+                seen["loose" if last_tol > subtol else "tight"] += 1
+            resolve = last_tol > subtol and at_centre
+        elif kind == "step4":
+            assert not resolve and event[1] == last_tol == subtol
+            seen["step4"] += 1
+        elif kind == "decrease":
+            assert not resolve
+            if not event[1]:
+                # a reset that moves the next tolerance back to factor * delta
+                seen["reset"] += w_last > delta
+                w_last = 0.0
+        else:
+            _, u_norm, w_norm = event
+            if max(u_norm, w_norm + r_sub) > delta:
+                w_last = w_norm
+    assert not resolve
+    return seen
+
+
+def test_subproblem_tolerance_follows_the_last_step(monkeypatch):
+    seen = collections.Counter()
+    # exact_penalty n = 10 fails a decrease test right after a long step
+    configs = [fixture_config(name) for name in FIXTURE_ORDER]
+    configs.append(config_from_dict(_perfbench_workloads().exact_penalty_config(1, 10)))
+    for cfg in configs:
+        ecfg = cfg.epca_config()
+        events = _spy_tolerances(monkeypatch)
+        trace = run_epca(build_stages(cfg)[1], ecfg)
+        monkeypatch.undo()
+        counts = _check_tolerance_rule(events, ecfg)
+        assert counts["step4"] == sum(e.exit == "step4" for e in trace.entries)
+        for e in trace.entries:
+            if e.exit == "step5":
+                u_norm, w_norm, r_sub = e.certificate
+                assert max(u_norm, w_norm + r_sub) <= e.delta
+        seen.update(counts)
+    # every branch of the rule ran on some instance
+    assert min(seen[k] for k in ("loose", "tight", "resolve", "step4", "reset")) > 0, seen
 
 
 def _perfbench_workloads():
@@ -646,6 +730,25 @@ def test_exact_penalty_n50_certifies_with_few_dual_iterations(tmp_path, monkeypa
     assert len(rows) == cfg.family["length"] == 6
     assert verify_summary(tmp_path / f"{cfg.output}_summary.json") == 0
     assert sum(iterations) < 20_000
+
+
+def test_softplus_goal_n200_certifies_with_few_smooth_iterations(tmp_path, monkeypatch):
+    # a count, not a timing: with every subproblem solved to 0.1 delta the
+    # smooth solver took 6,371 iterations here
+    solve, iterations = epca.solve_subproblem, []
+
+    def counted(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        iterations.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(epca, "solve_subproblem", counted)
+    cfg = config_from_dict(_perfbench_workloads().softplus_goal_config(1, 200))
+    assert run_experiment(cfg, output_dir=tmp_path) == 0
+    rows = (tmp_path / f"{cfg.output}_trace.csv").read_text().splitlines()[1:]
+    assert len(rows) == cfg.family["length"] == 8
+    assert verify_summary(tmp_path / f"{cfg.output}_summary.json") == 0
+    assert sum(iterations) < 5_000
 
 
 #: total EPCA inner iterations of bench_softplus_goal_n50 (seed 1) with the
