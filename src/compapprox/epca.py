@@ -31,18 +31,14 @@ factor * delta^nu: a looser solve that returns x* = x_bar is repeated at that
 tolerance, warm, within the same inner iteration, before the usual tests.
 
 Subproblems minimize h(F(x_bar) + dF(x_bar)(x - x_bar)) + ||x - x_bar||^2 /
-(2 lambda) over X. Three branches cover the catalogue. When h is
-differentiable, an accelerated projected gradient method (FISTA, Beck and
-Teboulle) with adaptive restart (O'Donoghue and Candes), whose backtracking
-adds a curvature test wherever objective differences fall below
-floating-point resolution. Otherwise, at finite lambda, where the subproblem
-is strongly convex and its dual smooth, FISTA with gradient restart on the
-dual, driven by h's prox through the Moreau identity (Beck and Teboulle's
-fast dual proximal gradient). Setting lambda = inf drops the proximal term,
-which makes a nonsmooth subproblem a direct composite problem with affine F;
-a primal-dual (Chambolle-Pock) splitting solves it. Every branch certifies at
-the point it returns; EPCA itself keeps lambda finite, so only
-solve_affine_composite reaches the splitting branch.
+(2 lambda) over X, with lambda in (0, lambda_bar]. Two branches cover the
+catalogue. When h is differentiable, an accelerated projected gradient method
+(FISTA, Beck and Teboulle) with adaptive restart (O'Donoghue and Candes),
+whose backtracking adds a curvature test wherever objective differences fall
+below floating-point resolution. Otherwise, where the subproblem is strongly
+convex and its dual smooth, FISTA with gradient restart on the dual, driven by
+h's prox through the Moreau identity (Beck and Teboulle's fast dual proximal
+gradient). Both branches certify at the point they return.
 """
 
 from __future__ import annotations
@@ -55,10 +51,12 @@ import numpy as np
 
 from .errors import CertificationError, EvaluationError, NonconvergenceError
 from .geometry import ClosedSet, normal_cone_residual
+from .inner import AffineMapping
 from .model import CompositeProblem, ResidualTriple, StationarityTriple, stationarity_residual
 from .outer import KINK_TOL, OuterFunction
 
 _LAMBDA_FLOOR = 1e-16
+_DIRECT_ITERATION_CAP = 2_000_000
 
 
 @dataclass
@@ -74,16 +72,18 @@ class EpcaConfig:
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float)
-        if not self.tau > 1.0:
-            raise ValueError("tau must exceed 1")
+        if not np.all(np.isfinite(self.x0)):
+            raise ValueError("x0 must have finite entries")
+        if not 1.0 < self.tau < math.inf:
+            raise ValueError("tau must be finite and exceed 1")
         if not 0.0 < self.sigma < 1.0:
             raise ValueError("sigma must lie in (0, 1)")
-        if not self.lam_bar > 0.0:
-            raise ValueError("lam_bar must be positive")
+        if not 0.0 < self.lam_bar < math.inf:
+            raise ValueError("lam_bar must be positive and finite")
         if not 0.0 < self.lam0 <= self.lam_bar:
             raise ValueError("lam0 must lie in (0, lam_bar]")
-        if any(d <= 0 for d in self.delta_schedule):
-            raise ValueError("delta schedule must be strictly positive")
+        if not all(0.0 < d < math.inf for d in self.delta_schedule):
+            raise ValueError("delta schedule must be strictly positive and finite")
         if not 0.0 < self.subproblem_tolerance_factor < 1.0:
             raise ValueError("subproblem_tolerance_factor must lie in (0, 1)")
 
@@ -131,16 +131,6 @@ def _model_point(c, J, x, x_bar):
     return c + J @ (x - x_bar)
 
 
-def _certificate(X, h, c, J, x_bar, lam, x, y):
-    """max of the two membership residuals of the subproblem optimality inclusion."""
-    d = J.T @ y
-    if math.isfinite(lam):
-        d = d + (x - x_bar) / lam
-    r_cone = normal_cone_residual(X, x, -d)
-    r_sub, _ = h.subdiff_distance(y, _model_point(c, J, x, x_bar), KINK_TOL)
-    return max(r_cone, r_sub)
-
-
 def _solve_smooth(X, h, c, J, x_bar, lam, tol, max_iter):
     """Accelerated projected gradient (FISTA) with adaptive restart.
 
@@ -159,19 +149,13 @@ def _solve_smooth(X, h, c, J, x_bar, lam, tol, max_iter):
     exact at the point returned; x is always a projection output, so it lies
     in X and one projection suffices.
     """
-    prox = math.isfinite(lam)
-
     def value(xx, zz):
         # phi at xx, given its model point zz
-        val = h.value(zz)
-        if prox:
-            d = xx - x_bar
-            val += 0.5 * (d @ d) / lam
-        return val
+        d = xx - x_bar
+        return h.value(zz) + 0.5 * (d @ d) / lam
 
     def gradient(xx, yy):
-        g = J.T @ yy
-        return g + (xx - x_bar) / lam if prox else g
+        return J.T @ yy + (xx - x_bar) / lam
 
     x = X.project(x_bar)
     z = _model_point(c, J, x, x_bar)
@@ -217,7 +201,6 @@ def _solve_smooth(X, h, c, J, x_bar, lam, tol, max_iter):
             if val_new <= v_val + v_g @ step + ss / (2.0 * t) + 1e-15 * (1.0 + abs(v_val)):
                 y_new = h.grad(z_new)
                 flat = abs(v_val - val_new) < 1e-13 * (1.0 + abs(v_val))
-                # lam = inf drops the proximal term's curvature ss / lam
                 if not flat or (y_new - v_y) @ (z_new - v_z) + ss / lam <= ss / t:
                     break
             t *= 0.5
@@ -242,7 +225,9 @@ def _solve_dual(X, h, c, J, x_bar, lam, tol, max_iter, y0=None):
     h* comes from h.prox by the Moreau identity
     prox_{t h*}(u) = u - t prox_{h/t}(u/t). The momentum restarts when
     (w - y+).(y+ - y) > 0 (O'Donoghue and Candes). Every 10 iterations the
-    certificate is computed at (x(y), y).
+    certificate is computed at (x(y), y): the max of the normal-cone residual
+    of -(J'y + (x - x_bar)/lam) at x and the distance of y to dh at the model
+    point.
     """
     L = float(np.linalg.norm(J, 2))
     t = 1.0 / (lam * L * L) if L > 0 else 1.0
@@ -263,7 +248,9 @@ def _solve_dual(X, h, c, J, x_bar, lam, tol, max_iter, y0=None):
         theta = 1.0 if restart else theta_next
         if it % 10 == 0 or it == max_iter:
             x = primal(y)
-            cert = _certificate(X, h, c, J, x_bar, lam, x, y)
+            r_cone = normal_cone_residual(X, x, -(J.T @ y + (x - x_bar) / lam))
+            r_sub, _ = h.subdiff_distance(y, _model_point(c, J, x, x_bar), KINK_TOL)
+            cert = max(r_cone, r_sub)
             if cert < best[0]:
                 best = (cert, x, y)
             if cert <= tol:
@@ -272,43 +259,14 @@ def _solve_dual(X, h, c, J, x_bar, lam, tol, max_iter, y0=None):
                               best=best[1], residual=best[0])
 
 
-def _solve_splitting(X, h, c, J, x_bar, tol, max_iter, y0=None):
-    """Primal-dual splitting (Chambolle-Pock) for lam = inf, driven by h's conjugate prox."""
-    m, n = J.shape
-    L = float(np.linalg.norm(J, 2))
-    step = 0.9 / L if L > 0 else 1.0
-    sig = tau = step
-    co = c - J @ x_bar
-    x = X.project(x_bar)
-    p = np.zeros(m) if y0 is None else np.asarray(y0, dtype=float).copy()
-    x_tilde = x.copy()
-    check_every = 10
-    best = (math.inf, x.copy(), p.copy())
-    for it in range(1, max_iter + 1):
-        s = p + sig * (J @ x_tilde) + sig * co
-        p = s - sig * h.prox(s / sig, 1.0 / sig)
-        x_prev = x
-        x = X.project(x - tau * (J.T @ p))
-        x_tilde = 2.0 * x - x_prev
-        if it % check_every == 0 or it == max_iter:
-            cert = _certificate(X, h, c, J, x_bar, math.inf, x, p)
-            if cert < best[0]:
-                best = (cert, x.copy(), p.copy())
-            if cert <= tol:
-                return SubproblemResult(x, p, cert, it)
-    raise NonconvergenceError("primal-dual subproblem hit its iteration cap",
-                              best=best[1], residual=best[0])
-
-
 def solve_subproblem(X: ClosedSet, h: OuterFunction, c, J, x_bar, lam: float,
                      tol: float, max_iter: int = 400_000, y0=None) -> SubproblemResult:
     """Solve min_{x in X} h(c + J(x - x_bar)) + ||x - x_bar||^2/(2 lam).
 
-    Three branches: smooth h goes to accelerated projected gradient on the
-    primal (any lam); nonsmooth h with a prox goes to accelerated proximal
-    gradient on the dual at finite lam, where the subproblem is strongly
-    convex, and to primal-dual splitting at lam = inf, which drops the
-    proximal term. y0 warm-starts the multiplier of the two nonsmooth branches.
+    Two branches, for lam in (0, inf): smooth h goes to accelerated projected
+    gradient on the primal; nonsmooth h with a prox goes to accelerated
+    proximal gradient on the dual, which is smooth because the subproblem is
+    strongly convex. y0 warm-starts the dual branch's multiplier.
 
     Returns the primal point, a multiplier y with y in dh(model point), and the
     certified fixed-point residual: the max of the normal-cone projection
@@ -318,15 +276,13 @@ def solve_subproblem(X: ClosedSet, h: OuterFunction, c, J, x_bar, lam: float,
     c = np.asarray(c, dtype=float)
     J = np.atleast_2d(np.asarray(J, dtype=float))
     x_bar = np.asarray(x_bar, dtype=float)
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0.0 < lam < math.inf:
+        raise ValueError("lam must be positive and finite")
     if h.smooth:
         return _solve_smooth(X, h, c, J, x_bar, lam, tol, max_iter)
     if not h.prox_available:
         raise EvaluationError(f"{type(h).__name__} supports neither gradient nor prox")
-    if math.isfinite(lam):
-        return _solve_dual(X, h, c, J, x_bar, lam, tol, max_iter, y0)
-    return _solve_splitting(X, h, c, J, x_bar, tol, max_iter, y0)
+    return _solve_dual(X, h, c, J, x_bar, lam, tol, max_iter, y0)
 
 
 def sufficient_decrease_test(h: OuterFunction, c, J, c_star, x_bar, x_star,
@@ -549,15 +505,40 @@ def _record(trace, nu, stage, triple, inner, lam, delta, exit_step, certificate,
 
 
 def solve_affine_composite(X: ClosedSet, h: OuterFunction, A, b,
-                           tol: float = 1e-9, max_iter: int = 2_000_000,
-                           y0=None) -> SubproblemResult:
-    """Direct solve of min_{x in X} h(Ax + b): the exact model with no prox term.
+                           tol: float = 1e-9) -> SubproblemResult:
+    """Direct solve of min_{x in X} h(Ax + b) by primal-dual splitting.
 
-    Used as an independent oracle for EPCA on convex instances (F affine makes
-    the linearization exact, so the subproblem solver applied once at x_bar = 0
-    with lam = inf solves the full problem).
+    An oracle for EPCA on convex instances, independent of its subproblem
+    solvers: Chambolle and Pock's primal-dual method (J. Math. Imaging Vis.
+    2011) with steps 0.9/||A||, driven by h's conjugate prox through the Moreau
+    identity. Every 10 iterations the candidate (x, y, Ax + b) is certified by
+    stationarity_residual on the problem itself; the solve returns at the
+    first candidate whose combined residual is <= tol and raises
+    NonconvergenceError after _DIRECT_ITERATION_CAP iterations.
     """
+    if not h.prox_available:
+        raise EvaluationError(f"{type(h).__name__} has no prox for the direct solve")
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float)
-    x_bar = np.zeros(A.shape[1])
-    return solve_subproblem(X, h, b, A, x_bar, math.inf, tol, max_iter, y0=y0)
+    problem = CompositeProblem(X, h, AffineMapping(A, b))
+    L = float(np.linalg.norm(A, 2))
+    sig = tau = 0.9 / L if L > 0 else 1.0
+    x = X.project(np.zeros(A.shape[1]))
+    p = np.zeros(A.shape[0])
+    x_tilde = x
+    best = (math.inf, x, p)
+    for it in range(1, _DIRECT_ITERATION_CAP + 1):
+        s = p + sig * (A @ x_tilde) + sig * b
+        p = s - sig * h.prox(s / sig, 1.0 / sig)
+        x_prev = x
+        x = X.project(x - tau * (A.T @ p))
+        x_tilde = 2.0 * x - x_prev
+        if it % 10 == 0:
+            cert = stationarity_residual(
+                problem, StationarityTriple(x, p, problem.F.eval(x))).combined
+            if cert < best[0]:
+                best = (cert, x, p)
+            if cert <= tol:
+                return SubproblemResult(x, p, cert, it)
+    raise NonconvergenceError("direct primal-dual solve hit its iteration cap",
+                              best=best[1], residual=best[0])

@@ -578,15 +578,28 @@ def test_halton_points_equal_scipy_bit_for_bit(d):
         assert _halton_unit(d, count).tobytes() == expected.tobytes()
 
 
-def test_package_import_does_not_load_scipy():
+def _scipy_modules_after(code):
+    """The scipy modules a fresh interpreter has loaded after running code."""
     src = os.path.dirname(os.path.dirname(compapprox.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = ("import sys, compapprox.harness.runner; "
-             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    probe = code + "; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_package_import_does_not_load_scipy():
+    assert _scipy_modules_after("import sys, compapprox.harness.runner") == "[]"
+
+
+def test_convex_sanity_run_does_not_load_scipy(tmp_path):
+    # criterion 9's direct solves run on every pass of the fixtures; an
+    # oracle that imported scipy.optimize would add about 40 MB to its peak RSS
+    code = ("import sys; from compapprox.harness.fixtures import fixture_config; "
+            "from compapprox.harness.runner import run_experiment; "
+            f"assert run_experiment(fixture_config('convex_sanity'), {str(tmp_path)!r}) == 0")
+    assert _scipy_modules_after(code) == "[]"
 
 
 def test_ball_points_are_cached_and_read_only():

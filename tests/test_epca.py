@@ -12,7 +12,7 @@ from compapprox.epca import (EpcaConfig, Stage, extract_multipliers_step4,
 from compapprox.errors import CertificationError, EvaluationError, NonconvergenceError
 from compapprox.geometry import Ball, Box, WholeSpace, normal_cone_residual
 from compapprox.inner import AffineMapping, QuadraticArrayMapping
-from compapprox.model import CompositeProblem, stationarity_residual
+from compapprox.model import CompositeProblem, StationarityTriple, stationarity_residual
 from compapprox.outer import (KINK_TOL, EqualityIndicatorOuter, ExactPenaltyOuter, GoalOuter,
                               InequalityIndicatorOuter, LinearOuter, LogBarrierOuter,
                               QuadPenaltyOuter, SoftplusGoalOuter, softplus_grad)
@@ -88,7 +88,6 @@ def _smooth_cases():
     X = Box(-np.ones(n), np.ones(n))
     return {
         "softplus_box_lam10": (X, h, c, J, x_bar, 10.0, 1e-9),
-        "softplus_box_laminf": (X, h, c, J, x_bar, np.inf, 1e-12),
         "quad_penalty_whole": (WholeSpace(2), QuadPenaltyOuter(1.0, 2), np.array([0.0, 1.0]),
                                np.eye(2), np.zeros(2), 1.0, 1e-11),
     }
@@ -100,15 +99,12 @@ def _smooth_cases():
 SMOOTH_DIGESTS = {
     "softplus_box_lam10":
         (146, "5f6811848d8e63ee93775e434efe4a2adfcd69a407fe2e8cfe9692d61d181dde"),
-    "softplus_box_laminf":
-        (100, "5d05241753128be8bce016438704d94e8bbedc8e3f2cc658ba01af5a14634951"),
     "quad_penalty_whole":
         (30, "7365e10fa8c54bf6f34c9c4c3bc12d48fbd2cf1c30e5d853b5e4138396900ecd"),
 }
 
 #: iterations the projected-gradient solver took on the same cases
-PROJECTED_GRADIENT_ITERATIONS = {"softplus_box_lam10": 972, "softplus_box_laminf": 356,
-                                 "quad_penalty_whole": 39}
+PROJECTED_GRADIENT_ITERATIONS = {"softplus_box_lam10": 972, "quad_penalty_whole": 39}
 
 
 @pytest.mark.parametrize("name", sorted(SMOOTH_DIGESTS))
@@ -131,9 +127,7 @@ def _recomputed_residual(X, h, c, J, x_bar, lam, r):
     z = c + J @ (r.x - x_bar)
     if h.smooth:
         assert r.y.tobytes() == h.grad(z).tobytes()
-    d = J.T @ r.y
-    if math.isfinite(lam):
-        d = d + (r.x - x_bar) / lam
+    d = J.T @ r.y + (r.x - x_bar) / lam
     r_sub, _ = h.subdiff_distance(r.y, z, KINK_TOL)
     return max(normal_cone_residual(X, r.x, -d), r_sub)
 
@@ -155,12 +149,11 @@ def _random_smooth_case(kind, seed):
     n = int(rng.integers(5, 25))
     box = Box(-np.ones(n), np.ones(n))
     x_bar = rng.uniform(-0.5, 0.5, size=n)
-    if kind.startswith("softplus"):
+    if kind == "softplus_box_lam10":
         J = rng.normal(size=(n, n)) / n ** 0.5
         h = SoftplusGoalOuter(rng.uniform(0.5, 1.5, size=n), rng.uniform(-0.5, 0.5, size=n),
                               float(rng.choice([1.0, 64.0, 1e3])))
-        lam = 10.0 if kind == "softplus_box_lam10" else math.inf
-        return box, h, rng.normal(size=n), J, x_bar, lam, 1e-10
+        return box, h, rng.normal(size=n), J, x_bar, 10.0, 1e-10
     if kind == "quad_penalty_whole":
         m = int(rng.integers(2, 6))
         return (WholeSpace(n), QuadPenaltyOuter(float(rng.choice([1.0, 10.0, 100.0])), m),
@@ -174,8 +167,8 @@ def _random_smooth_case(kind, seed):
 
 
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("kind", ["softplus_box_lam10", "softplus_box_laminf",
-                                  "quad_penalty_whole", "log_barrier_near_edge"])
+@pytest.mark.parametrize("kind", ["softplus_box_lam10", "quad_penalty_whole",
+                                  "log_barrier_near_edge"])
 def test_smooth_certificate_recomputed_at_returned_point(kind, seed):
     case = _random_smooth_case(kind, seed)
     r = solve_subproblem(*case)
@@ -572,6 +565,20 @@ def test_config_validation():
         EpcaConfig(x0=[0.0], delta_schedule=(0.1, -0.1))
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    pytest.param(dict(x0=[0.5, math.nan]), "x0", id="x0-nan"),
+    pytest.param(dict(tau=math.inf), "tau", id="tau-inf"),
+    pytest.param(dict(lam_bar=math.inf, lam0=math.inf), "lam_bar", id="lam_bar-inf"),
+    pytest.param(dict(delta_schedule=(0.1, math.nan)), "delta schedule", id="delta-nan"),
+    pytest.param(dict(delta_schedule=(math.inf, 0.1)), "delta schedule", id="delta-inf"),
+])
+def test_config_rejects_non_finite_values(kwargs, message):
+    # a NaN delta or x0 would otherwise spend the dual solver's whole
+    # iteration cap before failing, and lam = inf is no subproblem mode
+    with pytest.raises(ValueError, match=message):
+        EpcaConfig(**{"x0": [0.5], "delta_schedule": (0.1,), **kwargs})
+
+
 def test_epca_over_ball_set():
     # minimizer of (x-1)^2 over the ball |x + 2| <= 1 sits at the boundary
     h = LinearOuter([1.0])
@@ -633,11 +640,30 @@ def test_subproblem_on_lifted_network_problem():
 
 
 def test_direct_affine_solver_matches_known_solutions():
-    # LP: min x over [-1, 3]
-    r = solve_affine_composite(Box([-1.0], [3.0]), LinearOuter([1.0]),
-                               [[1.0]], [0.0], tol=1e-10)
-    assert r.x[0] == pytest.approx(-1.0, abs=1e-8)
-    # goal with unique zero at the corner
-    r = solve_affine_composite(Box([0, 0], [2, 2]), GoalOuter([1, 1], [0, 0]),
-                               np.eye(2), np.zeros(2), tol=1e-9)
-    assert np.allclose(r.x, [0.0, 0.0], atol=1e-7)
+    # criterion 9's instances: a goal with its unique zero at the corner, an
+    # exact penalty x1 + x2 + 3 |x1 - x2| and the LP min x over [-1, 3]
+    instances = [
+        (Box([0.0, 0.0], [2.0, 2.0]), GoalOuter([1.0, 1.0], [0.0, 0.0]),
+         np.eye(2), np.zeros(2), [0.0, 0.0]),
+        (Box([-1.0, -1.0], [1.0, 1.0]), ExactPenaltyOuter(3.0, 2),
+         np.array([[1.0, 1.0], [1.0, -1.0]]), np.zeros(2), [-1.0, -1.0]),
+        (Box([-1.0], [3.0]), LinearOuter([1.0]), np.array([[1.0]]), np.zeros(1), [-1.0]),
+    ]
+    tol = 1e-9
+    for X, h, A, b, x_known in instances:
+        r = solve_affine_composite(X, h, A, b, tol=tol)
+        assert np.allclose(r.x, x_known, atol=1e-7)
+        problem = CompositeProblem(X, h, AffineMapping(A, b))
+        triple = StationarityTriple(r.x, r.y, problem.F.eval(r.x))
+        assert stationarity_residual(problem, triple).combined == r.residual <= tol
+    # the splitting needs h's prox
+    with pytest.raises(EvaluationError, match="no prox"):
+        solve_affine_composite(Box([-1.0], [1.0]), LogBarrierOuter(1.0, 2),
+                               [[1.0], [1.0]], [0.0, -2.0])
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan])
+def test_subproblem_rejects_lam_outside_the_positive_reals(lam):
+    with pytest.raises(ValueError, match="lam must be positive and finite"):
+        solve_subproblem(Box([0.0], [5.0]), LinearOuter([1.0]), [0.5], [[1.0]],
+                         [1.0], lam, 1e-10)
