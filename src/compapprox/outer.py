@@ -5,11 +5,18 @@ never -inf), and, where the structure allows, coordinate subdifferential
 intervals, proximal maps, and piecewise-linear descriptions of the
 per-coordinate subdifferential graph.
 
-Where that graph is piecewise linear, ``graph_1d`` is the one definition of
-dh_i: the base class reads the subdifferential intervals off it. Variants
-with curved graphs (softplus goal, log barrier) give the intervals in closed
-form instead, and the homotopy and block-separable wrappers delegate to
-their parts.
+A separable variant with a piecewise-linear graph sets one kink table in its
+constructor, and that table is the one definition of dh. It is five
+length-m arrays (k, a_left, b_left, a_right, b_right): dh_i(t) is
+a_left + b_left*t for t < k_i, a_right + b_right*t for t > k_i, and the
+segment between the two at t = k_i. A branch outside dom h_i has
+a = -inf (left) or +inf (right) and b = 0. The base class reads everything
+off the table: ``subdiff_intervals`` for all coordinates at once,
+``subdiff_1d``, the certificate distance ``subdiff_distance`` and the graphs
+``graph_1d``. The curved variants (softplus goal, log barrier) give
+``subdiff_intervals`` in closed form instead and have no graph. The homotopy
+and block-separable wrappers build their tables from their parts' tables, so
+a wrapper over a curved part is not separable.
 
 Subdifferential interval queries take a ``slack`` argument: the returned
 interval is the hull of the subdifferential over [t - slack, t + slack].
@@ -141,18 +148,13 @@ class GraphPiece(NamedTuple):
 
 
 class SubdifferentialGraph1D:
-    """gph dh_i as an ordered, connected, monotone list of pieces."""
+    """gph dh_i as an ordered, connected, monotone list of pieces.
+
+    Built by ``OuterFunction.graph_1d`` from a kink table that was checked
+    once, when it was set.
+    """
 
     def __init__(self, pieces):
-        pieces = list(pieces)
-        if not pieces:
-            raise ValueError("empty graph")
-        for p in pieces:
-            if p.z_lo > p.z_hi or p.v_lo > p.v_hi:
-                raise ValueError("piece with reversed interval")
-        for a, b in zip(pieces, pieces[1:]):
-            if not (a.z_hi == b.z_lo and a.v_hi == b.v_lo):
-                raise ValueError("consecutive pieces must share an endpoint")
         self.pieces = pieces
 
     def clipped(self, bound: float):
@@ -161,17 +163,16 @@ class SubdifferentialGraph1D:
 
 
 # ---------------------------------------------------------------------------
-# interval helpers
+# kink tables
 
-def _interval_dist(y: float, interval):
-    if interval is None:
-        return _INF
-    lo, hi = interval
-    if y < lo:
-        return lo - y
-    if y > hi:
-        return y - hi
-    return 0.0
+
+def _line(a, b, t):
+    """a + b*t, with a flat line (b == 0) giving a itself: no -0.0 + 0.0."""
+    return np.where(b == 0.0, a, a + b * t)
+
+
+def _piece(z_lo, z_hi, a, b):
+    return GraphPiece.flat(z_lo, z_hi, a) if b == 0.0 else GraphPiece.sloped(z_lo, z_hi, b, a)
 
 
 class OuterFunction:
@@ -181,6 +182,32 @@ class OuterFunction:
     separable: bool = False
     smooth: bool = False         # differentiable on the interior of its domain
     prox_available: bool = False
+    #: rows (k, a_left, b_left, a_right, b_right) of a piecewise-linear separable h
+    _table = None
+
+    def _set_table(self, k, a_left, b_left, a_right, b_right, linear_head=False):
+        """Set the kink table, the one definition of dh (see the module docstring).
+
+        Each row is a scalar or a length-m array. With ``linear_head``,
+        coordinate 1 is the linear term z_1 instead: the line v = 1. Checked
+        once here: slopes >= 0, a_left < +inf, a_right > -inf and
+        left(k) <= right(k), so every graph is monotone.
+        """
+        table = np.empty((5, self.m))
+        for row, c in zip(table, (k, a_left, b_left, a_right, b_right)):
+            row[:] = c
+        if linear_head:
+            table[:, 0] = (0.0, 1.0, 0.0, 1.0, 0.0)
+        k, a_left, b_left, a_right, b_right = table
+        slopes = table[2::2]
+        self._flat = not slopes.any()
+        left, right = ((a_left, a_right) if self._flat
+                       else (_line(a_left, b_left, k), _line(a_right, b_right, k)))
+        if not ((slopes >= 0.0).all() and np.isfinite(k).all() and (left <= right).all()
+                and (a_left < _INF).all() and (a_right > -_INF).all()):
+            raise ValueError(f"{type(self).__name__}: subdifferential table is not monotone")
+        self._table = table
+        self.separable = True
 
     # -- values -------------------------------------------------------------
     def value(self, z) -> float:
@@ -210,43 +237,52 @@ class OuterFunction:
         raise CapabilityError(f"{type(self).__name__} has no gradient query")
 
     # -- subdifferentials ---------------------------------------------------
-    def subdiff_1d(self, i: int, t: float, slack: float = 0.0):
-        """Closed interval [v_lo, v_hi] of dh_i over [t-slack, t+slack]; None if empty.
+    def subdiff_intervals(self, z, slack: float = 0.0):
+        """(lo, hi): dh_i over [z_i - slack, z_i + slack] has hull [lo_i, hi_i].
 
-        Read off ``graph_1d(i)``: the graph is monotone, so the pieces that
-        meet the window are consecutive, the lower end lies on the first of
-        them and the upper end on the last.
+        Where that window misses dom h_i, lo_i = +inf or hi_i = -inf; a NaN
+        z_i gives NaN ends. Read off the kink table: the lower end lies on the
+        left branch iff the window starts at or left of the kink, the upper
+        end on the right branch iff it ends at or right of it.
         """
-        if not self.separable:
+        if self._table is None:
             raise CapabilityError(f"{type(self).__name__} is not coordinate-separable")
-        lo_t, hi_t = t - slack, t + slack
-        hit = [p for p in self.graph_1d(i).pieces if p.z_lo <= hi_t and lo_t <= p.z_hi]
-        if not hit:
-            return None
-        first, last = hit[0], hit[-1]
-        lo = (first.v_lo if first.is_flat or first.is_vertical
-              else first.intercept + first.slope * max(lo_t, first.z_lo))
-        hi = (last.v_hi if last.is_flat or last.is_vertical
-              else last.intercept + last.slope * min(hi_t, last.z_hi))
-        return (lo, hi)
+        k, a_left, b_left, a_right, b_right = self._table
+        z = self._check(z)
+        lo_t, hi_t = z - slack, z + slack
+        ends = []
+        for t, left in ((lo_t, lo_t <= k), (hi_t, hi_t < k)):
+            a = np.where(left, a_left, a_right)
+            ends.append(a if self._flat else _line(a, np.where(left, b_left, b_right), t))
+        lo, hi = ends
+        nan = np.isnan(z)
+        if nan.any():
+            lo, hi = np.where(nan, math.nan, lo), np.where(nan, math.nan, hi)
+        return lo, hi
+
+    def subdiff_1d(self, i: int, t: float, slack: float = 0.0):
+        """Closed interval [v_lo, v_hi] of dh_i over [t-slack, t+slack]; None if empty."""
+        lo, hi = self.subdiff_intervals(np.full(self.m, float(t)), slack)
+        lo, hi = float(lo[i]), float(hi[i])
+        return (lo, hi) if lo < _INF and hi > -_INF else None
 
     def subdiff_generators(self, z, slack: float = 0.0):
         """Generators whose hull is dh(z), for non-separable variants."""
         raise CapabilityError(f"{type(self).__name__} has no subdifferential generators")
 
     def subdiff_distance(self, y, z, slack: float = 0.0):
-        """(dist_2(y, dh(z)), exact_flag); inf when dh(z) is empty."""
-        y = np.asarray(y, dtype=float)
-        z = self._check(z)
+        """(dist_2(y, dh(z)), exact_flag); inf when dh(z) is empty or y or z has a NaN.
+
+        Separable: the interval distances are squared and added in coordinate
+        order, as a loop over the coordinates would.
+        """
         if self.separable:
-            total = 0.0
-            for i in range(self.m):
-                d = _interval_dist(float(y[i]), self.subdiff_1d(i, float(z[i]), slack))
-                if math.isinf(d):
-                    return _INF, True
-                total += d * d
-            return math.sqrt(total), True
-        gens = self.subdiff_generators(z, slack)
+            lo, hi = self.subdiff_intervals(z, slack)
+            y = np.asarray(y, dtype=float)
+            d = np.maximum(np.maximum(lo - y, y - hi), 0.0)
+            total = float(np.cumsum(d * d)[-1]) if self.m else 0.0
+            return (_INF if math.isnan(total) else math.sqrt(total)), True
+        gens = self.subdiff_generators(self._check(z), slack)
         if gens is None or len(gens) == 0:
             return _INF, True
         return dist_to_hull(y, gens)
@@ -258,7 +294,26 @@ class OuterFunction:
 
     # -- graphs -------------------------------------------------------------
     def graph_1d(self, i: int) -> SubdifferentialGraph1D:
-        raise CapabilityError(f"{type(self).__name__} has no 1-D subdifferential graph")
+        """gph dh_i, read off the kink table.
+
+        Equal branches make one piece; otherwise a vertical piece at k joins
+        them where left(k) < right(k).
+        """
+        if self._table is None:
+            raise CapabilityError(f"{type(self).__name__} has no 1-D subdifferential graph")
+        k, a_left, b_left, a_right, b_right = self._table[:, i].tolist()
+        if a_left == a_right and b_left == b_right:
+            return SubdifferentialGraph1D([_piece(-_INF, _INF, a_left, b_left)])
+        v_left = a_left if b_left == 0.0 else a_left + b_left * k
+        v_right = a_right if b_right == 0.0 else a_right + b_right * k
+        pieces = []
+        if a_left > -_INF:
+            pieces.append(_piece(-_INF, k, a_left, b_left))
+        if v_left < v_right:
+            pieces.append(GraphPiece.vertical(k, v_left, v_right))
+        if a_right < _INF:
+            pieces.append(_piece(k, _INF, a_right, b_right))
+        return SubdifferentialGraph1D(pieces)
 
     def sample_domain_point(self, rng, scale: float = 2.0) -> np.ndarray:
         """A random point with finite value (used by convexity spot checks)."""
@@ -272,7 +327,6 @@ class OuterFunction:
 class GoalOuter(OuterFunction):
     """h(z) = sum_i alpha_i * max{0, z_i - tau_i}."""
 
-    separable = True
     prox_available = True
 
     def __init__(self, alpha, tau):
@@ -283,6 +337,7 @@ class GoalOuter(OuterFunction):
         if np.any(self.alpha < 0):
             raise ValueError("alpha must be nonnegative")
         self.m = self.alpha.size
+        self._set_table(self.tau, 0.0, 0.0, self.alpha, 0.0)
 
     def value(self, z):
         z = self._check(z)
@@ -301,16 +356,6 @@ class GoalOuter(OuterFunction):
         mid = (z >= self.tau) & ~shift
         w[mid] = self.tau[mid]
         return w
-
-    def graph_1d(self, i):
-        a, tau = float(self.alpha[i]), float(self.tau[i])
-        if a == 0.0:
-            return SubdifferentialGraph1D([GraphPiece.flat(-_INF, _INF, 0.0)])
-        return SubdifferentialGraph1D([
-            GraphPiece.flat(-_INF, tau, 0.0),
-            GraphPiece.vertical(tau, 0.0, a),
-            GraphPiece.flat(tau, _INF, a),
-        ])
 
 
 class SoftplusGoalOuter(OuterFunction):
@@ -342,10 +387,10 @@ class SoftplusGoalOuter(OuterFunction):
         z = self._check(z)
         return self.alpha * _softplus_grad(self.theta, z - self.tau)
 
-    def subdiff_1d(self, i, t, slack=0.0):
-        a, tau = self.alpha[i], self.tau[i]
-        return (a * softplus_grad(self.theta, t - slack - tau),
-                a * softplus_grad(self.theta, t + slack - tau))
+    def subdiff_intervals(self, z, slack=0.0):
+        z = self._check(z)
+        return (self.alpha * _softplus_grad(self.theta, z - slack - self.tau),
+                self.alpha * _softplus_grad(self.theta, z + slack - self.tau))
 
     def _prox_1d(self, i, zi, step):
         # solve w - zi + step*alpha*sigmoid(theta*(w - tau)) = 0 (increasing in w)
@@ -384,7 +429,6 @@ def _sigmoid_deriv(theta, gamma):
 class LinearOuter(OuterFunction):
     """h(z) = <p, z>."""
 
-    separable = True
     smooth = True
     prox_available = True
 
@@ -393,6 +437,7 @@ class LinearOuter(OuterFunction):
         if self.p.ndim != 1:
             raise ValueError("p must be a vector")
         self.m = self.p.size
+        self._set_table(0.0, self.p, 0.0, self.p, 0.0)
 
     def value(self, z):
         return float(self.p @ self._check(z))
@@ -404,22 +449,16 @@ class LinearOuter(OuterFunction):
     def prox(self, z, step):
         return self._check(z) - step * self.p
 
-    def graph_1d(self, i):
-        return SubdifferentialGraph1D([GraphPiece.flat(-_INF, _INF, float(self.p[i]))])
-
 
 class EqualityIndicatorOuter(OuterFunction):
     """h(z) = z_1 + indicator{z_2 = ... = z_m = 0}; or all-coordinate indicator."""
 
-    separable = True
     prox_available = True
 
     def __init__(self, m, first_linear=True):
         self.m = as_count(m, "m", 2 if first_linear else 1)
         self.first_linear = bool(first_linear)
-
-    def _constrained(self, i):
-        return i >= 1 if self.first_linear else True
+        self._set_table(0.0, -_INF, 0.0, _INF, 0.0, linear_head=self.first_linear)
 
     def value(self, z):
         z = self._check(z)
@@ -435,11 +474,6 @@ class EqualityIndicatorOuter(OuterFunction):
             w[0] = z[0] - step
         return w
 
-    def graph_1d(self, i):
-        if not self._constrained(i):
-            return SubdifferentialGraph1D([GraphPiece.flat(-_INF, _INF, 1.0)])
-        return SubdifferentialGraph1D([GraphPiece.vertical(0.0, -_INF, _INF)])
-
     def sample_domain_point(self, rng, scale=2.0):
         z = np.zeros(self.m)
         if self.first_linear:
@@ -450,15 +484,12 @@ class EqualityIndicatorOuter(OuterFunction):
 class InequalityIndicatorOuter(OuterFunction):
     """h(z) = z_1 + indicator{z_2 <= 0, ..., z_m <= 0}; or all-coordinate indicator."""
 
-    separable = True
     prox_available = True
 
     def __init__(self, m, first_linear=True):
         self.m = as_count(m, "m", 2 if first_linear else 1)
         self.first_linear = bool(first_linear)
-
-    def _constrained(self, i):
-        return i >= 1 if self.first_linear else True
+        self._set_table(0.0, 0.0, 0.0, _INF, 0.0, linear_head=self.first_linear)
 
     def value(self, z):
         z = self._check(z)
@@ -474,14 +505,6 @@ class InequalityIndicatorOuter(OuterFunction):
             w[0] = z[0] - step
         return w
 
-    def graph_1d(self, i):
-        if not self._constrained(i):
-            return SubdifferentialGraph1D([GraphPiece.flat(-_INF, _INF, 1.0)])
-        return SubdifferentialGraph1D([
-            GraphPiece.flat(-_INF, 0.0, 0.0),
-            GraphPiece.vertical(0.0, 0.0, _INF),
-        ])
-
     def sample_domain_point(self, rng, scale=2.0):
         z = rng.normal(0.0, scale, size=self.m)
         start = 1 if self.first_linear else 0
@@ -492,7 +515,6 @@ class InequalityIndicatorOuter(OuterFunction):
 class AugLagrangianOuter(OuterFunction):
     """h(z) = z_1 + sum_{i>=2} (y_i z_i + theta/2 z_i^2)."""
 
-    separable = True
     smooth = True
     prox_available = True
 
@@ -504,6 +526,8 @@ class AugLagrangianOuter(OuterFunction):
         self.m = self.y_est.size + 1
         if m is not None and m != self.m:
             raise ValueError("m inconsistent with y_est length")
+        y = np.append(1.0, self.y_est)
+        self._set_table(0.0, y, self.theta, y, self.theta, linear_head=True)
 
     def value(self, z):
         z = self._check(z)
@@ -524,25 +548,17 @@ class AugLagrangianOuter(OuterFunction):
         w[1:] = (z[1:] - step * self.y_est) / (1.0 + step * self.theta)
         return w
 
-    def graph_1d(self, i):
-        if i == 0:
-            return SubdifferentialGraph1D([GraphPiece.flat(-_INF, _INF, 1.0)])
-        y = float(self.y_est[i - 1])
-        if self.theta == 0.0:
-            return SubdifferentialGraph1D([GraphPiece.flat(-_INF, _INF, y)])
-        return SubdifferentialGraph1D([GraphPiece.sloped(-_INF, _INF, self.theta, y)])
-
 
 class QuadPenaltyOuter(OuterFunction):
     """h(z) = z_1 + theta * sum_{i>=2} max{0, z_i}^2."""
 
-    separable = True
     smooth = True           # C^1: derivative 2*theta*max{0, t}
     prox_available = True
 
     def __init__(self, theta, m):
         self.theta = finite_theta(theta)
         self.m = as_count(m, "m", 2)
+        self._set_table(0.0, 0.0, 0.0, 0.0, 2.0 * self.theta, linear_head=True)
 
     def value(self, z):
         z = self._check(z)
@@ -565,26 +581,16 @@ class QuadPenaltyOuter(OuterFunction):
         tail[pos] = z[1:][pos] / (1.0 + 2.0 * step * self.theta)
         return w
 
-    def graph_1d(self, i):
-        if i == 0:
-            return SubdifferentialGraph1D([GraphPiece.flat(-_INF, _INF, 1.0)])
-        if self.theta == 0.0:
-            return SubdifferentialGraph1D([GraphPiece.flat(-_INF, _INF, 0.0)])
-        return SubdifferentialGraph1D([
-            GraphPiece.flat(-_INF, 0.0, 0.0),
-            GraphPiece.sloped(0.0, _INF, 2.0 * self.theta, 0.0),
-        ])
-
 
 class ExactPenaltyOuter(OuterFunction):
     """h(z) = z_1 + theta * sum_{i>=2} |z_i|."""
 
-    separable = True
     prox_available = True
 
     def __init__(self, theta, m):
         self.theta = finite_theta(theta)
         self.m = as_count(m, "m", 2)
+        self._set_table(0.0, -self.theta, 0.0, self.theta, 0.0, linear_head=True)
 
     def value(self, z):
         z = self._check(z)
@@ -595,16 +601,6 @@ class ExactPenaltyOuter(OuterFunction):
         w = np.sign(z) * np.maximum(np.abs(z) - step * self.theta, 0.0)
         w[0] = z[0] - step
         return w
-
-    def graph_1d(self, i):
-        if i == 0:
-            return SubdifferentialGraph1D([GraphPiece.flat(-_INF, _INF, 1.0)])
-        th = self.theta
-        return SubdifferentialGraph1D([
-            GraphPiece.flat(-_INF, 0.0, -th),
-            GraphPiece.vertical(0.0, -th, th),
-            GraphPiece.flat(0.0, _INF, th),
-        ])
 
 
 class LogBarrierOuter(OuterFunction):
@@ -636,14 +632,15 @@ class LogBarrierOuter(OuterFunction):
         g[1:] = -1.0 / (self.theta * z[1:])
         return g
 
-    def subdiff_1d(self, i, t, slack=0.0):
-        if i == 0:
-            return (1.0, 1.0)
-        if t - slack >= -self.DOM_MARGIN:
-            return None
-        hi_at = t + slack
-        hi = _INF if hi_at >= -self.DOM_MARGIN else -1.0 / (self.theta * hi_at)
-        return (-1.0 / (self.theta * (t - slack)), hi)
+    def subdiff_intervals(self, z, slack=0.0):
+        # -1/(theta*t) on t < -DOM_MARGIN, the derivative of -ln(-t)/theta;
+        # a window end at or right of -DOM_MARGIN is +inf (empty at the lower end)
+        z = self._check(z)
+        edge = -self.DOM_MARGIN
+        lo, hi = (np.where(t < edge, -1.0 / (self.theta * np.minimum(t, edge)), _INF)
+                  for t in (z - slack, z + slack))
+        lo[0] = hi[0] = math.nan if math.isnan(z[0]) else 1.0
+        return lo, hi
 
     def sample_domain_point(self, rng, scale=2.0):
         z = rng.normal(0.0, scale, size=self.m)
@@ -657,21 +654,21 @@ class HomotopyOuter(OuterFunction):
     prox_available = True
 
     def __init__(self, base: OuterFunction, lam: float):
-        if not (0.0 <= lam <= 1.0):
-            raise ValueError("lam must be in [0, 1]")
+        if not (0.0 <= lam < 1.0):
+            raise ValueError("lam must be in [0, 1)")
         self.base = base
         self.lam = float(lam)
         self.m = base.m + 1
-        self.separable = base.separable
         self.smooth = base.smooth
+        if base._table is not None:
+            # the base's branches scaled by 1 - lam, then the line v = lam
+            s = 1.0 - self.lam
+            self._set_table(*np.column_stack([base._table * [[1.0], [s], [s], [s], [s]],
+                                              [0.0, self.lam, 0.0, self.lam, 0.0]]))
 
     def value(self, z):
         z = self._check(z)
-        base_val = self.base.value(z[:-1])
-        if math.isinf(base_val) and self.lam == 1.0:
-            # 0 * inf treated as 0: the base term is switched off entirely
-            return float(z[-1])
-        return float((1.0 - self.lam) * base_val + self.lam * z[-1])
+        return float((1.0 - self.lam) * self.base.value(z[:-1]) + self.lam * z[-1])
 
     def grad(self, z):
         z = self._check(z)
@@ -680,15 +677,6 @@ class HomotopyOuter(OuterFunction):
         g[-1] = self.lam
         return g
 
-    def subdiff_1d(self, i, t, slack=0.0):
-        if i == self.m - 1:
-            return (self.lam, self.lam)
-        iv = self.base.subdiff_1d(i, t, slack)
-        if iv is None:
-            return None
-        scale = 1.0 - self.lam
-        return (scale * iv[0], scale * iv[1])
-
     def prox(self, z, step):
         z = self._check(z)
         w = np.empty_like(z)
@@ -696,23 +684,6 @@ class HomotopyOuter(OuterFunction):
         w[:-1] = self.base.prox(z[:-1], scaled) if scaled > 0.0 else z[:-1]
         w[-1] = z[-1] - step * self.lam
         return w
-
-    def graph_1d(self, i):
-        if i == self.m - 1:
-            return SubdifferentialGraph1D([GraphPiece.flat(-_INF, _INF, self.lam)])
-        scale = 1.0 - self.lam
-        out = []
-        for p in self.base.graph_1d(i).pieces:
-            if p.is_vertical:
-                out.append(GraphPiece.vertical(p.z_lo, scale * p.v_lo, scale * p.v_hi))
-            elif p.is_flat:
-                out.append(GraphPiece.flat(p.z_lo, p.z_hi, scale * p.v_lo))
-            elif scale == 0.0:
-                out.append(GraphPiece.flat(p.z_lo, p.z_hi, 0.0))
-            else:
-                out.append(GraphPiece.sloped(p.z_lo, p.z_hi, scale * p.slope,
-                                             scale * p.intercept))
-        return SubdifferentialGraph1D(out)
 
     def sample_domain_point(self, rng, scale=2.0):
         z = np.empty(self.m)
@@ -764,7 +735,6 @@ class SupportOuter(OuterFunction):
 class SquaredErrorOuter(OuterFunction):
     """h(z) = weight * ||target - z||_2^2."""
 
-    separable = True
     smooth = True
     prox_available = True
 
@@ -776,6 +746,9 @@ class SquaredErrorOuter(OuterFunction):
             raise ValueError("weight must be a finite number >= 0")
         self.weight = float(weight)
         self.m = self.target.size
+        c = 2.0 * self.weight
+        a = -c * self.target if c else 0.0
+        self._set_table(0.0, a, c, a, c)
 
     def value(self, z):
         d = self._check(z) - self.target
@@ -789,13 +762,6 @@ class SquaredErrorOuter(OuterFunction):
         c = 2.0 * step * self.weight
         return (z + c * self.target) / (1.0 + c)
 
-    def graph_1d(self, i):
-        c = 2.0 * self.weight
-        if c == 0.0:
-            return SubdifferentialGraph1D([GraphPiece.flat(-_INF, _INF, 0.0)])
-        return SubdifferentialGraph1D(
-            [GraphPiece.sloped(-_INF, _INF, c, -c * float(self.target[i]))])
-
 
 class BlockSeparableOuter(OuterFunction):
     """Direct sum h(z) = sum_b h_b(z_b) over consecutive coordinate blocks."""
@@ -805,17 +771,14 @@ class BlockSeparableOuter(OuterFunction):
         if not self.blocks:
             raise ValueError("need at least one block")
         self.m = sum(b.m for b in self.blocks)
-        self.separable = all(b.separable for b in self.blocks)
         self.smooth = all(b.smooth for b in self.blocks)
         self.prox_available = all(b.prox_available for b in self.blocks)
         self._offsets = np.cumsum([0] + [b.m for b in self.blocks])
+        if all(b._table is not None for b in self.blocks):
+            self._set_table(*np.hstack([b._table for b in self.blocks]))
 
     def _split(self, z):
         return [z[self._offsets[k]:self._offsets[k + 1]] for k in range(len(self.blocks))]
-
-    def _locate(self, i):
-        k = int(np.searchsorted(self._offsets, i, side="right") - 1)
-        return self.blocks[k], i - self._offsets[k]
 
     def value(self, z):
         z = self._check(z)
@@ -831,29 +794,9 @@ class BlockSeparableOuter(OuterFunction):
         z = self._check(z)
         return np.concatenate([b.grad(zb) for b, zb in zip(self.blocks, self._split(z))])
 
-    def subdiff_1d(self, i, t, slack=0.0):
-        b, j = self._locate(i)
-        return b.subdiff_1d(j, t, slack)
-
-    def subdiff_distance(self, y, z, slack=0.0):
-        y = np.asarray(y, dtype=float)
-        z = self._check(z)
-        total, exact = 0.0, True
-        for b, yb, zb in zip(self.blocks, self._split(y), self._split(z)):
-            d, ex = b.subdiff_distance(yb, zb, slack)
-            if math.isinf(d):
-                return _INF, exact
-            total += d * d
-            exact = exact and ex
-        return math.sqrt(total), exact
-
     def prox(self, z, step):
         z = self._check(z)
         return np.concatenate([b.prox(zb, step) for b, zb in zip(self.blocks, self._split(z))])
-
-    def graph_1d(self, i):
-        b, j = self._locate(i)
-        return b.graph_1d(j)
 
     def sample_domain_point(self, rng, scale=2.0):
         return np.concatenate([b.sample_domain_point(rng, scale) for b in self.blocks])

@@ -10,9 +10,9 @@ from compapprox.errors import CapabilityError, NonconvergenceError
 from compapprox.outer import (KINK_TOL, AugLagrangianOuter, BlockSeparableOuter,
                               EqualityIndicatorOuter, ExactPenaltyOuter,
                               GoalOuter, HomotopyOuter, InequalityIndicatorOuter,
-                              LinearOuter, LogBarrierOuter, QuadPenaltyOuter,
-                              SoftplusGoalOuter, SquaredErrorOuter, SupportOuter,
-                              softplus, softplus_grad)
+                              LinearOuter, LogBarrierOuter, OuterFunction,
+                              QuadPenaltyOuter, SoftplusGoalOuter, SquaredErrorOuter,
+                              SupportOuter, softplus, softplus_grad)
 from compapprox.rng import stream
 
 
@@ -309,6 +309,133 @@ def test_squared_error_intervals_match_the_closed_form():
                     assert abs(lo - old[0]) <= tol and abs(hi - old[1]) <= tol
 
 
+def graph_digest(h):
+    """sha256 of all six fields of every graph_1d piece, coordinate by coordinate."""
+    digest = hashlib.sha256()
+    for i in range(h.m):
+        for p in h.graph_1d(i).pieces:
+            digest.update(struct.pack("<6d", *p))
+        digest.update(b"|")
+    return digest.hexdigest()[:16]
+
+
+def test_graphs_read_off_the_kink_table_are_pinned():
+    # the pieces each member built by hand, bit for bit, except ExactPenaltyOuter
+    # at theta = 0: its two flat pieces v = -0.0 and v = 0.0, joined by a
+    # zero-length vertical piece, are now the one flat piece v = -0.0
+    # (9c4150965b8f002d before); its intervals did not change
+    expected = [
+        ("GoalOuter", "7318ac6d035fd097"),
+        ("LinearOuter", "d23f0f02a21213b8"),
+        ("EqualityIndicatorOuter", "82549d276b6346ed"),
+        ("InequalityIndicatorOuter", "7a4d4d759a34ff18"),
+        ("AugLagrangianOuter", "8eecd92b823bd4d8"),
+        ("QuadPenaltyOuter", "3d9969075d0f60cc"),
+        ("ExactPenaltyOuter", "84923cf32d5b05e3"),
+        ("HomotopyOuter", "a8f01bb8bfbb3f1c"),
+        ("SquaredErrorOuter", "43d74fd6fb213fec"),
+        ("BlockSeparableOuter", "c6bb3bd275b0c1f8"),
+        ("GoalOuter", "0976137635770679"),
+        ("EqualityIndicatorOuter", "e97d3d4d250cc797"),
+        ("InequalityIndicatorOuter", "1878865d17046280"),
+        ("AugLagrangianOuter", "c746ab7c11671f49"),
+        ("AugLagrangianOuter", "ec9598c65e6b435a"),
+        ("QuadPenaltyOuter", "7835010801f34fb2"),
+        ("QuadPenaltyOuter", "e0f1c1ec4de90e3e"),
+        ("ExactPenaltyOuter", "d9052c1519df6c81"),  # theta 0
+        ("SquaredErrorOuter", "55372b1ae69edde7"),
+        ("SquaredErrorOuter", "d7dd4d6a21953a8d"),
+    ]
+    assert [(type(h).__name__, graph_digest(h)) for h in graph_members()] == expected
+    flat = ExactPenaltyOuter(0.0, 3).graph_1d(1).pieces
+    assert len(flat) == 1 and flat[0].is_flat and flat[0].z_lo == -math.inf
+
+
+def separable_members(m, rng):
+    """One of every separable member with m coordinates (those that allow m)."""
+    alpha, tau, p = rng.uniform(0.0, 2.0, m), rng.normal(size=m), rng.normal(size=m)
+    out = [GoalOuter(alpha, tau), SoftplusGoalOuter(alpha, tau, 7.5), LinearOuter(p),
+           EqualityIndicatorOuter(m, first_linear=m > 1),
+           InequalityIndicatorOuter(m, first_linear=m > 1),
+           AugLagrangianOuter(p[1:], 0.37), SquaredErrorOuter(tau, 1.5)]
+    if m > 1:
+        out += [QuadPenaltyOuter(0.37, m), ExactPenaltyOuter(3.0, m), LogBarrierOuter(2.0, m),
+                HomotopyOuter(GoalOuter(alpha[1:], tau[1:]), 0.25),
+                BlockSeparableOuter([ExactPenaltyOuter(1.0, 2)] * (m // 2)
+                                    + [GoalOuter([1.0], [0.5])] * (m % 2))]
+    return out
+
+
+def _kinks(h, i):
+    """Where dh_i bends: the graph's breakpoints, the softplus centre, the barrier's edge."""
+    if isinstance(h, SoftplusGoalOuter):
+        return [float(h.tau[i])]
+    if isinstance(h, LogBarrierOuter):
+        return [-h.DOM_MARGIN, -0.5]
+    return [z for p in h.graph_1d(i).pieces for z in (p.z_lo, p.z_hi) if math.isfinite(z)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 8, 9, 33, 101])
+def test_subdiff_distance_is_the_coordinate_order_sum_bit_for_bit(m):
+    # the array code against a loop over the coordinates: interval distances
+    # from subdiff_1d, squared and added in coordinate order (np.sum's
+    # pairwise order differs from m = 8 on)
+    rng = stream(m, "subdiff-distance-bits")
+    offsets = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]) * KINK_TOL
+    for h in separable_members(m, rng):
+        for _ in range(6):
+            z = np.array([rng.choice(_kinks(h, i) or [0.0]) for i in range(m)])
+            z += rng.choice(offsets, size=m)
+            off = rng.random(m) < 0.2            # and some coordinates off the kinks
+            z[off] = rng.normal(size=int(off.sum()))
+            for slack in (0.0, KINK_TOL):
+                ivs = [h.subdiff_1d(i, float(z[i]), slack) for i in range(m)]
+                ends = [iv[rng.integers(2)] if iv else 0.0 for iv in ivs]
+                y = np.where(np.isfinite(ends), ends, 0.0) + rng.choice([0.0, 0.0, 1e-3, -1e-3], m)
+                total = 0.0
+                for iv, yi in zip(ivs, y):
+                    d = (math.inf if iv is None else iv[0] - yi if yi < iv[0]
+                         else yi - iv[1] if yi > iv[1] else 0.0)
+                    total += d * d
+                got, exact = h.subdiff_distance(y, z, slack)
+                assert exact
+                assert struct.pack("<d", got) == struct.pack("<d", math.sqrt(total)), \
+                    (type(h).__name__, m, slack)
+
+
+def test_block_intervals_are_its_parts_bit_for_bit():
+    # the concatenated table mixes flat and sloped branches; a flat branch
+    # still gives its a itself (ExactPenaltyOuter at theta = 0 has a = -0.0)
+    parts = [ExactPenaltyOuter(0.0, 2), QuadPenaltyOuter(0.37, 2),
+             SquaredErrorOuter([0.3], 1.5), GoalOuter([0.0, 2.0], [0.0, -0.5])]
+    h = BlockSeparableOuter(parts)
+    for t in (-1.0, -KINK_TOL, -0.0, 0.0, KINK_TOL, 0.3, 1.0):
+        for slack in (0.0, KINK_TOL):
+            got = h.subdiff_intervals(np.full(h.m, t), slack)
+            want = zip(*(p.subdiff_intervals(np.full(p.m, t), slack) for p in parts))
+            assert [g.tobytes() for g in got] == [np.concatenate(w).tobytes() for w in want]
+
+
+def test_subdiff_distance_is_inf_at_a_nan():
+    # a NaN in y or z certifies nothing, and a flat branch must not turn a
+    # NaN z into a finite distance
+    h = ExactPenaltyOuter(3.0, 3)
+    assert h.subdiff_distance([math.nan, 0.0, 0.0], np.zeros(3)) == (math.inf, True)
+    assert h.subdiff_distance(np.zeros(3), [math.nan, 0.0, 0.0]) == (math.inf, True)
+    rng = stream(3, "subdiff-distance-nan")
+    for h in separable_members(3, rng):
+        z = h.sample_domain_point(rng)
+        y = np.zeros(3)
+        for i in range(3):
+            bad = z.copy()
+            bad[i] = math.nan
+            assert h.subdiff_distance(y, bad, KINK_TOL)[0] == math.inf, type(h).__name__
+            assert h.subdiff_1d(i, math.nan) is None, type(h).__name__
+            bad = y.copy()
+            bad[i] = math.nan
+            assert h.subdiff_distance(bad, z, KINK_TOL)[0] == math.inf, type(h).__name__
+
+
 def test_support_subdiff_not_separable():
     h = SupportOuter([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(CapabilityError):
@@ -430,6 +557,30 @@ def test_goal_graph_matches_dense_interval_sampling():
             assert on
 
 
+class _Kinked(OuterFunction):
+    def __init__(self, *table):
+        self.m = 2
+        self._set_table(*table)
+
+
+@pytest.mark.parametrize("table", [
+    (0.0, 0.0, -1.0, 1.0, 0.0),              # a falling left branch
+    (0.0, 0.0, 0.0, 1.0, -0.5),              # a falling right branch
+    (0.0, 1.0, 0.0, 0.0, 0.0),               # left(k) > right(k)
+    ([0.0, 1.0], 0.0, 2.0, 1.0, 0.0),        # sloped left branch above the right at k
+    (0.0, math.inf, 0.0, math.inf, 0.0),     # a left branch at +inf
+    (0.0, -math.inf, 0.0, -math.inf, 0.0),   # a right branch at -inf
+    (math.nan, 0.0, 0.0, 1.0, 0.0),
+    (0.0, math.nan, 0.0, 1.0, 0.0),
+    (0.0, 0.0, math.nan, 1.0, 0.0),
+], ids=["left-slope", "right-slope", "reversed-jump", "reversed-slope", "left-inf",
+        "right-inf", "k-nan", "a-nan", "b-nan"])
+def test_kink_table_must_be_monotone(table):
+    with pytest.raises(ValueError, match="not monotone"):
+        _Kinked(*table)
+    _Kinked(0.0, -math.inf, 0.0, 1.0, 2.0)      # a half-line domain is fine
+
+
 def test_graph_monotonicity_property():
     rng = stream(99, "graph-monotonicity")
     for h in catalogue():
@@ -519,3 +670,20 @@ def test_homotopy_subdiff_delegation():
     h = HomotopyOuter(base, 0.25)
     assert h.subdiff_1d(0, 0.0) == (0.0, 0.75)
     assert h.subdiff_1d(1, 3.0) == (0.25, 0.25)
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.5, -0.25, math.nan])
+def test_homotopy_rejects_lam_outside_zero_one(lam):
+    # at lam = 1 the base term would be switched off: 0 * inf in the value
+    # and (nan, nan) intervals where h is infinite
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        HomotopyOuter(EqualityIndicatorOuter(2), lam)
+
+
+def test_wrappers_over_a_curved_part_are_not_separable():
+    # a wrapper reads its parts' kink tables; a curved part has none
+    curved = SoftplusGoalOuter([1.0], [0.0], 5.0)
+    for h in (HomotopyOuter(curved, 0.5), BlockSeparableOuter([curved, LinearOuter([1.0])])):
+        assert not h.separable
+        with pytest.raises(CapabilityError):
+            h.subdiff_1d(0, 0.0)
