@@ -199,11 +199,8 @@ class OuterFunction:
         if linear_head:
             table[:, 0] = (0.0, 1.0, 0.0, 1.0, 0.0)
         k, a_left, b_left, a_right, b_right = table
-        slopes = table[2::2]
-        self._flat = not slopes.any()
-        left, right = ((a_left, a_right) if self._flat
-                       else (_line(a_left, b_left, k), _line(a_right, b_right, k)))
-        if not ((slopes >= 0.0).all() and np.isfinite(k).all() and (left <= right).all()
+        left, right = _line(a_left, b_left, k), _line(a_right, b_right, k)
+        if not ((table[2::2] >= 0.0).all() and np.isfinite(k).all() and (left <= right).all()
                 and (a_left < _INF).all() and (a_right > -_INF).all()):
             raise ValueError(f"{type(self).__name__}: subdifferential table is not monotone")
         self._table = table
@@ -247,14 +244,14 @@ class OuterFunction:
         """
         if self._table is None:
             raise CapabilityError(f"{type(self).__name__} is not coordinate-separable")
-        k, a_left, b_left, a_right, b_right = self._table
+        table = self._table
         z = self._check(z)
-        lo_t, hi_t = z - slack, z + slack
-        ends = []
-        for t, left in ((lo_t, lo_t <= k), (hi_t, hi_t < k)):
-            a = np.where(left, a_left, a_right)
-            ends.append(a if self._flat else _line(a, np.where(left, b_left, b_right), t))
-        lo, hi = ends
+        t = z + np.array([[-slack], [slack]])        # rows: the window's two ends
+        left = t <= table[0]
+        left[1] = t[1] < table[0]
+        # rows 1:3 are the left branch's (a, b), rows 3:5 the right branch's
+        a, b = np.where(left[:, None], table[1:3], table[3:5]).swapaxes(0, 1)
+        lo, hi = _line(a, b, t)
         nan = np.isnan(z)
         if nan.any():
             lo, hi = np.where(nan, math.nan, lo), np.where(nan, math.nan, hi)

@@ -243,6 +243,8 @@ def graph_members():
         ExactPenaltyOuter(0.0, 3),
         SquaredErrorOuter([0.5, -0.5], 0.0),
         SquaredErrorOuter([0.3, -0.7], 1.0),
+        HomotopyOuter(SquaredErrorOuter([0.3, -0.7], 1.5), 0.37),
+        HomotopyOuter(QuadPenaltyOuter(0.37, 2), 0.25),
     ]
 
 
@@ -264,7 +266,10 @@ def test_subdiff_intervals_read_off_the_graph_are_pinned():
     # the intervals each member gave from its own closed form, bit for bit,
     # except where SquaredErrorOuter's ends now round as the graph's line
     # intercept + slope*t: at weight 1.5 (c*(t - target) gave e47ac04987c9bf59)
-    # and at weight 0 (-0.0 left of the target gave af415d346df8d694)
+    # and at weight 0 (-0.0 left of the target gave af415d346df8d694). The two
+    # homotopies over a sloped base were added with the kink table: their ends
+    # now round as the scaled table's s*a + (s*b)*t, the line of their graph,
+    # where s*(a + b*t) gave 8570164ffab353ab and acd3a3b61c80f0c0
     expected = [
         ("GoalOuter", "cd5db11019883f78"),
         ("LinearOuter", "b5410ed89ed6b996"),
@@ -286,6 +291,8 @@ def test_subdiff_intervals_read_off_the_graph_are_pinned():
         ("ExactPenaltyOuter", "811eebe7d4455769"),
         ("SquaredErrorOuter", "bb270d5b01806f81"),  # weight 0
         ("SquaredErrorOuter", "08c3f046ae66d5cf"),
+        ("HomotopyOuter", "7e6d274943eded7b"),  # over SquaredErrorOuter
+        ("HomotopyOuter", "9a208cc926d7e737"),  # over QuadPenaltyOuter
     ]
     assert [(type(h).__name__, interval_digest(h)) for h in graph_members()] == expected
 
@@ -307,6 +314,31 @@ def test_squared_error_intervals_match_the_closed_form():
                         assert (lo, hi) == old
                     tol = 4e-16 * c * (abs(t) + slack + abs(target[i]))
                     assert abs(lo - old[0]) <= tol and abs(hi - old[1]) <= tol
+
+
+def test_homotopy_intervals_are_its_graph_and_the_scaled_base():
+    # over a sloped base the ends are the graph's line, scaled intercept plus
+    # scaled slope times t, bit for bit, and (1 - lam) times the base's ends
+    # to rounding
+    rng = stream(6, "homotopy-intervals")
+    target = rng.normal(size=3)
+    for base in (SquaredErrorOuter(target, 1.5), QuadPenaltyOuter(0.37, 3),
+                 AugLagrangianOuter(target[1:], 0.37), GoalOuter([0.7, 1.3, 0.2], target)):
+        for lam in (0.0, 0.25, 0.37, 0.9):
+            h, s = HomotopyOuter(base, lam), 1.0 - lam
+            for i in range(base.m):
+                pieces = h.graph_1d(i).pieces
+                for t in np.concatenate([target, rng.normal(scale=2.0, size=30)]):
+                    for slack in (0.0, KINK_TOL, 0.1):
+                        lo, hi = h.subdiff_1d(i, float(t), slack)
+                        for end, at in ((lo, t - slack), (hi, t + slack)):
+                            p = next(p for p in pieces if not p.is_vertical
+                                     and p.z_lo <= at <= p.z_hi)
+                            if not p.is_flat and (p.z_lo < at < p.z_hi):
+                                assert end == p.intercept + p.slope * at
+                        b_lo, b_hi = base.subdiff_1d(i, float(t), slack)
+                        tol = 4e-16 * (abs(b_lo) + abs(b_hi) + abs(t) + slack + 1.0)
+                        assert abs(lo - s * b_lo) <= tol and abs(hi - s * b_hi) <= tol
 
 
 def graph_digest(h):
@@ -345,6 +377,8 @@ def test_graphs_read_off_the_kink_table_are_pinned():
         ("ExactPenaltyOuter", "d9052c1519df6c81"),  # theta 0
         ("SquaredErrorOuter", "55372b1ae69edde7"),
         ("SquaredErrorOuter", "d7dd4d6a21953a8d"),
+        ("HomotopyOuter", "4ae017aa3a683e14"),  # over SquaredErrorOuter
+        ("HomotopyOuter", "ea6fe7849f3a06c1"),  # over QuadPenaltyOuter
     ]
     assert [(type(h).__name__, graph_digest(h)) for h in graph_members()] == expected
     flat = ExactPenaltyOuter(0.0, 3).graph_1d(1).pieces
@@ -361,6 +395,7 @@ def separable_members(m, rng):
     if m > 1:
         out += [QuadPenaltyOuter(0.37, m), ExactPenaltyOuter(3.0, m), LogBarrierOuter(2.0, m),
                 HomotopyOuter(GoalOuter(alpha[1:], tau[1:]), 0.25),
+                HomotopyOuter(SquaredErrorOuter(tau[1:], 1.5), 0.37),
                 BlockSeparableOuter([ExactPenaltyOuter(1.0, 2)] * (m // 2)
                                     + [GoalOuter([1.0], [0.5])] * (m % 2))]
     return out
