@@ -12,11 +12,13 @@ a_left + b_left*t for t < k_i, a_right + b_right*t for t > k_i, and the
 segment between the two at t = k_i. A branch outside dom h_i has
 a = -inf (left) or +inf (right) and b = 0. The base class reads everything
 off the table: ``subdiff_intervals`` for all coordinates at once,
-``subdiff_1d``, the certificate distance ``subdiff_distance`` and the graphs
-``graph_1d``. The curved variants (softplus goal, log barrier) give
-``subdiff_intervals`` in closed form instead and have no graph. The homotopy
-and block-separable wrappers build their tables from their parts' tables, so
-a wrapper over a curved part is not separable.
+``subdiff_1d``, the certificate distance ``subdiff_distance``, the graphs
+``graph_1d`` and ``prox``, the resolvent (I + step*dh)^{-1} of the same dh.
+The curved variants (softplus goal, log barrier) give ``subdiff_intervals``
+in closed form instead and have no graph; only the softplus goal has a prox
+of its own. The homotopy and block-separable wrappers build their tables
+from their parts' tables, so a wrapper over a curved part is not separable
+and has no prox.
 
 Subdifferential interval queries take a ``slack`` argument: the returned
 interval is the hull of the subdifferential over [t - slack, t + slack].
@@ -184,6 +186,8 @@ class OuterFunction:
     prox_available: bool = False
     #: rows (k, a_left, b_left, a_right, b_right) of a piecewise-linear separable h
     _table = None
+    #: rows (left(k), right(k)): the two branches' values at the kink
+    _at_kink = None
 
     def _set_table(self, k, a_left, b_left, a_right, b_right, linear_head=False):
         """Set the kink table, the one definition of dh (see the module docstring).
@@ -191,7 +195,7 @@ class OuterFunction:
         Each row is a scalar or a length-m array. With ``linear_head``,
         coordinate 1 is the linear term z_1 instead: the line v = 1. Checked
         once here: slopes >= 0, a_left < +inf, a_right > -inf and
-        left(k) <= right(k), so every graph is monotone.
+        left(k) <= right(k), so every graph is monotone. A table gives a prox.
         """
         table = np.empty((5, self.m))
         for row, c in zip(table, (k, a_left, b_left, a_right, b_right)):
@@ -204,7 +208,9 @@ class OuterFunction:
                 and (a_left < _INF).all() and (a_right > -_INF).all()):
             raise ValueError(f"{type(self).__name__}: subdifferential table is not monotone")
         self._table = table
+        self._at_kink = np.array([left, right])
         self.separable = True
+        self.prox_available = True
 
     # -- values -------------------------------------------------------------
     def value(self, z) -> float:
@@ -286,8 +292,21 @@ class OuterFunction:
 
     # -- prox ---------------------------------------------------------------
     def prox(self, z, step: float) -> np.ndarray:
-        """argmin_w h(w) + ||w - z||^2 / (2*step)."""
-        raise CapabilityError(f"{type(self).__name__} has no prox")
+        """argmin_w h(w) + ||w - z||^2 / (2*step), read off the kink table.
+
+        The resolvent (I + step*dh)^{-1}: w_i = k_i where z_i lies in
+        k_i + step*[left(k_i), right(k_i)], else the point
+        (z_i - step*a)/(1 + step*b) of the branch (a, b) z_i falls to. A NaN
+        z_i takes the left branch's formula, so it gives NaN.
+        """
+        if self._table is None:
+            raise CapabilityError(f"{type(self).__name__} has no prox")
+        table, k = self._table, self._table[0]
+        z = self._check(z)
+        lo, hi = k + step * self._at_kink
+        above = z > hi
+        sa, sb = step * np.where(above, table[3:5], table[1:3])
+        return np.where((z >= lo) & ~above, k, (z - sa) / (1.0 + sb))
 
     # -- graphs -------------------------------------------------------------
     def graph_1d(self, i: int) -> SubdifferentialGraph1D:
@@ -301,8 +320,7 @@ class OuterFunction:
         k, a_left, b_left, a_right, b_right = self._table[:, i].tolist()
         if a_left == a_right and b_left == b_right:
             return SubdifferentialGraph1D([_piece(-_INF, _INF, a_left, b_left)])
-        v_left = a_left if b_left == 0.0 else a_left + b_left * k
-        v_right = a_right if b_right == 0.0 else a_right + b_right * k
+        v_left, v_right = self._at_kink[:, i].tolist()
         pieces = []
         if a_left > -_INF:
             pieces.append(_piece(-_INF, k, a_left, b_left))
@@ -324,8 +342,6 @@ class OuterFunction:
 class GoalOuter(OuterFunction):
     """h(z) = sum_i alpha_i * max{0, z_i - tau_i}."""
 
-    prox_available = True
-
     def __init__(self, alpha, tau):
         self.alpha = finite_array(alpha, "alpha")
         self.tau = finite_array(tau, "tau")
@@ -343,16 +359,6 @@ class GoalOuter(OuterFunction):
     def value_batch(self, Z):
         Z = self._check_batch(Z)
         return np.sum(self.alpha * np.maximum(0.0, Z - self.tau), axis=1)
-
-    def prox(self, z, step):
-        z = self._check(z)
-        w = z.copy()
-        upper = self.tau + step * self.alpha
-        shift = z > upper
-        w[shift] = z[shift] - step * self.alpha[shift]
-        mid = (z >= self.tau) & ~shift
-        w[mid] = self.tau[mid]
-        return w
 
 
 class SoftplusGoalOuter(OuterFunction):
@@ -396,6 +402,7 @@ class SoftplusGoalOuter(OuterFunction):
             return zi
         lo, hi = zi - step * a, zi
         w = 0.5 * (lo + hi)
+        dx = dx_before = hi - lo        # the last two steps taken
         for _ in range(200):
             g = w - zi + step * a * softplus_grad(self.theta, w - tau)
             if g > 0:
@@ -404,10 +411,13 @@ class SoftplusGoalOuter(OuterFunction):
                 lo = w
             dg = 1.0 + step * a * self.theta * _sigmoid_deriv(self.theta, w - tau)
             w_new = w - g / dg
-            if not (lo < w_new < hi):
+            # bisect where Newton leaves the bracket or fails to halve the step
+            # before last: across a steep sigmoid it can bounce between the ends
+            if not (lo < w_new < hi) or abs(g / dg) > 0.5 * abs(dx_before):
                 w_new = 0.5 * (lo + hi)
             if abs(w_new - w) <= 1e-12 * (1.0 + abs(w)):
                 return w_new
+            dx_before, dx = dx, w_new - w
             w = w_new
         raise NonconvergenceError(
             f"softplus prox of component {i} did not converge in 200 iterations",
@@ -427,7 +437,6 @@ class LinearOuter(OuterFunction):
     """h(z) = <p, z>."""
 
     smooth = True
-    prox_available = True
 
     def __init__(self, p):
         self.p = finite_array(p, "p")
@@ -443,14 +452,9 @@ class LinearOuter(OuterFunction):
         self._check(z)
         return self.p.copy()
 
-    def prox(self, z, step):
-        return self._check(z) - step * self.p
-
 
 class EqualityIndicatorOuter(OuterFunction):
     """h(z) = z_1 + indicator{z_2 = ... = z_m = 0}; or all-coordinate indicator."""
-
-    prox_available = True
 
     def __init__(self, m, first_linear=True):
         self.m = as_count(m, "m", 2 if first_linear else 1)
@@ -464,13 +468,6 @@ class EqualityIndicatorOuter(OuterFunction):
             return _INF
         return float(z[0]) if self.first_linear else 0.0
 
-    def prox(self, z, step):
-        z = self._check(z)
-        w = np.zeros_like(z)
-        if self.first_linear:
-            w[0] = z[0] - step
-        return w
-
     def sample_domain_point(self, rng, scale=2.0):
         z = np.zeros(self.m)
         if self.first_linear:
@@ -480,8 +477,6 @@ class EqualityIndicatorOuter(OuterFunction):
 
 class InequalityIndicatorOuter(OuterFunction):
     """h(z) = z_1 + indicator{z_2 <= 0, ..., z_m <= 0}; or all-coordinate indicator."""
-
-    prox_available = True
 
     def __init__(self, m, first_linear=True):
         self.m = as_count(m, "m", 2 if first_linear else 1)
@@ -495,12 +490,11 @@ class InequalityIndicatorOuter(OuterFunction):
             return _INF
         return float(z[0]) if self.first_linear else 0.0
 
-    def prox(self, z, step):
-        z = self._check(z)
-        w = np.minimum(z, 0.0)
-        if self.first_linear:
-            w[0] = z[0] - step
-        return w
+    def value_batch(self, Z):
+        Z = self._check_batch(Z)
+        start = 1 if self.first_linear else 0
+        return np.where((Z[:, start:] > 0.0).any(axis=1), _INF,
+                        Z[:, 0] if self.first_linear else 0.0)
 
     def sample_domain_point(self, rng, scale=2.0):
         z = rng.normal(0.0, scale, size=self.m)
@@ -513,7 +507,6 @@ class AugLagrangianOuter(OuterFunction):
     """h(z) = z_1 + sum_{i>=2} (y_i z_i + theta/2 z_i^2)."""
 
     smooth = True
-    prox_available = True
 
     def __init__(self, y_est, theta, m=None):
         self.y_est = finite_array(y_est, "y_est")
@@ -538,19 +531,11 @@ class AugLagrangianOuter(OuterFunction):
         g[1:] = self.y_est + self.theta * z[1:]
         return g
 
-    def prox(self, z, step):
-        z = self._check(z)
-        w = np.empty_like(z)
-        w[0] = z[0] - step
-        w[1:] = (z[1:] - step * self.y_est) / (1.0 + step * self.theta)
-        return w
-
 
 class QuadPenaltyOuter(OuterFunction):
     """h(z) = z_1 + theta * sum_{i>=2} max{0, z_i}^2."""
 
     smooth = True           # C^1: derivative 2*theta*max{0, t}
-    prox_available = True
 
     def __init__(self, theta, m):
         self.theta = finite_theta(theta)
@@ -562,6 +547,12 @@ class QuadPenaltyOuter(OuterFunction):
         tail = np.maximum(0.0, z[1:])
         return float(z[0] + self.theta * tail @ tail)
 
+    def value_batch(self, Z):
+        # value's (theta * tail) @ tail as one stacked product per row
+        Z = self._check_batch(Z)
+        T = np.maximum(0.0, Z[:, 1:])
+        return Z[:, 0] + ((self.theta * T)[:, None, :] @ T[:, :, None])[:, 0, 0]
+
     def grad(self, z):
         z = self._check(z)
         g = np.empty(self.m)
@@ -569,20 +560,9 @@ class QuadPenaltyOuter(OuterFunction):
         g[1:] = 2.0 * self.theta * np.maximum(0.0, z[1:])
         return g
 
-    def prox(self, z, step):
-        z = self._check(z)
-        w = z.copy()
-        w[0] = z[0] - step
-        pos = z[1:] > 0.0
-        tail = w[1:]
-        tail[pos] = z[1:][pos] / (1.0 + 2.0 * step * self.theta)
-        return w
-
 
 class ExactPenaltyOuter(OuterFunction):
     """h(z) = z_1 + theta * sum_{i>=2} |z_i|."""
-
-    prox_available = True
 
     def __init__(self, theta, m):
         self.theta = finite_theta(theta)
@@ -593,19 +573,12 @@ class ExactPenaltyOuter(OuterFunction):
         z = self._check(z)
         return float(z[0] + self.theta * np.sum(np.abs(z[1:])))
 
-    def prox(self, z, step):
-        z = self._check(z)
-        w = np.sign(z) * np.maximum(np.abs(z) - step * self.theta, 0.0)
-        w[0] = z[0] - step
-        return w
-
 
 class LogBarrierOuter(OuterFunction):
     """h(z) = z_1 - (1/theta) sum_{i>=2} ln(-z_i) on {z_i < 0}, +inf elsewhere."""
 
     separable = True
     smooth = True
-    prox_available = False   # barrier runs only on the smooth subproblem path
 
     #: strict-interior margin for domain membership
     DOM_MARGIN = 1e-12
@@ -648,8 +621,6 @@ class LogBarrierOuter(OuterFunction):
 class HomotopyOuter(OuterFunction):
     """h(z) = (1 - lam) * base(z_1..z_{m-1}) + lam * z_m."""
 
-    prox_available = True
-
     def __init__(self, base: OuterFunction, lam: float):
         if not (0.0 <= lam < 1.0):
             raise ValueError("lam must be in [0, 1)")
@@ -674,14 +645,6 @@ class HomotopyOuter(OuterFunction):
         g[-1] = self.lam
         return g
 
-    def prox(self, z, step):
-        z = self._check(z)
-        w = np.empty_like(z)
-        scaled = step * (1.0 - self.lam)
-        w[:-1] = self.base.prox(z[:-1], scaled) if scaled > 0.0 else z[:-1]
-        w[-1] = z[-1] - step * self.lam
-        return w
-
     def sample_domain_point(self, rng, scale=2.0):
         z = np.empty(self.m)
         z[:-1] = self.base.sample_domain_point(rng, scale)
@@ -696,6 +659,8 @@ class HomotopyOuter(OuterFunction):
 class SupportOuter(OuterFunction):
     """h(z) = max over a finite point list A of <p, z>, with A in the simplex."""
 
+    prox_available = True
+
     def __init__(self, points):
         self.points = np.atleast_2d(finite_array(points, "support points"))
         if self.points.shape[0] == 0:
@@ -704,7 +669,6 @@ class SupportOuter(OuterFunction):
         if np.any(self.points < -1e-12) or np.any(np.abs(sums - 1.0) > 1e-12):
             raise ValueError("support points must lie in the probability simplex")
         self.m = self.points.shape[1]
-        self.prox_available = True
 
     def value(self, z):
         return float(self.value_batch(self._check(z)[None])[0])
@@ -733,7 +697,6 @@ class SquaredErrorOuter(OuterFunction):
     """h(z) = weight * ||target - z||_2^2."""
 
     smooth = True
-    prox_available = True
 
     def __init__(self, target, weight=1.0):
         self.target = finite_array(target, "target")
@@ -754,11 +717,6 @@ class SquaredErrorOuter(OuterFunction):
     def grad(self, z):
         return 2.0 * self.weight * (self._check(z) - self.target)
 
-    def prox(self, z, step):
-        z = self._check(z)
-        c = 2.0 * step * self.weight
-        return (z + c * self.target) / (1.0 + c)
-
 
 class BlockSeparableOuter(OuterFunction):
     """Direct sum h(z) = sum_b h_b(z_b) over consecutive coordinate blocks."""
@@ -769,7 +727,6 @@ class BlockSeparableOuter(OuterFunction):
             raise ValueError("need at least one block")
         self.m = sum(b.m for b in self.blocks)
         self.smooth = all(b.smooth for b in self.blocks)
-        self.prox_available = all(b.prox_available for b in self.blocks)
         self._offsets = np.cumsum([0] + [b.m for b in self.blocks])
         if all(b._table is not None for b in self.blocks):
             self._set_table(*np.hstack([b._table for b in self.blocks]))
@@ -790,10 +747,6 @@ class BlockSeparableOuter(OuterFunction):
     def grad(self, z):
         z = self._check(z)
         return np.concatenate([b.grad(zb) for b, zb in zip(self.blocks, self._split(z))])
-
-    def prox(self, z, step):
-        z = self._check(z)
-        return np.concatenate([b.prox(zb, step) for b, zb in zip(self.blocks, self._split(z))])
 
     def sample_domain_point(self, rng, scale=2.0):
         return np.concatenate([b.sample_domain_point(rng, scale) for b in self.blocks])

@@ -108,6 +108,14 @@ def test_value_batch_matches_value_bit_for_bit(m):
         Zc = rng.normal(0.0, 2.0, size=(40, h.m))
         expected = np.array([h.value(z) for z in Zc])
         assert h.value_batch(Zc).tobytes() == expected.tobytes(), type(h).__name__
+    # the penalty and the indicator it approximates, with a first coordinate
+    # added: every other row feasible, so the indicator is finite there
+    Z1 = np.column_stack([rng.normal(0.0, 3.0, size=257), Z])
+    Z1[::2, 1:] = -np.abs(Z1[::2, 1:])
+    for h in (QuadPenaltyOuter(0.37, m + 1), QuadPenaltyOuter(1e4, m + 1),
+              InequalityIndicatorOuter(m + 1), InequalityIndicatorOuter(m + 1, first_linear=False)):
+        expected = np.array([h.value(z) for z in Z1])
+        assert h.value_batch(Z1).tobytes() == expected.tobytes(), type(h).__name__
     with pytest.raises(ValueError):
         GoalOuter(alpha, tau).value_batch(Z[:, :-1] if m > 1 else Z[0])
 
@@ -550,6 +558,115 @@ def test_support_prox_optimality():
         assert d <= 1e-8
 
 
+def prox_points(h, rng):
+    """Seeded (z, step): random z, with coordinates at, just off and at the
+    ends of the kink's prox interval k + step*[left(k), right(k)]."""
+    ends = []
+    for i in range(h.m):
+        kinks = sorted(set(_kinks(h, i))) or [0.0]
+        ends.append([(k, h.subdiff_1d(i, k)) for k in kinks])
+    for step in (0.37, 1.0, 2.5):
+        for _ in range(40):
+            z = rng.normal(0.0, 2.0, size=h.m)
+            for i in np.flatnonzero(rng.random(h.m) < 0.6):
+                k, (lo, hi) = ends[i][rng.integers(len(ends[i]))]
+                at = [k, -0.0 if k == 0.0 else k] + [k + step * v for v in (lo, hi)
+                                                    if math.isfinite(v)]
+                z[i] = at[rng.integers(len(at))] * (1.0 + rng.choice([0.0, 0.0, 1e-15, -1e-15]))
+            yield z, step
+
+
+def prox_members():
+    """Every separable member with a prox: the graphs' and the softplus goal."""
+    return graph_members() + [h for h in catalogue() if isinstance(h, SoftplusGoalOuter)]
+
+
+def test_prox_minimizes_the_hand_written_value():
+    # the table gives both prox and subdiff_1d, so test prox against value:
+    # phi(u) = h(u) + ||u - z||^2/(2 step) must not fall along any coordinate
+    for h in prox_members():
+        for z, step in prox_points(h, stream(20, "prox-minimizes")):
+            def phi(u):
+                return h.value(u) + float((u - z) @ (u - z)) / (2.0 * step)
+            w = h.prox(z, step)
+            best = phi(w)
+            assert math.isfinite(best), (type(h).__name__, z, step)
+            tol = 1e-12 * (1.0 + abs(best))
+            for i in range(h.m):
+                for eps in (1e-3, -1e-3, 1e-6, -1e-6):
+                    u = w.copy()
+                    u[i] += eps
+                    assert best <= phi(u) + tol, (type(h).__name__, z, step, i, eps)
+
+
+def prox_digest(h):
+    """sha256 of prox(z, step) + 0.0 (signed zeros made equal) at prox_points."""
+    digest = hashlib.sha256()
+    for z, step in prox_points(h, stream(19, "prox-bits")):
+        digest.update((h.prox(z, step) + 0.0).tobytes())
+    return digest.hexdigest()[:16]
+
+
+def test_prox_read_off_the_kink_table_is_pinned():
+    # the prox each member wrote by hand, bit for bit up to the sign of zero,
+    # except the two homotopies over a sloped base: the table's scaled branch
+    # rounds as step*((1 - lam)*a), where the base's prox at the scaled step
+    # rounded as (step*(1 - lam))*a (8ba37cd6d072d7c9 and 1749c0017fb69244)
+    expected = [
+        ("GoalOuter", "921746078dc89016"),
+        ("LinearOuter", "79a9c5708e21bea6"),
+        ("EqualityIndicatorOuter", "055cbc16b5ae1d4d"),
+        ("InequalityIndicatorOuter", "db8ebf72b913ccb3"),
+        ("AugLagrangianOuter", "ffb1aa3b4bdb2b51"),
+        ("QuadPenaltyOuter", "49a283d42f211f7e"),
+        ("ExactPenaltyOuter", "bbfd5f3b8f1fd328"),
+        ("HomotopyOuter", "a021573f696d762a"),
+        ("SquaredErrorOuter", "06a12b43889eff32"),  # weight 1.5
+        ("BlockSeparableOuter", "05c48220ed4f23df"),
+        ("GoalOuter", "f3d8314006d22277"),
+        ("EqualityIndicatorOuter", "155e437b946ac82a"),
+        ("InequalityIndicatorOuter", "5e83d4e75759cc53"),
+        ("AugLagrangianOuter", "59ba86cd726108f9"),
+        ("AugLagrangianOuter", "8e9f78f1ca2e3e90"),
+        ("QuadPenaltyOuter", "c1c8f1b86a00bce0"),
+        ("QuadPenaltyOuter", "0e286164c7e4b8e3"),
+        ("ExactPenaltyOuter", "c1c8f1b86a00bce0"),  # theta 0: the identity, as theta 0 above
+        ("SquaredErrorOuter", "945473191de81bdb"),  # weight 0
+        ("SquaredErrorOuter", "77ab3d962cd97da5"),
+        ("HomotopyOuter", "f469bf8f1b12160b"),  # over SquaredErrorOuter
+        ("HomotopyOuter", "d348a73a584dd423"),  # over QuadPenaltyOuter
+    ]
+    assert [(type(h).__name__, prox_digest(h)) for h in graph_members()] == expected
+
+
+def test_prox_available_exactly_when_prox_answers():
+    # the flag is derived: a kink table, or a prox of the class's own
+    curved = [LogBarrierOuter(2.0, 3), SoftplusGoalOuter([1.0, 2.0], [0.0, 1.0], 5.0)]
+    wrappers = [HomotopyOuter(b, 0.3) for b in curved] + [
+        BlockSeparableOuter([SupportOuter([[1.0, 0.0], [0.0, 1.0]]), LinearOuter([1.0])])]
+    rng = stream(21, "prox-available")
+    for h in catalogue() + wrappers:
+        try:
+            h.prox(h.sample_domain_point(rng), 0.5)
+            answered = True
+        except CapabilityError:
+            answered = False
+        assert h.prox_available == answered, type(h).__name__
+    assert not any(h.prox_available for h in wrappers)
+
+
+def test_prox_is_nan_at_a_nan():
+    # a NaN z_i falls to a branch formula, never to the kink
+    rng = stream(22, "prox-nan")
+    for h in graph_members():
+        z = rng.normal(size=h.m)
+        for i in range(h.m):
+            bad = z.copy()
+            bad[i] = math.nan
+            w = h.prox(bad, 0.7)
+            assert math.isnan(w[i]) and not np.isnan(np.delete(w, i)).any(), type(h).__name__
+
+
 def test_softplus_goal_prox_newton():
     h = SoftplusGoalOuter([2.0], [1.0], 7.0)
     z = np.array([1.4])
@@ -558,6 +675,15 @@ def test_softplus_goal_prox_newton():
     # optimality: w - z + step * h'(w) = 0 to the stated 1e-12
     resid = w[0] - z[0] + step * float(h.grad(w)[0])
     assert abs(resid) <= 1e-12 * (1 + abs(w[0]))
+
+
+def test_softplus_goal_prox_converges_across_a_steep_sigmoid():
+    # at step * alpha * theta = 25 undamped Newton steps bounced between the
+    # ends of the bracket here and ran out of iterations
+    h = SoftplusGoalOuter([2.0, 2.0], [1.0, 1.0], 5.0)
+    z, step = np.array([1.604, 5.395]), 2.5
+    w = h.prox(z, step)
+    assert np.all(np.abs(w - z + step * h.grad(w)) <= 1e-10 * (1.0 + np.abs(w)))
 
 
 # ---------------------------------------------------------------------------
