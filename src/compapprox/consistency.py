@@ -451,8 +451,7 @@ def eta_reference(F_actual: InnerMapping, X, rho: float, samples: int = 500) -> 
     anchor = ball_anchor(X, rho)
     ball = _ball_samples(F_actual.n, rho, samples)
     P = np.vstack([ball[X.contains_batch(ball)], anchor])
-    J, multi = F_actual.jacobian_batch(P)
-    return EtaReference(P, F_actual.eval_batch(P), J, multi)
+    return EtaReference(P, *F_actual.linearize_batch(P))
 
 
 def estimate_eta(F_approx: InnerMapping, F_actual: InnerMapping, X, rho: float,
@@ -471,8 +470,8 @@ def estimate_eta(F_approx: InnerMapping, F_actual: InnerMapping, X, rho: float,
     if reference is None:
         reference = eta_reference(F_actual, X, rho, samples)
     P = reference.points
-    eta0 = _fmax(row_norms(F_approx.eval_batch(P) - reference.values))
-    J_a, multi_a = F_approx.jacobian_batch(P)
+    values, J_a, multi_a = F_approx.linearize_batch(P)
+    eta0 = _fmax(row_norms(values - reference.values))
     multi = multi_a | reference.multi
     # a component with one generator on each side: the distance of the two rows
     eta = _fmax(row_norms(J_a - reference.jacobians)[~multi])

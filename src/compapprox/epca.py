@@ -213,7 +213,7 @@ def _solve_smooth(X, h, c, J, x_bar, lam, tol, max_iter):
                               best=best[1], residual=best[0])
 
 
-def _solve_dual(X, h, c, J, x_bar, lam, tol, max_iter, y0=None):
+def _solve_dual(X, h, c, J, x_bar, lam, tol, max_iter, y0=None, J_norm=None):
     """Accelerated proximal gradient (FISTA) on the dual, with gradient restart.
 
     At finite lam the subproblem is strongly convex, so its dual
@@ -227,9 +227,9 @@ def _solve_dual(X, h, c, J, x_bar, lam, tol, max_iter, y0=None):
     (w - y+).(y+ - y) > 0 (O'Donoghue and Candes). Every 10 iterations the
     certificate is computed at (x(y), y): the max of the normal-cone residual
     of -(J'y + (x - x_bar)/lam) at x and the distance of y to dh at the model
-    point.
+    point. J_norm is ||J||_2 when the caller has it, computed here otherwise.
     """
-    L = float(np.linalg.norm(J, 2))
+    L = float(np.linalg.norm(J, 2)) if J_norm is None else J_norm
     t = 1.0 / (lam * L * L) if L > 0 else 1.0
 
     def primal(yy):
@@ -259,14 +259,15 @@ def _solve_dual(X, h, c, J, x_bar, lam, tol, max_iter, y0=None):
                               best=best[1], residual=best[0])
 
 
-def solve_subproblem(X: ClosedSet, h: OuterFunction, c, J, x_bar, lam: float,
-                     tol: float, max_iter: int = 400_000, y0=None) -> SubproblemResult:
+def solve_subproblem(X: ClosedSet, h: OuterFunction, c, J, x_bar, lam: float, tol: float,
+                     max_iter: int = 400_000, y0=None, J_norm=None) -> SubproblemResult:
     """Solve min_{x in X} h(c + J(x - x_bar)) + ||x - x_bar||^2/(2 lam).
 
     Two branches, for lam in (0, inf): smooth h goes to accelerated projected
     gradient on the primal; nonsmooth h with a prox goes to accelerated
     proximal gradient on the dual, which is smooth because the subproblem is
-    strongly convex. y0 warm-starts the dual branch's multiplier.
+    strongly convex. y0 warm-starts the dual branch's multiplier; J_norm, the
+    caller's ||J||_2, spares that branch an SVD.
 
     Returns the primal point, a multiplier y with y in dh(model point), and the
     certified fixed-point residual: the max of the normal-cone projection
@@ -282,7 +283,7 @@ def solve_subproblem(X: ClosedSet, h: OuterFunction, c, J, x_bar, lam: float,
         return _solve_smooth(X, h, c, J, x_bar, lam, tol, max_iter)
     if not h.prox_available:
         raise EvaluationError(f"{type(h).__name__} supports neither gradient nor prox")
-    return _solve_dual(X, h, c, J, x_bar, lam, tol, max_iter, y0)
+    return _solve_dual(X, h, c, J, x_bar, lam, tol, max_iter, y0, J_norm)
 
 
 def sufficient_decrease_test(h: OuterFunction, c, J, c_star, x_bar, x_star,
@@ -386,7 +387,7 @@ def run_epca(stages, config: EpcaConfig) -> EpcaTrace:
     trace = EpcaTrace()
     x_prev = config.x0.copy()
     lam = config.lam0
-    y_carry = None
+    y_carry, norm = None, [None, None]   # [last J, its ||J||_2 or None for smooth h]
     for nu, stage in enumerate(stages, start=1):
         delta = float(config.delta_schedule[nu - 1])
         subtol = config.subproblem_tolerance_factor * delta
@@ -412,10 +413,11 @@ def run_epca(stages, config: EpcaConfig) -> EpcaTrace:
                         f"inner iteration cap exceeded at outer index {nu}",
                         best=x_bar)
                 tol = config.subproblem_tolerance_factor * max(delta, w_last)
-                sub = _solve_stage_subproblem(nu, stage, c, J, x_bar, lam, tol, y_carry)
+                sub = _solve_stage_subproblem(nu, stage, c, J, x_bar, lam, tol, y_carry, norm)
                 if tol > subtol and _at_centre(sub.x, x_bar):
                     # Step 4 certifies only at subtol: solve again, warm
-                    sub = _solve_stage_subproblem(nu, stage, c, J, x_bar, lam, subtol, sub.y)
+                    sub = _solve_stage_subproblem(nu, stage, c, J, x_bar, lam, subtol,
+                                                  sub.y, norm)
                 x_star, y_star = sub.x, sub.y
                 y_carry = y_star
                 if _at_centre(x_star, x_bar):
@@ -475,10 +477,12 @@ def run_epca(stages, config: EpcaConfig) -> EpcaTrace:
     return trace
 
 
-def _solve_stage_subproblem(nu, stage, c, J, x_bar, lam, tol, y0):
+def _solve_stage_subproblem(nu, stage, c, J, x_bar, lam, tol, y0, norm):
     """solve_subproblem on a stage; a failure names the outer index and parameter."""
+    if norm[1] is None or not np.array_equal(J, norm[0]):
+        norm[:] = J, None if stage.h.smooth else float(np.linalg.norm(J, 2))
     try:
-        return solve_subproblem(stage.X, stage.h, c, J, x_bar, lam, tol, y0=y0)
+        return solve_subproblem(stage.X, stage.h, c, J, x_bar, lam, tol, y0=y0, J_norm=norm[1])
     except NonconvergenceError as err:
         raise NonconvergenceError(
             f"at outer index {nu} (parameter {stage.parameter:.6g}): {err}",

@@ -9,15 +9,16 @@ network inversion into a composite problem with equality structure.
 variants list, per component, every active generalized gradient so callers can
 form the convex hull.
 
-``eval_batch`` and ``jacobian_batch`` evaluate at the rows of a point array.
-Each primitive has one implementation: the affine, sample-average, network
-and min-smooth mappings define the batch calls, and their one-point
-``eval``/``jacobian`` are the one-row case (the exact min-smooth report also
-lists every active piece's gradient). The
-quadratic-array and lifted-network mappings define the one-point calls, and
-the batch calls loop over them. Batch code keeps one matrix-vector product per
-point (a stacked ``A @ P[:, :, None]``), so a row does not depend on the other
-rows of its batch: a single matrix product ``P @ A.T`` rounds differently.
+``eval_batch`` and ``jacobian_batch`` evaluate at the rows of a point array;
+``linearize_batch`` returns both, by default by calling the two. Each primitive
+has one implementation: the affine, sample-average, network (whose Jacobian
+kernel is ``linearize_batch``, one forward pass) and min-smooth mappings define
+the batch calls, and their one-point ``eval``/``jacobian`` are the one-row case
+(the exact min-smooth report also lists every active piece's gradient). The
+quadratic-array and lifted-network mappings define the one-point calls, and the
+batch calls loop over them. Batch code keeps one matrix-vector product per point
+(a stacked ``A @ P[:, :, None]``), so a row does not depend on the other rows of
+its batch: a single matrix product ``P @ A.T`` rounds differently.
 
 The network kernels flush tiny values to zero. After each layer, every
 nonzero entry of the layer output and of the Jacobian below ``_FLUSH`` =
@@ -73,8 +74,8 @@ class InnerMapping:
     m: int
     smooth: bool = True
 
-    # A subclass defines one side of each pair: eval or eval_batch, and
-    # jacobian or jacobian_batch; the other side defaults to it.
+    # A subclass defines one side of each pair (eval or eval_batch, jacobian or
+    # jacobian_batch); the other side defaults to it, and linearize_batch to both.
 
     def eval(self, x) -> np.ndarray:
         """F(x), the one-row case of ``eval_batch``."""
@@ -111,6 +112,10 @@ class InnerMapping:
         multi = np.array([[len(a) > 1 for a in r.active_grads] for r in reps],
                          dtype=bool).reshape(len(P), self.m)
         return J, multi
+
+    def linearize_batch(self, P):
+        """(values, J, multi) at the rows of P: ``eval_batch``, then ``jacobian_batch``."""
+        return (self.eval_batch(P), *self.jacobian_batch(P))
 
     def _check(self, x):
         x = np.asarray(x, dtype=float)
@@ -431,21 +436,23 @@ class NetworkForwardMapping(InnerMapping):
             outs.append(H[:, :, 0])
         return np.concatenate(outs, axis=1)
 
-    def jacobian_batch(self, P):
+    def linearize_batch(self, P):
         P = self._check_batch(P)
-        rows = []
+        parts = []
         for layers in self.networks:
             H = P[:, :, None]
             J = np.eye(self.n)
-            for k, (A, b) in enumerate(layers, start=1):
+            for A, b in layers:
                 pre = A @ H + b[:, None]
                 # a stacked A @ J: one matrix product per point
                 J = _flush(self.activation.deriv(pre) * (A @ J))
-                if k < len(layers):          # the last layer's output is not needed
-                    H = _flush(self.activation.value(pre))
-            rows.append(J)
-        J = np.concatenate(rows, axis=1)
-        return J, np.zeros(J.shape[:2], dtype=bool)
+                H = _flush(self.activation.value(pre))
+            parts.append((H[:, :, 0], J))
+        values, J = (np.concatenate(a, axis=1) for a in zip(*parts))
+        return values, J, np.zeros(J.shape[:2], dtype=bool)
+
+    def jacobian_batch(self, P):
+        return self.linearize_batch(P)[1:]
 
 
 class NetworkLiftMapping(InnerMapping):

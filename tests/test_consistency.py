@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -19,8 +20,9 @@ from compapprox.consistency import (_graph_distances, _graph_nearest_1d, _halton
                                     support_set_excess, uniform_outer_gap)
 from compapprox.errors import CapabilityError
 from compapprox.geometry import Box, WholeSpace
+from compapprox.harness.config import config_from_dict
 from compapprox.harness.families import FAMILIES, build_stages
-from compapprox.harness.fixtures import fixture_config
+from compapprox.harness.fixtures import fixture_config, fixture_document
 from compapprox.inner import (Activation, AffineMapping, MinSmoothMapping,
                               NetworkForwardMapping, QuadraticArrayMapping)
 from compapprox.model import CompositeProblem, StationarityTriple
@@ -698,3 +700,53 @@ def test_estimate_eta_golden_relu_net(theta, expected):
     soft = NetworkForwardMapping(nets, Activation("softplus", theta))
     rep = estimate_eta(soft, relu, Box([-1.0] * 3, [1.0] * 3), 1.0, samples=500)
     assert repr(rep) == expected
+
+
+def _network_softplus_family(widths):
+    """(actual, stages, rho, samples) of network_inverse's family on a relu net of these widths."""
+    doc = fixture_document("network_inverse")
+    (weights, biases), = _relu_net(widths)
+    doc["problem"]["inner"]["networks"] = [{"weights": [W.tolist() for W in weights],
+                                            "biases": [b.tolist() for b in biases]}]
+    doc["problem"]["outer"]["target"] = [0.25] * widths[-1]
+    doc["problem"]["set"] = {"kind": "box", "lower": [-1.0] * widths[0],
+                             "upper": [1.0] * widths[0]}
+    doc["epca"]["x0"] = [0.0] * widths[0]
+    doc["family"]["length"] = 10
+    cfg = config_from_dict(doc)
+    actual, stages = build_stages(cfg)
+    return actual, stages, cfg.diagnostics.rho, cfg.diagnostics.samples
+
+
+def test_eta_calls_one_linearization_per_point_set(monkeypatch):
+    actual, stages, rho, samples = _network_softplus_family((3, 16, 16, 3))
+    calls = []
+    for attr in ("eval_batch", "jacobian_batch", "linearize_batch"):
+        original = getattr(NetworkForwardMapping, attr)
+
+        def spy(self, P, attr=attr, original=original):
+            calls.append((attr, self.activation.kind))
+            return original(self, P)
+
+        monkeypatch.setattr(NetworkForwardMapping, attr, spy)
+    ref = consistency.eta_reference(actual.F, actual.X, rho, samples)
+    assert calls == [("linearize_batch", "relu")]
+    calls.clear()
+    estimate_eta(stages[0].F, actual.F, stages[0].X, rho, samples, reference=ref)
+    assert calls == [("linearize_batch", "softplus")]
+
+
+#: sha256 over the bytes of (eta0, eta) of every stage of
+#: _network_softplus_family((3, 16, 16, 3)), recorded with eval_batch and
+#: jacobian_batch as two passes
+NETWORK_SOFTPLUS_ETA_SHA256 = "ff02943dc6fa97ae54a4a01f78143ec8795b03aeae68e9b971712a58e2cbd7e4"
+
+
+def test_network_softplus_eta_rates_match_recorded_digest():
+    actual, stages, rho, samples = _network_softplus_family((3, 16, 16, 3))
+    rows = FAMILIES["network_softplus"].rate(stages, actual, rho, samples)
+    assert len(rows) == 10
+    digest = hashlib.sha256()
+    for *_, eta0, eta in rows:
+        digest.update(np.array([eta0, eta]).tobytes())
+    assert digest.hexdigest() == NETWORK_SOFTPLUS_ETA_SHA256

@@ -554,6 +554,48 @@ def test_epca_subproblem_failure_names_outer_index(monkeypatch):
     assert err.value.partial_trace.entries == []
 
 
+def _exact_penalty_run():
+    """Stages and config of the exact_penalty family on an LP over [-1, 1]^20.
+
+    min c.x s.t. E x = E x_feas, F = (c.x, E x - E x_feas), m = 11 rows,
+    theta = 1, 2, ..., 32; F is affine, so its Jacobian is one matrix.
+    """
+    n, k = 20, 10
+    rng = stream(7, "exact-penalty-run")
+    A = rng.normal(size=(k + 1, n)) / n ** 0.5
+    b = np.concatenate([[0.0], -(A[1:] @ rng.uniform(-0.5, 0.5, size=n))])
+    X, F = Box(-np.ones(n), np.ones(n)), AffineMapping(A, b)
+    stages = [Stage(X, ExactPenaltyOuter(2.0 ** j, k + 1), F, parameter=2.0 ** j)
+              for j in range(6)]
+    cfg = EpcaConfig(x0=rng.uniform(-0.5, 0.5, size=n), tau=2.0, sigma=0.5, lam_bar=1.0,
+                     lam0=1.0, delta_schedule=tuple(1e-3 * 0.5 ** j for j in range(6)))
+    return stages, cfg
+
+
+def test_run_epca_takes_one_spectral_norm_per_distinct_jacobian(monkeypatch):
+    norms, dual_jacobians = [], []
+    norm, dual = np.linalg.norm, epca._solve_dual
+
+    def spy_norm(a, ord=None, *args, **kwargs):
+        if ord == 2 and np.ndim(a) == 2:
+            norms.append(np.array(a))
+        return norm(a, ord, *args, **kwargs)
+
+    def spy_dual(X, h, c, J, *args):
+        dual_jacobians.append(np.array(J))
+        return dual(X, h, c, J, *args)
+
+    monkeypatch.setattr(np.linalg, "norm", spy_norm)
+    monkeypatch.setattr(epca, "_solve_dual", spy_dual)
+    trace = run_epca(*_exact_penalty_run())
+    assert len(trace.entries) == 6
+    distinct = [J for i, J in enumerate(dual_jacobians)
+                if not any(np.array_equal(J, K) for K in dual_jacobians[:i])]
+    # the run's one J gets one SVD, however many dual solves use it
+    assert len(distinct) == len(norms) == 1 < len(dual_jacobians)
+    assert np.array_equal(norms[0], distinct[0])
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         EpcaConfig(x0=[0.0], sigma=1.5, delta_schedule=(0.1,))

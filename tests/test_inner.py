@@ -307,6 +307,10 @@ def test_batch_calls_equal_one_point_calls(name, layout):
     J, multi = F.jacobian_batch(P)
     assert values.shape == (len(P), F.m)
     assert J.shape == (len(P), F.m, F.n) and multi.shape == (len(P), F.m)
+    # one linearization gives both batch calls' arrays, byte for byte
+    lin = F.linearize_batch(P)
+    assert [a.shape for a in lin] == [values.shape, J.shape, multi.shape]
+    assert [a.tobytes() for a in lin] == [values.tobytes(), J.tobytes(), multi.tobytes()]
     for k, p in enumerate(P):
         rep = F.jacobian(p)
         assert values[k].tobytes() == F.eval(p).tobytes()
@@ -422,7 +426,10 @@ def test_network_kernels_flush_subnormals():
         F = NetworkForwardMapping([net], Activation("softplus", theta))
         values = F.eval_batch(P)
         J, _ = F.jacobian_batch(P)
+        lin_values, lin_J, _ = F.linearize_batch(P)
         ref_values, ref_J = _unflushed_network(F, P)
+        # the one-pass kernel flushes exactly as the values-only pass does
+        assert lin_values.tobytes() == values.tobytes() and lin_J.tobytes() == J.tobytes()
         for out, ref in ((values, ref_values), (J, ref_J)):
             # no nonzero entry below the floor, so none is subnormal
             assert not ((out != 0.0) & (np.abs(out) < _FLUSH)).any()
