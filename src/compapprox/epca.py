@@ -43,6 +43,7 @@ gradient). Both branches certify at the point they return.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -213,7 +214,13 @@ def _solve_smooth(X, h, c, J, x_bar, lam, tol, max_iter):
                               best=best[1], residual=best[0])
 
 
-def _solve_dual(X, h, c, J, x_bar, lam, tol, max_iter, y0=None, J_norm=None):
+@functools.lru_cache(maxsize=1)
+def _spectral_norm(shape, data: bytes) -> float:
+    """||J||_2 of the float array with this shape and these bytes; runs reuse one J."""
+    return float(np.linalg.norm(np.frombuffer(data).reshape(shape), 2))
+
+
+def _solve_dual(X, h, c, J, x_bar, lam, tol, max_iter, y0=None):
     """Accelerated proximal gradient (FISTA) on the dual, with gradient restart.
 
     At finite lam the subproblem is strongly convex, so its dual
@@ -227,9 +234,9 @@ def _solve_dual(X, h, c, J, x_bar, lam, tol, max_iter, y0=None, J_norm=None):
     (w - y+).(y+ - y) > 0 (O'Donoghue and Candes). Every 10 iterations the
     certificate is computed at (x(y), y): the max of the normal-cone residual
     of -(J'y + (x - x_bar)/lam) at x and the distance of y to dh at the model
-    point. J_norm is ||J||_2 when the caller has it, computed here otherwise.
+    point.
     """
-    L = float(np.linalg.norm(J, 2)) if J_norm is None else J_norm
+    L = _spectral_norm(J.shape, J.tobytes())
     t = 1.0 / (lam * L * L) if L > 0 else 1.0
 
     def primal(yy):
@@ -259,15 +266,14 @@ def _solve_dual(X, h, c, J, x_bar, lam, tol, max_iter, y0=None, J_norm=None):
                               best=best[1], residual=best[0])
 
 
-def solve_subproblem(X: ClosedSet, h: OuterFunction, c, J, x_bar, lam: float, tol: float,
-                     max_iter: int = 400_000, y0=None, J_norm=None) -> SubproblemResult:
+def solve_subproblem(X: ClosedSet, h: OuterFunction, c, J, x_bar, lam: float,
+                     tol: float, max_iter: int = 400_000, y0=None) -> SubproblemResult:
     """Solve min_{x in X} h(c + J(x - x_bar)) + ||x - x_bar||^2/(2 lam).
 
     Two branches, for lam in (0, inf): smooth h goes to accelerated projected
     gradient on the primal; nonsmooth h with a prox goes to accelerated
     proximal gradient on the dual, which is smooth because the subproblem is
-    strongly convex. y0 warm-starts the dual branch's multiplier; J_norm, the
-    caller's ||J||_2, spares that branch an SVD.
+    strongly convex. y0 warm-starts the dual branch's multiplier.
 
     Returns the primal point, a multiplier y with y in dh(model point), and the
     certified fixed-point residual: the max of the normal-cone projection
@@ -283,7 +289,7 @@ def solve_subproblem(X: ClosedSet, h: OuterFunction, c, J, x_bar, lam: float, to
         return _solve_smooth(X, h, c, J, x_bar, lam, tol, max_iter)
     if not h.prox_available:
         raise EvaluationError(f"{type(h).__name__} supports neither gradient nor prox")
-    return _solve_dual(X, h, c, J, x_bar, lam, tol, max_iter, y0, J_norm)
+    return _solve_dual(X, h, c, J, x_bar, lam, tol, max_iter, y0)
 
 
 def sufficient_decrease_test(h: OuterFunction, c, J, c_star, x_bar, x_star,
@@ -387,7 +393,7 @@ def run_epca(stages, config: EpcaConfig) -> EpcaTrace:
     trace = EpcaTrace()
     x_prev = config.x0.copy()
     lam = config.lam0
-    y_carry, norm = None, [None, None]   # [last J, its ||J||_2 or None for smooth h]
+    y_carry = None
     for nu, stage in enumerate(stages, start=1):
         delta = float(config.delta_schedule[nu - 1])
         subtol = config.subproblem_tolerance_factor * delta
@@ -413,11 +419,10 @@ def run_epca(stages, config: EpcaConfig) -> EpcaTrace:
                         f"inner iteration cap exceeded at outer index {nu}",
                         best=x_bar)
                 tol = config.subproblem_tolerance_factor * max(delta, w_last)
-                sub = _solve_stage_subproblem(nu, stage, c, J, x_bar, lam, tol, y_carry, norm)
+                sub = _solve_stage_subproblem(nu, stage, c, J, x_bar, lam, tol, y_carry)
                 if tol > subtol and _at_centre(sub.x, x_bar):
                     # Step 4 certifies only at subtol: solve again, warm
-                    sub = _solve_stage_subproblem(nu, stage, c, J, x_bar, lam, subtol,
-                                                  sub.y, norm)
+                    sub = _solve_stage_subproblem(nu, stage, c, J, x_bar, lam, subtol, sub.y)
                 x_star, y_star = sub.x, sub.y
                 y_carry = y_star
                 if _at_centre(x_star, x_bar):
@@ -477,12 +482,10 @@ def run_epca(stages, config: EpcaConfig) -> EpcaTrace:
     return trace
 
 
-def _solve_stage_subproblem(nu, stage, c, J, x_bar, lam, tol, y0, norm):
+def _solve_stage_subproblem(nu, stage, c, J, x_bar, lam, tol, y0):
     """solve_subproblem on a stage; a failure names the outer index and parameter."""
-    if norm[1] is None or not np.array_equal(J, norm[0]):
-        norm[:] = J, None if stage.h.smooth else float(np.linalg.norm(J, 2))
     try:
-        return solve_subproblem(stage.X, stage.h, c, J, x_bar, lam, tol, y0=y0, J_norm=norm[1])
+        return solve_subproblem(stage.X, stage.h, c, J, x_bar, lam, tol, y0=y0)
     except NonconvergenceError as err:
         raise NonconvergenceError(
             f"at outer index {nu} (parameter {stage.parameter:.6g}): {err}",
