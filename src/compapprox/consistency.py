@@ -312,25 +312,16 @@ def graph_excess_measured(h_from: OuterFunction, h_to: OuterFunction, rho: float
 
 
 def _graphs_identical(ha: OuterFunction, hb: OuterFunction) -> bool:
-    if ha.m != hb.m:
-        return False
+    """Every coordinate's graph has the same pieces, a NaN matching a NaN."""
     try:
-        for i in range(ha.m):
-            pa, pb = ha.graph_1d(i).pieces, hb.graph_1d(i).pieces
-            if len(pa) != len(pb):
-                return False
-            for a, b in zip(pa, pb):
-                for fa, fb in zip((a.z_lo, a.z_hi, a.v_lo, a.v_hi), (b.z_lo, b.z_hi, b.v_lo, b.v_hi)):
-                    if fa != fb and not (math.isnan(fa) and math.isnan(fb)):
-                        return False
-                if not a.is_vertical and (a.slope != b.slope or a.intercept != b.intercept):
-                    return False
+        return ha.m == hb.m and all(
+            np.array_equal(ha.graph_1d(i).pieces, hb.graph_1d(i).pieces, equal_nan=True)
+            for i in range(ha.m))
     except CapabilityError:
         return False
-    return True
 
 
-def _certified_upper(h_approx: OuterFunction, h_actual: OuterFunction, rho: float):
+def graph_excess_certified(h_approx: OuterFunction, h_actual: OuterFunction, rho: float):
     """Closed-form constructive upper bound on the 2rho-excess, per family pair.
 
     Returns (certified_upper, paper_bound or None). Raises CapabilityError for
@@ -368,7 +359,7 @@ def graph_excess_separable(h_approx: OuterFunction, h_actual: OuterFunction,
                            rho: float, samples: int = 2000) -> ExcessReport:
     """Bracket exs_{2 rho}(gph dh^nu ; gph dh) for separable catalogue pairs."""
     measured = graph_excess_measured(h_approx, h_actual, rho, samples)
-    certified, known = _certified_upper(h_approx, h_actual, rho)
+    certified, known = graph_excess_certified(h_approx, h_actual, rho)
     return ExcessReport(rho, measured, certified, known)
 
 

@@ -292,15 +292,13 @@ def solve_subproblem(X: ClosedSet, h: OuterFunction, c, J, x_bar, lam: float,
     return _solve_dual(X, h, c, J, x_bar, lam, tol, max_iter, y0)
 
 
-def sufficient_decrease_test(h: OuterFunction, c, J, c_star, x_bar, x_star,
+def sufficient_decrease_test(v_bar: float, v_star: float, v_model: float,
                              sigma: float) -> bool:
     """Step 3: actual decrease of h(F(.)) must reach sigma times the model decrease.
 
-    c = F(x_bar), J its Jacobian selection and c_star = F(x_star).
+    v_bar = h(F(x_bar)), v_star = h(F(x_star)) and v_model is h at x_star's
+    model point F(x_bar) + J(x_bar)(x_star - x_bar).
     """
-    v_bar = h.value(c)
-    v_star = h.value(c_star)
-    v_model = h.value(_model_point(c, np.atleast_2d(J), x_star, x_bar))
     if math.isinf(v_bar) or math.isinf(v_star) or math.isinf(v_model):
         raise EvaluationError("Step 3 requires real values of the approximating objective")
     return v_bar - v_star >= sigma * (v_bar - v_model) - 1e-14 * (1.0 + abs(v_bar))
@@ -402,11 +400,12 @@ def run_epca(stages, config: EpcaConfig) -> EpcaTrace:
             _level_boundedness_probe(stage, x_bar)
             if y_carry is not None and y_carry.shape != (stage.F.m,):
                 y_carry = None
-            # F and its Jacobian selection at x_bar, carried over from x_star or
-            # the extrapolated point, whichever becomes the next x_bar
+            # F, its Jacobian selection and h(F(.)) at x_bar, carried over from
+            # x_star or the extrapolated point, whichever becomes the next x_bar
             c = stage.F.eval(x_bar)
             J = stage.F.jacobian(x_bar).matrix
-            obj_path = [stage.h.value(c)]
+            v = stage.h.value(c)
+            obj_path = [v]
             inner = 0
             # k counts the accepted uncertified steps since the last reset, and
             # x_acc is the last accepted x_star, the base of the extrapolation;
@@ -434,13 +433,13 @@ def run_epca(stages, config: EpcaConfig) -> EpcaTrace:
                     x_prev = x_star
                     break
                 c_star = stage.F.eval(x_star)
-                if sufficient_decrease_test(stage.h, c, J, c_star, x_bar, x_star, config.sigma):
+                z_bar = _model_point(c, J, x_star, x_bar)
+                v_star = stage.h.value(c_star)
+                if sufficient_decrease_test(v, v_star, stage.h.value(z_bar), config.sigma):
                     lam_next = min(config.tau * lam, config.lam_bar)
-                    z_bar = _model_point(c, J, x_star, x_bar)
                     J_star = stage.F.jacobian(x_star).matrix
                     u, w = step5_residuals(c_star, J, J_star, x_bar, x_star, z_bar, y_star, lam)
                     u_norm, w_norm = float(np.linalg.norm(u)), float(np.linalg.norm(w))
-                    v_star = stage.h.value(c_star)
                     obj_path.append(v_star)
                     if max(u_norm, w_norm + sub.residual) <= delta:
                         triple = StationarityTriple(x_star, y_star, z_bar)
@@ -449,17 +448,18 @@ def run_epca(stages, config: EpcaConfig) -> EpcaTrace:
                         lam = lam_next
                         x_prev = x_star
                         break
-                    x_bar, c, J = x_star, c_star, J_star
+                    x_bar, c, J, v = x_star, c_star, J_star, v_star
                     lam = lam_next
                     k, w_last = k + 1, w_norm
                     if k > 1:  # beta_1 = 0 would return x_star itself
                         beta = (k - 1) / (k + 2)
                         x_ext = stage.X.project(x_star + beta * (x_star - x_acc))
                         c_ext = stage.F.eval(x_ext)
+                        v_ext = stage.h.value(c_ext)
                         # safeguard: no worse than x_star, which also keeps a
                         # point outside dom h (value inf) or a NaN out
-                        if stage.h.value(c_ext) <= v_star:
-                            x_bar, c, J = x_ext, c_ext, stage.F.jacobian(x_ext).matrix
+                        if v_ext <= v_star:
+                            x_bar, c, J, v = x_ext, c_ext, stage.F.jacobian(x_ext).matrix, v_ext
                         else:
                             k = 0
                     x_acc = x_star

@@ -157,12 +157,11 @@ def _aug_lagrangian_assertions(cfg, actual, stages, trace, rate_rows):
     for m in (2, 4):
         uppers = []
         for th in thetas:
-            rep = cons.graph_excess_separable(AugLagrangianOuter(np.zeros(m - 1), th),
-                                              EqualityIndicatorOuter(m), rho,
-                                              samples=cfg.diagnostics.samples)
+            upper, _ = cons.graph_excess_certified(AugLagrangianOuter(np.zeros(m - 1), th),
+                                                   EqualityIndicatorOuter(m), rho)
             bound = (2.0 * rho) * math.sqrt(m - 1) / th
-            worst_ratio = max(worst_ratio, rep.certified_upper / (bound + 1e-12))
-            uppers.append(rep.certified_upper)
+            worst_ratio = max(worst_ratio, upper / (bound + 1e-12))
+            uppers.append(upper)
         slope = cons.fit_loglog_slope(thetas, uppers)
         out[f"criterion_03_aug_lagrangian_excess.slope_m{m}"] = _assert_within(
             slope, -1.0, 0.05, thetas=thetas, certified=uppers)
@@ -173,13 +172,12 @@ def _aug_lagrangian_assertions(cfg, actual, stages, trace, rate_rows):
     if stage is not None:
         entry = next(e for e in trace.entries if abs(e.parameter - th) < 1e-9)
         rho_t = max(6.0, entry.triple.inner_norm() + 1.0)
-        rep = cons.graph_excess_separable(stage.h, actual.h, rho_t)
+        upper, _ = cons.graph_excess_certified(stage.h, actual.h, rho_t)
         transfer = cons.near_solution_transfer(
-            [(entry.triple, entry.delta)], actual, rho_t, rep.certified_upper,
-            grid_resolution=1e-3)
+            [(entry.triple, entry.delta)], actual, rho_t, upper, grid_resolution=1e-3)
         row = transfer.rows[0]
         info["transfer_theta_1e3"] = {
-            "displacement": row.displacement, "bound": rep.certified_upper,
+            "displacement": row.displacement, "bound": upper,
             "passed": row.passed, "counterexample": row.counterexample}
     checks = [{"kind": "slope", "file": "rates", "column": "excess_upper",
                "param": "parameter", "target": -1.0, "tol": 0.05},

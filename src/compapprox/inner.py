@@ -163,8 +163,6 @@ class QuadraticArrayMapping(InnerMapping):
         n = None
         for piece in components:
             Q, q, c = _quadratic(*piece)
-            if not np.allclose(Q, Q.T, atol=1e-12):
-                raise ValueError("Q must be symmetric")
             if n is None:
                 n = q.size
             elif n != q.size:
@@ -184,7 +182,10 @@ class QuadraticArrayMapping(InnerMapping):
 
 
 def _quadratic(Q, q, c):
-    """A quadratic piece (Q, q, c) as a square float matrix, vector and float."""
+    """A quadratic piece (Q, q, c) as a symmetric float matrix, vector and float.
+
+    The gradient Qx + q of x'Qx/2 + q'x + c holds only for a symmetric Q.
+    """
     Q = np.atleast_2d(finite_array(Q, "Q"))
     q = finite_array(q, "q")
     c = float(c)
@@ -192,6 +193,8 @@ def _quadratic(Q, q, c):
         raise ValueError("c must be finite")
     if Q.shape[0] != Q.shape[1] or Q.shape[0] != q.size:
         raise ValueError("component dimensions disagree")
+    if not np.allclose(Q, Q.T, atol=1e-12):
+        raise ValueError("Q must be symmetric")
     return Q, q, c
 
 

@@ -106,22 +106,6 @@ class GraphPiece(NamedTuple):
     slope: float = 0.0
     intercept: float = math.nan
 
-    @staticmethod
-    def flat(z_lo, z_hi, v):
-        return GraphPiece(z_lo, z_hi, v, v, 0.0, v)
-
-    @staticmethod
-    def vertical(z, v_lo, v_hi):
-        return GraphPiece(z, z, v_lo, v_hi, math.inf, math.nan)
-
-    @staticmethod
-    def sloped(z_lo, z_hi, slope, intercept):
-        if slope <= 0:
-            raise ValueError("sloped piece needs positive slope")
-        v_lo = intercept + slope * z_lo if z_lo > -_INF else -_INF
-        v_hi = intercept + slope * z_hi if z_hi < _INF else _INF
-        return GraphPiece(z_lo, z_hi, v_lo, v_hi, slope, intercept)
-
     @property
     def is_vertical(self):
         return self.z_lo == self.z_hi
@@ -171,10 +155,6 @@ class SubdifferentialGraph1D:
 def _line(a, b, t):
     """a + b*t, with a flat line (b == 0) giving a itself: no -0.0 + 0.0."""
     return np.where(b == 0.0, a, a + b * t)
-
-
-def _piece(z_lo, z_hi, a, b):
-    return GraphPiece.flat(z_lo, z_hi, a) if b == 0.0 else GraphPiece.sloped(z_lo, z_hi, b, a)
 
 
 class OuterFunction:
@@ -313,21 +293,27 @@ class OuterFunction:
         """gph dh_i, read off the kink table.
 
         Equal branches make one piece; otherwise a vertical piece at k joins
-        them where left(k) < right(k).
+        them where left(k) < right(k). A branch v = a + b z ends at the kink
+        in left(k) or right(k); its far end is a on a flat branch (b = 0) and
+        -inf or +inf on a sloped one.
         """
         if self._table is None:
             raise CapabilityError(f"{type(self).__name__} has no 1-D subdifferential graph")
         k, a_left, b_left, a_right, b_right = self._table[:, i].tolist()
-        if a_left == a_right and b_left == b_right:
-            return SubdifferentialGraph1D([_piece(-_INF, _INF, a_left, b_left)])
         v_left, v_right = self._at_kink[:, i].tolist()
+        far_left = a_left if b_left == 0.0 else -_INF
+        if a_left == a_right and b_left == b_right:
+            # one line: a flat one keeps a_left's signed zero at both ends
+            far = a_left if b_left == 0.0 else _INF
+            return SubdifferentialGraph1D([GraphPiece(-_INF, _INF, far_left, far, b_left, a_left)])
+        far_right = a_right if b_right == 0.0 else _INF
         pieces = []
         if a_left > -_INF:
-            pieces.append(_piece(-_INF, k, a_left, b_left))
+            pieces.append(GraphPiece(-_INF, k, far_left, v_left, b_left, a_left))
         if v_left < v_right:
-            pieces.append(GraphPiece.vertical(k, v_left, v_right))
+            pieces.append(GraphPiece(k, k, v_left, v_right, _INF, math.nan))
         if a_right < _INF:
-            pieces.append(_piece(k, _INF, a_right, b_right))
+            pieces.append(GraphPiece(k, _INF, v_right, far_right, b_right, a_right))
         return SubdifferentialGraph1D(pieces)
 
     def sample_domain_point(self, rng, scale: float = 2.0) -> np.ndarray:

@@ -295,21 +295,25 @@ def test_dual_subproblem_matches_recorded_digests(case):
 # step tests
 
 
+def decrease_values(h, F, x_bar, x_star):
+    # h(F(.)) at x_bar and x_star, and h at x_star's model point around x_bar
+    J = F.jacobian(x_bar).matrix
+    return (h.value(F.eval(x_bar)), h.value(F.eval(x_star)),
+            h.value(F.eval(x_bar) + J @ (x_star - x_bar)))
+
+
 def test_sufficient_decrease_affine_always_passes():
     F = AffineMapping([[2.0]], [1.0])
     h = GoalOuter([1.0], [0.0])
-    J = F.jacobian(np.array([0.0])).matrix
     x_bar, x_star = np.array([1.0]), np.array([0.25])
-    assert sufficient_decrease_test(h, F.eval(x_bar), J, F.eval(x_star), x_bar, x_star,
-                                    0.999)
+    assert sufficient_decrease_test(*decrease_values(h, F, x_bar, x_star), 0.999)
 
 
 def test_sufficient_decrease_zero_step():
     F = quad_mapping()
     h = LinearOuter([1.0])
     x = np.array([0.7])
-    J = F.jacobian(x).matrix
-    assert sufficient_decrease_test(h, F.eval(x), J, F.eval(x), x, x, 0.5)
+    assert sufficient_decrease_test(*decrease_values(h, F, x, x), 0.5)
 
 
 def test_sufficient_decrease_rejects_overshoot():
@@ -326,10 +330,8 @@ def test_sufficient_decrease_rejects_overshoot():
     assert v_bar - v_model == pytest.approx(0.0)   # J = 0 at the stationary x=1
     # use x_bar = 0 for a nonzero model decrease
     x_bar = np.array([0.0])
-    J = F.jacobian(x_bar).matrix
     x_star = np.array([2.0])   # model: 1 - 2*2 = -3, actual: (2-1)^2 = 1
-    assert not sufficient_decrease_test(h, F.eval(x_bar), J, F.eval(x_star), x_bar, x_star,
-                                        0.5)
+    assert not sufficient_decrease_test(*decrease_values(h, F, x_bar, x_star), 0.5)
 
 
 def test_sufficient_decrease_requires_real_values():
@@ -337,8 +339,7 @@ def test_sufficient_decrease_requires_real_values():
     h = EqualityIndicatorOuter(2)
     with pytest.raises(EvaluationError):
         x_bar, x_star = np.array([1.0]), np.array([0.5])
-        sufficient_decrease_test(h, F.eval(x_bar), F.jacobian(x_bar).matrix, F.eval(x_star),
-                                 x_bar, x_star, 0.5)
+        sufficient_decrease_test(*decrease_values(h, F, x_bar, x_star), 0.5)
 
 
 def test_step5_residuals_affine():

@@ -471,6 +471,14 @@ _BAD_INPUTS = {
                         "Q", 0, 0),
     "min_smooth-q-nan": ("min_smoothing", math.nan, "problem", "inner", "components", 0, 0,
                          "q", 0),
+    # Qx + q is the gradient of x'Qx/2 + q'x only for a symmetric Q
+    "min_smooth-Q-nonsymmetric": (
+        _edit(_edit("min_smoothing", {"kind": "box", "lower": [-1.0, -1.0],
+                                      "upper": [1.0, 1.0]}, "problem", "set"),
+              [0.5, 0.5], "epca", "x0"),
+        [[{"Q": [[0.0, 2.0], [0.0, 0.0]], "q": [0.0, 0.0], "c": 0.0},
+          {"Q": [[1.0, 0.0], [0.0, 1.0]], "q": [0.0, 0.0], "c": 1.0}]],
+        "problem", "inner", "components"),
     "sample_average-A1-inf": ("sample_average", math.inf, "problem", "inner", "A1", 0, 0),
     "network-weight-nan": ("network_inverse", math.nan, "problem", "inner", "networks", 0,
                            "weights", 0, 0, 0),
@@ -703,6 +711,23 @@ def test_subproblem_tolerance_follows_the_last_step(monkeypatch):
         seen.update(counts)
     # every branch of the rule ran on some instance
     assert min(seen[k] for k in ("loose", "tight", "resolve", "step4", "reset")) > 0, seen
+
+
+def test_epca_evaluates_the_outer_once_per_point(monkeypatch):
+    # exact_penalty takes the dual branch, which calls no h.value, on a bounded
+    # box, where the level-boundedness probe calls none either: every call is
+    # EPCA's own, one per stage start, two per Step-3 test (x* and its model
+    # point), one per extrapolation safeguard and one per Step-4 objective
+    cfg = fixture_config("exact_penalty")
+    stages = build_stages(cfg)[1]
+    calls = []
+    for cls in {type(stage.h) for stage in stages}:
+        def counted(self, z, _value=cls.value):
+            calls.append(z)
+            return _value(self, z)
+        monkeypatch.setattr(cls, "value", counted)
+    run_epca(stages, cfg.epca_config())
+    assert len(calls) == 24
 
 
 def _perfbench_workloads():

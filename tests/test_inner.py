@@ -381,6 +381,10 @@ def test_batch_calls_check_the_shape():
     lambda: NetworkForwardMapping([([[[math.nan]]], [[0.0]])], Activation("relu")),
     lambda: NetworkForwardMapping([([[[1.0]]], [[math.inf]])], Activation("relu")),
     lambda: Activation("softplus", math.nan),
+    # Qx + q is the gradient of x'Qx/2 + q'x only for a symmetric Q
+    lambda: QuadraticArrayMapping([([[0.0, 2.0], [0.0, 0.0]], [0.0, 0.0], 0.0)]),
+    lambda: MinSmoothMapping([[([[0.0, 2.0], [0.0, 0.0]], [0.0, 0.0], 0.0),
+                               ([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], 1.0)]]),
 ])
 def test_inner_constructors_reject_nonfinite_parameters(make):
     with pytest.raises(ValueError):
