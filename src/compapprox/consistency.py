@@ -9,7 +9,7 @@ optimality condition.
 
 Graph excesses come as a bracket: a measured lower bound (dense sampling of
 the approximating graph, every breakpoint included, with exact point-to-graph
-distances, each the minimum over every combination of whole graph pieces)
+distances, each the minimum over every combination of whole graph rows)
 and a certified upper bound (the coordinate-wise constructive
 projection that the corresponding convergence-rate derivations use).
 """
@@ -29,7 +29,7 @@ from .inner import AffineMapping, InnerMapping, MinSmoothMapping, SampleAverageM
 from .model import CompositeProblem, StationarityTriple, stationarity_residual
 from .outer import (AugLagrangianOuter, EqualityIndicatorOuter, ExactPenaltyOuter,
                     HomotopyOuter, InequalityIndicatorOuter, OuterFunction,
-                    QuadPenaltyOuter, SubdifferentialGraph1D)
+                    QuadPenaltyOuter, clip_graph)
 
 NORM_NOTE = "max(||z||_2, ||v||_2)"
 
@@ -140,8 +140,9 @@ def _halton_unit(d: int, count: int) -> np.ndarray:
 #
 # Every function below works on arrays over sample rows and performs, row by
 # row, the float operations of a scalar evaluation in the same order, so the
-# results do not depend on how the rows are batched. Pieces are never clipped:
-# the distance is a plain minimum over every combination of whole pieces.
+# results do not depend on how the rows are batched. Graphs are never clipped
+# here: the distance is a plain minimum over every combination of whole graph
+# rows, one per coordinate.
 
 
 def _where_gt(a, b):
@@ -212,20 +213,20 @@ def _graph_distances(Z, V, graphs):
     """Exact distance from each row (Z[k], V[k]) to the product of 1-D graphs.
 
     Distance under max{||z - z'||_2, ||v - v'||_2}: the rowwise minimum, over
-    every combination of one whole (unclipped) piece per coordinate, of
-    _combo_minmax. Box pieces add their interval distances; sloped pieces go
-    through its scalarization.
+    every combination of one whole (unclipped) graph row per coordinate, of
+    _combo_minmax. Vertical and flat rows add their interval distances;
+    sloped rows go through its scalarization.
     """
     best = np.full(len(Z), math.inf)
-    for combo in itertools.product(*(g.pieces for g in graphs)):
+    for combo in itertools.product(*(g.tolist() for g in graphs)):
         fz = fv = np.zeros(len(Z))
         sloped = []
-        for i, p in enumerate(combo):
-            if p.is_vertical or p.is_flat:
-                fz = fz + _interval_sqdist(Z[:, i], p.z_lo, p.z_hi)
-                fv = fv + _interval_sqdist(V[:, i], p.v_lo, p.v_hi)
+        for i, (z_lo, z_hi, v_lo, v_hi, slope, intercept) in enumerate(combo):
+            if z_lo == z_hi or v_lo == v_hi:
+                fz = fz + _interval_sqdist(Z[:, i], z_lo, z_hi)
+                fv = fv + _interval_sqdist(V[:, i], v_lo, v_hi)
             else:
-                sloped.append((p.z_lo, p.z_hi, p.intercept, p.slope, Z[:, i], V[:, i]))
+                sloped.append((z_lo, z_hi, intercept, slope, Z[:, i], V[:, i]))
         best = _where_lt(best, _combo_minmax(fz, fv, sloped))
     return np.sqrt(best)
 
@@ -234,57 +235,51 @@ def _graph_distances(Z, V, graphs):
 # sampling the approximating graph
 
 
-def _piece_measure(p):
-    dz = p.z_hi - p.z_lo
-    dv = p.v_hi - p.v_lo
-    return max(math.hypot(dz, dv), 1e-9)
-
-
 def _sample_product_arrays(graphs, bound: float, count: int):
     """Deterministic samples (Z, V), shape (k, m), of the product graph.
 
     Low-discrepancy (Halton) points drive per-coordinate arclength positions;
-    every combination of piece breakpoints is added (capped), since staircase
-    extrema sit at breakpoints. Rows are kept when ||z||_2 <= bound and
-    ||v||_2 <= bound.
+    every combination of the rows' breakpoints is added (capped, in
+    ``itertools.product`` order), since staircase extrema sit at breakpoints.
+    Rows are kept when ||z||_2 <= bound and ||v||_2 <= bound.
     """
     m = len(graphs)
-    clipped = [g.clipped(bound) for g in graphs]
-    if any(len(p) == 0 for p in clipped):
+    clipped = [clip_graph(g, bound).tolist() for g in graphs]
+    if any(len(rows) == 0 for rows in clipped):
         return np.empty((0, m)), np.empty((0, m))
     u = _halton_unit(m, count)
-    Z = np.empty((count, m))
-    V = np.empty((count, m))
-    for i, pieces in enumerate(clipped):
-        lengths = [_piece_measure(p) for p in pieces]
-        tot = sum(lengths)
-        starts, ends = [], []
-        acc = 0.0
-        for lp in lengths:
-            starts.append(acc)
-            ends.append(acc + lp)
-            acc += lp
-        target = u[:, i] * tot
-        # the first piece whose arclength range reaches the target, else the last
-        k = np.minimum(np.searchsorted(ends, target, side="left"), len(pieces) - 1)
-        s = (target - np.take(starts, k)) / np.take(lengths, k)
+    # one row per coordinate while filling; Z and V are the transposes
+    ZT = np.empty((m, count))
+    VT = np.empty((m, count))
+    for i, rows in enumerate(clipped):
+        lengths = [max(math.hypot(z_hi - z_lo, v_hi - v_lo), 1e-9)
+                   for z_lo, z_hi, v_lo, v_hi, _, _ in rows]
+        ends = list(itertools.accumulate(lengths))
+        target = u[:, i] * ends[-1]
+        # the first row whose arclength range reaches the target, else the last
+        k = np.minimum(np.searchsorted(ends, target, side="left"), len(rows) - 1)
+        s = (target - np.take([0.0] + ends[:-1], k)) / np.take(lengths, k)
         s = _where_lt(_where_gt(s, 0.0), 1.0)
-        for j, p in enumerate(pieces):
-            rows = k == j
-            sj = s[rows]
-            if p.is_vertical:
-                Z[rows, i] = p.z_lo
-                V[rows, i] = p.v_lo + sj * (p.v_hi - p.v_lo)
+        for j, (z_lo, z_hi, v_lo, v_hi, slope, intercept) in enumerate(rows):
+            at = k == j
+            sj = s[at]
+            if z_lo == z_hi:
+                ZT[i, at] = z_lo
+                VT[i, at] = v_lo + sj * (v_hi - v_lo)
                 continue
-            z = p.z_lo + sj * (p.z_hi - p.z_lo)
-            Z[rows, i] = z
-            V[rows, i] = p.v_lo if p.is_flat else p.intercept + p.slope * z
-    breaks = [sorted({(p.z_lo, p.v_lo) for p in pieces} | {(p.z_hi, p.v_hi) for p in pieces})
-              for pieces in clipped]
-    combos = np.array(list(itertools.islice(itertools.product(*breaks), _BREAKPOINT_COMBO_CAP)),
-                      dtype=float).reshape(-1, m, 2)
-    Z = np.concatenate([Z, combos[:, :, 0]])
-    V = np.concatenate([V, combos[:, :, 1]])
+            z = z_lo + sj * (z_hi - z_lo)
+            ZT[i, at] = z
+            VT[i, at] = v_lo if v_lo == v_hi else intercept + slope * z
+    breaks = [np.array(sorted({(r[0], r[2]) for r in rows} | {(r[1], r[3]) for r in rows}))
+              for rows in clipped]
+    # combination q has digits q_i in mixed radix, the last coordinate fastest
+    q = np.arange(min(math.prod(len(b) for b in breaks), _BREAKPOINT_COMBO_CAP))
+    combos = np.empty((m, 2, len(q)))
+    for i in reversed(range(m)):
+        combos[i] = breaks[i].T[:, q % len(breaks[i])]
+        q = q // len(breaks[i])
+    Z = np.concatenate([ZT.T, combos[:, 0].T])
+    V = np.concatenate([VT.T, combos[:, 1].T])
     keep = (row_norms(Z) <= bound + 1e-12) & (row_norms(V) <= bound + 1e-12)
     return Z[keep], V[keep]
 
@@ -312,10 +307,10 @@ def graph_excess_measured(h_from: OuterFunction, h_to: OuterFunction, rho: float
 
 
 def _graphs_identical(ha: OuterFunction, hb: OuterFunction) -> bool:
-    """Every coordinate's graph has the same pieces, a NaN matching a NaN."""
+    """Every coordinate's graph has the same rows, a NaN matching a NaN."""
     try:
         return ha.m == hb.m and all(
-            np.array_equal(ha.graph_1d(i).pieces, hb.graph_1d(i).pieces, equal_nan=True)
+            np.array_equal(ha.graph_1d(i), hb.graph_1d(i), equal_nan=True)
             for i in range(ha.m))
     except CapabilityError:
         return False
@@ -381,11 +376,10 @@ def homotopy_graph_excess(base: OuterFunction, lam: float, rho: float,
     measured = graph_excess_measured(approx, actual, rho, samples)
     two_rho = 2.0 * rho
     # structural bound on ||yhat|| over the base graph within the window
+    bound = two_rho / max(1.0 - lam, 1e-300)
     struct_sq = 0.0
     for i in range(base.m):
-        vmax = 0.0
-        for p in base.graph_1d(i).clipped(two_rho / max(1.0 - lam, 1e-300)):
-            vmax = max(vmax, abs(p.v_lo), abs(p.v_hi))
+        vmax = float(np.max(np.abs(clip_graph(base.graph_1d(i), bound)[:, 2:4]), initial=0.0))
         struct_sq += vmax * vmax
     ball_bound = math.sqrt(max(4.0 * rho * rho - lam * lam, 0.0)) / (1.0 - lam)
     yhat_max = min(math.sqrt(struct_sq), ball_bound)
@@ -603,17 +597,17 @@ class TransferReport:
         return all(r.passed for r in self.rows)
 
 
-def _graph_nearest_1d(graph: SubdifferentialGraph1D, zb: float, vb: float, clip: float):
-    """Nearest point of one 1-D graph under max(|dz|, |dv|)."""
+def _graph_nearest_1d(rows: np.ndarray, zb: float, vb: float):
+    """Nearest point of one clipped 1-D graph (``outer.clip_graph``) under max(|dz|, |dv|)."""
     points = []
-    for p in graph.clipped(clip):
-        if p.is_vertical or p.is_flat:
-            points.append((min(max(zb, p.z_lo), p.z_hi), min(max(vb, p.v_lo), p.v_hi)))
+    for z_lo, z_hi, v_lo, v_hi, slope, intercept in rows.tolist():
+        if z_lo == z_hi or v_lo == v_hi:
+            points.append((min(max(zb, z_lo), z_hi), min(max(vb, v_lo), v_hi)))
         else:
             # max(|zb - z'|, |vb - a - b z'|) is convex in z' and least where
             # its two terms are equal, so clipping that point is exact
-            zp = min(max((zb + vb - p.intercept) / (1.0 + p.slope), p.z_lo), p.z_hi)
-            points.append((zp, p.intercept + p.slope * zp))
+            zp = min(max((zb + vb - intercept) / (1.0 + slope), z_lo), z_hi)
+            points.append((zp, intercept + slope * zp))
     return min(points, key=lambda q: max(abs(zb - q[0]), abs(vb - q[1])), default=(zb, vb))
 
 
@@ -625,6 +619,7 @@ def _candidate_triples(problem: CompositeProblem, triple: StationarityTriple,
     yield StationarityTriple(x, y, z1)
     if problem.h.separable:
         clip = float(max(np.max(np.abs(z1)), np.max(np.abs(y)))) + search_radius + 10.0
+        graphs = [clip_graph(problem.h.graph_1d(i), clip) for i in range(problem.m)]
         xs = [x]
         # brute force stays desk-scale: grid only in low dimension
         if problem.n <= 2 and problem.m <= 3:
@@ -641,8 +636,7 @@ def _candidate_triples(problem: CompositeProblem, triple: StationarityTriple,
             zn = np.empty(problem.m)
             yn = np.empty(problem.m)
             for i in range(problem.m):
-                zn[i], yn[i] = _graph_nearest_1d(problem.h.graph_1d(i),
-                                                 float(zc[i]), float(y[i]), clip)
+                zn[i], yn[i] = _graph_nearest_1d(graphs[i], float(zc[i]), float(y[i]))
             yield StationarityTriple(xc, yn, zn)
             yield StationarityTriple(xc, yn, zc)
     else:

@@ -14,6 +14,9 @@ a = -inf (left) or +inf (right) and b = 0. The base class reads everything
 off the table: ``subdiff_intervals`` for all coordinates at once,
 ``subdiff_1d``, the certificate distance ``subdiff_distance``, the graphs
 ``graph_1d`` and ``prox``, the resolvent (I + step*dh)^{-1} of the same dh.
+A graph is a float array of shape (p, 6), one row (z_lo, z_hi, v_lo, v_hi,
+slope, intercept) per monotone segment, in order; ``clip_graph`` restricts
+it to a box.
 The curved variants (softplus goal, log barrier) give ``subdiff_intervals``
 in closed form instead and have no graph; only the softplus goal has a prox
 of its own. The homotopy and block-separable wrappers build their tables
@@ -30,7 +33,6 @@ floating-point accuracy does not reject an exact multiplier.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -89,63 +91,37 @@ def _softplus_grad(theta, g):
 
 # ---------------------------------------------------------------------------
 # 1-D subdifferential graphs
+#
+# A graph row (z_lo, z_hi, v_lo, v_hi, slope, intercept) is vertical when
+# z_lo == z_hi (slope inf, intercept nan) and flat when v_lo == v_hi; any
+# other row is the line v = intercept + slope*z with slope > 0.
 
 
-class GraphPiece(NamedTuple):
-    """One monotone segment of gph dh_i in R^2.
+def clip_graph(graph, bound: float) -> np.ndarray:
+    """The rows of graph restricted to the box |z| <= bound, |v| <= bound.
 
-    Vertical pieces have z_lo == z_hi; flat pieces have v_lo == v_hi; sloped
-    pieces satisfy v = intercept + slope * z with slope > 0. A named tuple,
-    so building one is a single tuple allocation.
+    Rows that miss the box are dropped. The ends tie as Python's max and min
+    do, so a signed zero stays as it is; a sloped row's v-range narrows its
+    z-range further.
     """
-
-    z_lo: float
-    z_hi: float
-    v_lo: float
-    v_hi: float
-    slope: float = 0.0
-    intercept: float = math.nan
-
-    @property
-    def is_vertical(self):
-        return self.z_lo == self.z_hi
-
-    @property
-    def is_flat(self):
-        return self.v_lo == self.v_hi
-
-    def clip(self, bound: float):
-        """Restrict to the box |z| <= bound, |v| <= bound; None if empty."""
-        z_lo, z_hi = max(self.z_lo, -bound), min(self.z_hi, bound)
-        v_lo, v_hi = max(self.v_lo, -bound), min(self.v_hi, bound)
+    out = []
+    for z_lo, z_hi, v_lo, v_hi, slope, intercept in graph.tolist():
+        vertical, flat = z_lo == z_hi, v_lo == v_hi
+        z_lo, z_hi = max(z_lo, -bound), min(z_hi, bound)
+        v_lo, v_hi = max(v_lo, -bound), min(v_hi, bound)
         if z_lo > z_hi or v_lo > v_hi:
-            return None
-        if self.is_vertical:
-            return GraphPiece(z_lo, z_hi, v_lo, v_hi, math.inf, math.nan)
-        if self.is_flat:
-            return GraphPiece(z_lo, z_hi, v_lo, v_hi, 0.0, self.intercept)
-        # sloped: v-range induces a further z-range restriction
-        z_lo = max(z_lo, (v_lo - self.intercept) / self.slope)
-        z_hi = min(z_hi, (v_hi - self.intercept) / self.slope)
-        if z_lo > z_hi:
-            return None
-        return GraphPiece(z_lo, z_hi, self.intercept + self.slope * z_lo,
-                          self.intercept + self.slope * z_hi, self.slope, self.intercept)
-
-
-class SubdifferentialGraph1D:
-    """gph dh_i as an ordered, connected, monotone list of pieces.
-
-    Built by ``OuterFunction.graph_1d`` from a kink table that was checked
-    once, when it was set.
-    """
-
-    def __init__(self, pieces):
-        self.pieces = pieces
-
-    def clipped(self, bound: float):
-        out = [q for q in (p.clip(bound) for p in self.pieces) if q is not None]
-        return out
+            continue
+        if vertical:
+            out.append((z_lo, z_hi, v_lo, v_hi, _INF, math.nan))
+        elif flat:
+            out.append((z_lo, z_hi, v_lo, v_hi, 0.0, intercept))
+        else:
+            z_lo = max(z_lo, (v_lo - intercept) / slope)
+            z_hi = min(z_hi, (v_hi - intercept) / slope)
+            if z_lo <= z_hi:
+                out.append((z_lo, z_hi, intercept + slope * z_lo, intercept + slope * z_hi,
+                            slope, intercept))
+    return np.array(out, dtype=float).reshape(-1, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +265,10 @@ class OuterFunction:
         return np.where((z >= lo) & ~above, k, (z - sa) / (1.0 + sb))
 
     # -- graphs -------------------------------------------------------------
-    def graph_1d(self, i: int) -> SubdifferentialGraph1D:
-        """gph dh_i, read off the kink table.
+    def graph_1d(self, i: int) -> np.ndarray:
+        """gph dh_i as rows (z_lo, z_hi, v_lo, v_hi, slope, intercept), read off the kink table.
 
-        Equal branches make one piece; otherwise a vertical piece at k joins
+        Equal branches make one row; otherwise a vertical row at k joins
         them where left(k) < right(k). A branch v = a + b z ends at the kink
         in left(k) or right(k); its far end is a on a flat branch (b = 0) and
         -inf or +inf on a sloped one.
@@ -305,16 +281,16 @@ class OuterFunction:
         if a_left == a_right and b_left == b_right:
             # one line: a flat one keeps a_left's signed zero at both ends
             far = a_left if b_left == 0.0 else _INF
-            return SubdifferentialGraph1D([GraphPiece(-_INF, _INF, far_left, far, b_left, a_left)])
+            return np.array([(-_INF, _INF, far_left, far, b_left, a_left)])
         far_right = a_right if b_right == 0.0 else _INF
-        pieces = []
+        rows = []
         if a_left > -_INF:
-            pieces.append(GraphPiece(-_INF, k, far_left, v_left, b_left, a_left))
+            rows.append((-_INF, k, far_left, v_left, b_left, a_left))
         if v_left < v_right:
-            pieces.append(GraphPiece(k, k, v_left, v_right, _INF, math.nan))
+            rows.append((k, k, v_left, v_right, _INF, math.nan))
         if a_right < _INF:
-            pieces.append(GraphPiece(k, _INF, v_right, far_right, b_right, a_right))
-        return SubdifferentialGraph1D(pieces)
+            rows.append((k, _INF, v_right, far_right, b_right, a_right))
+        return np.array(rows)
 
     def sample_domain_point(self, rng, scale: float = 2.0) -> np.ndarray:
         """A random point with finite value (used by convexity spot checks)."""

@@ -30,7 +30,7 @@ from compapprox.outer import (AugLagrangianOuter, EqualityIndicatorOuter,
                               ExactPenaltyOuter, GoalOuter,
                               InequalityIndicatorOuter, LinearOuter,
                               QuadPenaltyOuter, SoftplusGoalOuter,
-                              SquaredErrorOuter, SupportOuter, softplus)
+                              SquaredErrorOuter, SupportOuter, clip_graph, softplus)
 from compapprox.rng import stream
 
 
@@ -452,6 +452,46 @@ def test_homotopy_excess_golden(base, lam, expected):
     assert repr(homotopy_graph_excess(base, lam, 1.0).measured_lower) == expected
 
 
+def sampler_digest(m):
+    """sha256 of the product-graph samples and measured excesses of every table member.
+
+    Each separable member with a graph, at rho 0.5, 1 and 3: the shape and
+    bytes of Z and V from ``_sample_product_arrays`` in the 2 rho window
+    (from m = 26 on no row lies in it), then the repr of
+    ``graph_excess_measured`` to the equality indicator and to a sloped
+    squared error, both one piece per coordinate.
+    """
+    from test_outer import separable_members
+    rng = stream(m, "sampler-golden")
+    targets = [EqualityIndicatorOuter(m, first_linear=m > 1),
+               SquaredErrorOuter(rng.normal(size=m), 0.8)]
+    digest = hashlib.sha256()
+    for h in separable_members(m, rng):
+        try:
+            graphs = [h.graph_1d(i) for i in range(m)]
+        except CapabilityError:
+            continue
+        for rho in (0.5, 1.0, 3.0):
+            Z, V = _sample_product_arrays(graphs, 2.0 * rho, 2000)
+            digest.update(repr(Z.shape).encode() + Z.tobytes() + V.tobytes())
+            for h_to in targets:
+                digest.update(repr(graph_excess_measured(h, h_to, rho)).encode())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("m, expected", [
+    (1, "2cdc6790f8365a9d"),
+    (2, "27a5ec0d14a833d5"),
+    (3, "2ba193454592082b"),
+    (6, "ba99f8ed3cadb7cf"),
+    (11, "079d3619f6165b21"),
+    (26, "e780c82ba0fd19af"),
+    (101, "70bc841ce39704be"),
+])
+def test_product_graph_samples_and_excesses_are_pinned(m, expected):
+    assert sampler_digest(m) == expected
+
+
 _SIMPLEX = [[1.0, 0.0], [0.0, 1.0]]
 
 
@@ -507,14 +547,14 @@ def _separable_kinds(rng, m):
 def _graph_grid(graph, bound, step):
     """Points of the graph within |z|, |v| <= bound, neighbours at most step apart."""
     zs, vs = [], []
-    for p in graph.clipped(bound):
-        count = int(math.ceil(math.hypot(p.z_hi - p.z_lo, p.v_hi - p.v_lo) / step)) + 1
+    for z_lo, z_hi, v_lo, v_hi, slope, intercept in clip_graph(graph, bound).tolist():
+        count = int(math.ceil(math.hypot(z_hi - z_lo, v_hi - v_lo) / step)) + 1
         t = np.linspace(0.0, 1.0, count)
-        if p.is_vertical:
-            z, v = np.full(count, p.z_lo), p.v_lo + t * (p.v_hi - p.v_lo)
+        if z_lo == z_hi:
+            z, v = np.full(count, z_lo), v_lo + t * (v_hi - v_lo)
         else:
-            z = p.z_lo + t * (p.z_hi - p.z_lo)
-            v = np.full(count, p.v_lo) if p.is_flat else p.intercept + p.slope * z
+            z = z_lo + t * (z_hi - z_lo)
+            v = np.full(count, v_lo) if v_lo == v_hi else intercept + slope * z
         zs.append(z)
         vs.append(v)
     return np.concatenate(zs), np.concatenate(vs)
@@ -565,7 +605,7 @@ def test_graph_nearest_sloped_not_farther_than_brute_force(seed):
     clip = rng.uniform(1.0, 5.0)
     gz, gv = _graph_grid(graph, clip, 1e-4)
     for zb, vb in rng.uniform(-4.0, 4.0, (20, 2)):
-        zp, vp = _graph_nearest_1d(graph, zb, vb, clip)
+        zp, vp = _graph_nearest_1d(clip_graph(graph, clip), zb, vb)
         brute = np.min(np.maximum(np.abs(zb - gz), np.abs(vb - gv)))
         assert max(abs(zb - zp), abs(vb - vp)) <= brute + 1e-12
         # the point returned lies on the clipped graph

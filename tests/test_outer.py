@@ -12,7 +12,7 @@ from compapprox.outer import (KINK_TOL, AugLagrangianOuter, BlockSeparableOuter,
                               GoalOuter, HomotopyOuter, InequalityIndicatorOuter,
                               LinearOuter, LogBarrierOuter, OuterFunction,
                               QuadPenaltyOuter, SoftplusGoalOuter, SquaredErrorOuter,
-                              SupportOuter, softplus, softplus_grad)
+                              SupportOuter, clip_graph, softplus, softplus_grad)
 from compapprox.rng import stream
 
 
@@ -54,14 +54,15 @@ def check_midpoint_convexity(h, rng, samples: int = 50, tol: float = 1e-9) -> in
     return tested
 
 
-def point_at(piece, s: float):
-    """Point at parameter s in [0,1] along a (bounded) graph piece."""
-    if piece.is_vertical:
-        return piece.z_lo, piece.v_lo + s * (piece.v_hi - piece.v_lo)
-    z = piece.z_lo + s * (piece.z_hi - piece.z_lo)
-    if piece.is_flat:
-        return z, piece.v_lo
-    return z, piece.intercept + piece.slope * z
+def point_at(row, s: float):
+    """Point at parameter s in [0,1] along a bounded ``graph_1d`` row."""
+    z_lo, z_hi, v_lo, v_hi, slope, intercept = row
+    if z_lo == z_hi:
+        return z_lo, v_lo + s * (v_hi - v_lo)
+    z = z_lo + s * (z_hi - z_lo)
+    if v_lo == v_hi:
+        return z, v_lo
+    return z, intercept + slope * z
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +261,7 @@ def interval_digest(h):
     """sha256 of subdiff_1d at every breakpoint, at +-slack around it and off the kinks."""
     digest = hashlib.sha256()
     for i in range(h.m):
-        kinks = {z for p in h.graph_1d(i).pieces for z in (p.z_lo, p.z_hi)
-                 if math.isfinite(z)}
+        kinks = {z for z in h.graph_1d(i)[:, :2].ravel().tolist() if math.isfinite(z)}
         for b in sorted(kinks | {-1.5, -0.5, 0.0, 0.5, 1.0, 2.25}):
             for k in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
                 for slack in (0.0, KINK_TOL):
@@ -335,26 +335,26 @@ def test_homotopy_intervals_are_its_graph_and_the_scaled_base():
         for lam in (0.0, 0.25, 0.37, 0.9):
             h, s = HomotopyOuter(base, lam), 1.0 - lam
             for i in range(base.m):
-                pieces = h.graph_1d(i).pieces
+                rows = h.graph_1d(i).tolist()
                 for t in np.concatenate([target, rng.normal(scale=2.0, size=30)]):
                     for slack in (0.0, KINK_TOL, 0.1):
                         lo, hi = h.subdiff_1d(i, float(t), slack)
                         for end, at in ((lo, t - slack), (hi, t + slack)):
-                            p = next(p for p in pieces if not p.is_vertical
-                                     and p.z_lo <= at <= p.z_hi)
-                            if not p.is_flat and (p.z_lo < at < p.z_hi):
-                                assert end == p.intercept + p.slope * at
+                            z_lo, z_hi, v_lo, v_hi, slope, intercept = next(
+                                r for r in rows if r[0] != r[1] and r[0] <= at <= r[1])
+                            if v_lo != v_hi and (z_lo < at < z_hi):
+                                assert end == intercept + slope * at
                         b_lo, b_hi = base.subdiff_1d(i, float(t), slack)
                         tol = 4e-16 * (abs(b_lo) + abs(b_hi) + abs(t) + slack + 1.0)
                         assert abs(lo - s * b_lo) <= tol and abs(hi - s * b_hi) <= tol
 
 
 def graph_digest(h):
-    """sha256 of all six fields of every graph_1d piece, coordinate by coordinate."""
+    """sha256 of all six fields of every graph_1d row, coordinate by coordinate."""
     digest = hashlib.sha256()
     for i in range(h.m):
-        for p in h.graph_1d(i).pieces:
-            digest.update(struct.pack("<6d", *p))
+        for row in h.graph_1d(i).tolist():
+            digest.update(struct.pack("<6d", *row))
         digest.update(b"|")
     return digest.hexdigest()[:16]
 
@@ -389,8 +389,8 @@ def test_graphs_read_off_the_kink_table_are_pinned():
         ("HomotopyOuter", "ea6fe7849f3a06c1"),  # over QuadPenaltyOuter
     ]
     assert [(type(h).__name__, graph_digest(h)) for h in graph_members()] == expected
-    flat = ExactPenaltyOuter(0.0, 3).graph_1d(1).pieces
-    assert len(flat) == 1 and flat[0].is_flat and flat[0].z_lo == -math.inf
+    flat = ExactPenaltyOuter(0.0, 3).graph_1d(1)
+    assert flat.shape == (1, 6) and flat[0, 2] == flat[0, 3] and flat[0, 0] == -math.inf
 
 
 def separable_members(m, rng):
@@ -415,7 +415,7 @@ def _kinks(h, i):
         return [float(h.tau[i])]
     if isinstance(h, LogBarrierOuter):
         return [-h.DOM_MARGIN, -0.5]
-    return [z for p in h.graph_1d(i).pieces for z in (p.z_lo, p.z_hi) if math.isfinite(z)]
+    return [z for z in h.graph_1d(i)[:, :2].ravel().tolist() if math.isfinite(z)]
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 8, 9, 33, 101])
@@ -692,29 +692,27 @@ def test_softplus_goal_prox_converges_across_a_steep_sigmoid():
 
 def test_equality_indicator_graph():
     g = EqualityIndicatorOuter(2).graph_1d(1)
-    assert len(g.pieces) == 1
-    p = g.pieces[0]
-    assert p.is_vertical and p.z_lo == 0.0
-    assert p.v_lo == -math.inf and p.v_hi == math.inf
+    assert g.shape == (1, 6)
+    z_lo, z_hi, v_lo, v_hi, _, _ = g[0]
+    assert z_lo == z_hi == 0.0
+    assert v_lo == -math.inf and v_hi == math.inf
 
 
 def test_aug_lagrangian_graph_line():
-    g = AugLagrangianOuter([0.0], 10.0).graph_1d(1)
-    p = g.pieces[0]
-    assert p.slope == 10.0 and p.intercept == 0.0
+    slope, intercept = AugLagrangianOuter([0.0], 10.0).graph_1d(1)[0, 4:]
+    assert slope == 10.0 and intercept == 0.0
 
 
 def test_goal_graph_matches_dense_interval_sampling():
     h = GoalOuter([1.0], [0.0])
     g = h.graph_1d(0)
-    assert len(g.pieces) == 3
+    assert len(g) == 3
     # oracle: every sampled (z, subdiff endpoint) lies on the graph
     for z in np.linspace(-2, 2, 401):
         lo, hi = h.subdiff_1d(0, float(z))
         for v in (lo, hi):
-            on = any(pc.z_lo - 1e-12 <= z <= pc.z_hi + 1e-12
-                     and pc.v_lo - 1e-12 <= v <= pc.v_hi + 1e-12
-                     for pc in g.pieces)
+            on = any(z_lo - 1e-12 <= z <= z_hi + 1e-12 and v_lo - 1e-12 <= v <= v_hi + 1e-12
+                     for z_lo, z_hi, v_lo, v_hi, _, _ in g)
             assert on
 
 
@@ -753,7 +751,7 @@ def test_graph_monotonicity_property():
             except CapabilityError:
                 continue
             pts = []
-            for pc in g.clipped(50.0):
+            for pc in clip_graph(g, 50.0):
                 for s in rng.random(8):
                     pts.append(point_at(pc, float(s)))
             for (z1, v1) in pts:
