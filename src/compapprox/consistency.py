@@ -27,11 +27,9 @@ from .errors import CapabilityError
 from .geometry import dist_to_hull, project_onto_hull, row_norms
 from .inner import AffineMapping, InnerMapping, MinSmoothMapping, SampleAverageMapping
 from .model import CompositeProblem, StationarityTriple, stationarity_residual
-from .outer import (AugLagrangianOuter, EqualityIndicatorOuter, ExactPenaltyOuter,
-                    HomotopyOuter, InequalityIndicatorOuter, OuterFunction,
-                    QuadPenaltyOuter, clip_graph)
-
-NORM_NOTE = "max(||z||_2, ||v||_2)"
+from .outer import (KINK_TOL, AugLagrangianOuter, EqualityIndicatorOuter,
+                    ExactPenaltyOuter, HomotopyOuter, InequalityIndicatorOuter,
+                    OuterFunction, QuadPenaltyOuter, clip_graph)
 
 _BREAKPOINT_COMBO_CAP = 4096
 
@@ -46,7 +44,6 @@ class ExcessReport:
     measured_lower: float
     certified_upper: float
     paper_bound: float = None
-    norm_note: str = NORM_NOTE
 
 
 @dataclass(frozen=True)
@@ -534,8 +531,7 @@ class EpiProbeReport:
 
 
 def epi_probe(family_evaluators, actual_evaluator, probe_points, paths=None,
-              tol: float = 1e-6, tail: int = 3,
-              divergence_threshold: float = None) -> EpiProbeReport:
+              tol: float = 1e-6, tail: int = 3) -> EpiProbeReport:
     """Finite-nu proxies for the two epi-convergence inequalities.
 
     For each probe point x (with an optional approach path x^nu, default
@@ -543,10 +539,9 @@ def epi_probe(family_evaluators, actual_evaluator, probe_points, paths=None,
     the limsup deficit the tail maximum of f^nu(x^nu) - f(x); a point passes
     when both fall below tol at the largest indices. Infinite actual values
     pass either when the approximations are also infinite on the tail
-    (inconclusive, trivially consistent) or when they exceed the divergence
-    threshold (default 1/tol).
+    (inconclusive, trivially consistent) or when their tail minimum is at
+    least the divergence threshold 1/tol.
     """
-    threshold = divergence_threshold if divergence_threshold is not None else 1.0 / tol
     rows = []
     for idx, x in enumerate(probe_points):
         x = np.asarray(x, dtype=float)
@@ -564,7 +559,7 @@ def epi_probe(family_evaluators, actual_evaluator, probe_points, paths=None,
                 liminf_def = 0.0
             else:
                 finite_min = min(v for v in tail_vals)
-                liminf_def = 0.0 if finite_min >= threshold else math.inf
+                liminf_def = 0.0 if finite_min >= 1.0 / tol else math.inf
         else:
             liminf_def = max(fx - v for v in tail_vals)
             limsup_def = max(v - fx for v in tail_vals)
@@ -640,7 +635,7 @@ def _candidate_triples(problem: CompositeProblem, triple: StationarityTriple,
             yield StationarityTriple(xc, yn, zn)
             yield StationarityTriple(xc, yn, zc)
     else:
-        gens = problem.h.subdiff_generators(z1, 1e-9)
+        gens = problem.h.subdiff_generators(z1, KINK_TOL)
         if gens is not None and len(gens):
             yp, _, _ = project_onto_hull(y, gens)
             yield StationarityTriple(x, yp, z1)

@@ -57,6 +57,10 @@ from .model import CompositeProblem, ResidualTriple, StationarityTriple, station
 from .outer import KINK_TOL, OuterFunction
 
 _LAMBDA_FLOOR = 1e-16
+#: absolute slack added to every certification tolerance: Step 4 certifies
+#: v and w at subtol + CERT_SLACK, and ``trace_certified`` allows a stage
+#: residual of delta (1 + factor) + CERT_SLACK
+CERT_SLACK = 1e-10
 _DIRECT_ITERATION_CAP = 2_000_000
 
 
@@ -325,7 +329,7 @@ def extract_multipliers_step4(stage: Stage, x_star, tol: float, y_hint=None):
     triple = StationarityTriple(x_star, y, z)
     residual = stationarity_residual(stage, triple)
     v_dist, w_dist = residual.v_dist, residual.w_dist
-    cert_tol = tol + 1e-10
+    cert_tol = tol + CERT_SLACK
     if v_dist > cert_tol or w_dist > cert_tol:
         raise CertificationError(
             f"step-4 certification failed: v={v_dist:.3e}, w={w_dist:.3e}, tol={cert_tol:.3e}",

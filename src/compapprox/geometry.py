@@ -15,6 +15,9 @@ import numpy as np
 
 GEOM_TOL = 1e-10
 
+#: Dykstra sweeps before the halfspace projection gives up
+_MAX_SWEEPS = 100_000
+
 _MAX_HULL_POINTS_EXACT = 10
 
 
@@ -117,6 +120,8 @@ class Box(ClosedSet):
             raise ValueError("box bounds must not be NaN")
         if np.any(self.lower > self.upper):
             raise ValueError("empty box: lower > upper in some coordinate")
+        if np.any(self.lower == np.inf) or np.any(self.upper == -np.inf):
+            raise ValueError("empty box: a lower bound is +inf or an upper bound is -inf")
         self.n = self.lower.size
 
     def project(self, x):
@@ -170,7 +175,7 @@ class HalfspaceIntersection(ClosedSet):
 
     exact_projection = False
 
-    def __init__(self, normals, offsets, max_sweeps: int = 100_000):
+    def __init__(self, normals, offsets):
         self.normals = np.atleast_2d(np.asarray(normals, dtype=float))
         self.offsets = np.asarray(offsets, dtype=float)
         if self.normals.shape[0] != self.offsets.size:
@@ -180,7 +185,6 @@ class HalfspaceIntersection(ClosedSet):
             raise ValueError("zero normal vector")
         self.n = self.normals.shape[1]
         self._sqnorms = norms**2
-        self.max_sweeps = max_sweeps
         if not self._feasible():
             raise ValueError("empty halfspace intersection")
 
@@ -205,7 +209,7 @@ class HalfspaceIntersection(ClosedSet):
         k = self.normals.shape[0]
         y = x.copy()
         corr = np.zeros((k, self.n))
-        for _ in range(self.max_sweeps):
+        for _ in range(_MAX_SWEEPS):
             sweep_change = 0.0
             for j in range(k):
                 v = y + corr[j]
@@ -237,11 +241,6 @@ class HalfspaceIntersection(ClosedSet):
 
     def __repr__(self):
         return f"HalfspaceIntersection({self.normals.shape[0]} halfspaces, n={self.n})"
-
-
-def project(closed_set: ClosedSet, x) -> np.ndarray:
-    """Euclidean projection of x onto the set."""
-    return closed_set.project(np.asarray(x, dtype=float))
 
 
 def normal_cone_residual(closed_set: ClosedSet, x, w) -> float:

@@ -60,7 +60,6 @@ class ExperimentConfig:
     X: ClosedSet
     h: OuterFunction
     F: InnerMapping
-    description: str = ""
     raw: dict = field(default_factory=dict, repr=False)
 
     def delta_schedule(self):
@@ -113,7 +112,7 @@ INNERS = {
     "min_smooth": lambda s, seed, base_dir: MinSmoothMapping(
         [_quadratics(comp) for comp in s["components"]], s.get("theta")),
     "sample_average": lambda s, seed, base_dir: SampleAverageMapping(
-        s["A0"], s["b0"], s["A1"], s["b1"], dist=tuple(s.get("dist", ["two_point"])),
+        s["A0"], s["b0"], s["A1"], s["b1"], dist=s.get("dist", ["two_point"]),
         count=s.get("count", 1), seed=seed),
     "network": _network,
 }
@@ -291,7 +290,6 @@ def config_from_dict(doc, source="<dict>", base_dir=".") -> ExperimentConfig:
         family=doc["family"],
         epca=doc["epca"],
         output=doc["output"],
-        description=doc.get("description", ""),
         raw=doc,
         **built,
     )

@@ -30,7 +30,7 @@ import pathlib
 import numpy as np
 
 from .. import consistency as cons
-from ..epca import EpcaConfig, Stage, run_epca, solve_affine_composite
+from ..epca import CERT_SLACK, EpcaConfig, Stage, run_epca, solve_affine_composite
 from ..errors import NonconvergenceError
 from ..geometry import Box
 from ..inner import (Activation, AffineMapping, NetworkForwardMapping,
@@ -75,20 +75,24 @@ def output_directory(override=None):
 # assertions
 
 
+def _assertion(comparison, measured, threshold, details, **target):
+    """An assertion record whose pass flag is the rule ``verify`` re-checks."""
+    record = {"measured": float(measured), "threshold": float(threshold),
+              "comparison": comparison, "details": details, **target}
+    record["pass"] = _check_assertion(record)
+    return record
+
+
 def _assert_le(measured, threshold, **details):
-    return {"pass": bool(measured <= threshold), "measured": float(measured),
-            "threshold": float(threshold), "comparison": "le", "details": details}
+    return _assertion("le", measured, threshold, details)
 
 
 def _assert_gt(measured, threshold, **details):
-    return {"pass": bool(measured > threshold), "measured": float(measured),
-            "threshold": float(threshold), "comparison": "gt", "details": details}
+    return _assertion("gt", measured, threshold, details)
 
 
 def _assert_within(measured, target, tol, **details):
-    return {"pass": bool(abs(measured - target) <= tol), "measured": float(measured),
-            "target": float(target), "threshold": float(tol),
-            "comparison": "within", "details": details}
+    return _assertion("within", measured, tol, details, target=float(target))
 
 
 def _check_assertion(record):
@@ -454,7 +458,7 @@ def _convex_sanity_assertions(cfg, actual, stages, trace, rate_rows):
         abs(float(fin.triple.x[0]) - 1.0), 1e-4, grid_oracle=float(oracle))
     worst_cert = 0.0
     for e in demo.entries:
-        allowed = e.delta * (1.0 + dcfg.subproblem_tolerance_factor) + 1e-10
+        allowed = e.delta * (1.0 + dcfg.subproblem_tolerance_factor) + CERT_SLACK
         worst_cert = max(worst_cert, e.residual.combined / allowed)
     out["criterion_07_epca_quadratic_demo.certified"] = _assert_le(worst_cert, 1.0)
     return out, {}, []
@@ -528,7 +532,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> int:
         assertions, info, checks = builder(cfg, actual, stages, trace, rate_rows)
     checks = [{"kind": "trace_certified",
                "slack_factor": 1.0 + ecfg.subproblem_tolerance_factor,
-               "abs_slack": 1e-10}] + checks
+               "abs_slack": CERT_SLACK}] + checks
 
     # theorem-level value property when the actual objective is finite
     fin = trace.final() if trace.entries else None

@@ -41,8 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapabilityError
-from .geometry import (Box, ClosedSet, WholeSpace, _as_rows, as_count, finite_array,
-                       finite_theta)
+from .geometry import WholeSpace, _as_rows, as_count, finite_array, finite_theta
 from .outer import (BlockSeparableOuter, EqualityIndicatorOuter, OuterFunction,
                     softplus, softplus_grad)
 from .rng import stream
@@ -301,22 +300,23 @@ class SampleAverageMapping(InnerMapping):
         self.noise = AffineMapping(A1, b1)
         if (self.base.m, self.base.n) != (self.noise.m, self.noise.n):
             raise ValueError("base and noise parts must share dimensions")
-        self.dist = tuple(dist)
+        # a bare string would split into characters
+        self.dist = tuple(dist) if isinstance(dist, (list, tuple)) else (dist,)
         self.count = as_count(count, "count")
         self.seed = int(seed)
         self.n, self.m = self.base.n, self.base.m
         rng = stream(self.seed, "sample-average", str(self.count))
-        if self.dist[0] == "two_point":
+        if self.dist == ("two_point",):
             self.xis = np.where(rng.random(self.count) < 0.5, -1.0, 1.0)
             self._mean_xi = 0.0
-        elif self.dist[0] == "uniform":
+        elif len(self.dist) == 3 and self.dist[0] == "uniform":
             lo, hi = float(self.dist[1]), float(self.dist[2])
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError("uniform xi bounds must be finite")
             self.xis = rng.uniform(lo, hi, size=self.count)
             self._mean_xi = 0.5 * (lo + hi)
         else:
-            raise ValueError(f"unknown xi distribution {self.dist[0]!r}")
+            raise ValueError(f'dist must be ["two_point"] or ["uniform", lo, hi], not {dist!r}')
         self._xi_bar = float(np.mean(self.xis))
 
     def eval_batch(self, P):
@@ -379,10 +379,6 @@ class Activation:
         if abs(gamma) <= RELU_KINK_TOL:
             return [0.0, 1.0]
         return [1.0 if gamma > 0.0 else 0.0]
-
-    def gap_bound(self):
-        """sup over gamma of |activation - relu|; zero for relu itself."""
-        return 0.0 if self.kind == "relu" else math.log(2.0) / self.theta
 
 
 def _validate_layers(weights, biases):
@@ -467,7 +463,7 @@ class NetworkLiftMapping(InnerMapping):
     activity stays per-row.
     """
 
-    def __init__(self, networks, activation: Activation, n0=None):
+    def __init__(self, networks, activation: Activation):
         self.networks = []
         self.activation = activation
         dims0 = None
@@ -564,42 +560,28 @@ class NetworkLift:
 
     problem: "object"                 # CompositeProblem (kept untyped: no cycle)
     mapping: NetworkLiftMapping
-    outer: OuterFunction
 
     def lift_point(self, x0):
         return self.mapping.lift_point(x0)
 
 
 def build_network_lift(weights, biases, activation: Activation,
-                       target_outer: OuterFunction, base_set: ClosedSet = None,
-                       networks=None) -> NetworkLift:
+                       target_outer: OuterFunction) -> NetworkLift:
     """Assemble the lifted composite problem for a network inversion.
 
-    ``weights``/``biases`` describe a single network; pass ``networks`` (list
-    of (weights, biases)) for several. ``target_outer`` is the convex function
-    of the concatenated network outputs; the lifted outer function is its
-    direct sum with the equality indicator on the trailing s*r coordinates.
-    ``base_set`` constrains x0 (Box or WholeSpace; default whole space).
+    ``weights``/``biases`` describe one network. ``target_outer`` is the convex
+    function of the network outputs; the lifted outer function ``problem.h`` is
+    its direct sum with the equality indicator on the trailing r coordinates.
+    The lifted set is the whole space: x0 and the layer variables are free.
     """
     from .model import CompositeProblem  # local import: model depends on inner
 
-    nets = networks if networks is not None else [(weights, biases)]
-    mapping = NetworkLiftMapping(nets, activation)
+    mapping = NetworkLiftMapping([(weights, biases)], activation)
     if target_outer.m != mapping.s * mapping.nq:
         raise ValueError("target outer dimension must be s * n_q")
     h = BlockSeparableOuter([
         target_outer,
         EqualityIndicatorOuter(mapping.s * mapping.r, first_linear=False),
     ])
-    if base_set is None:
-        base_set = WholeSpace(mapping.n0)
-    if isinstance(base_set, WholeSpace):
-        X = WholeSpace(mapping.n)
-    elif isinstance(base_set, Box):
-        pad = mapping.n - mapping.n0
-        X = Box(np.concatenate([base_set.lower, np.full(pad, -np.inf)]),
-                np.concatenate([base_set.upper, np.full(pad, np.inf)]))
-    else:
-        raise CapabilityError("lifted base set must be a box or the whole space")
-    problem = CompositeProblem(X, h, mapping)
-    return NetworkLift(problem, mapping, h)
+    problem = CompositeProblem(WholeSpace(mapping.n), h, mapping)
+    return NetworkLift(problem, mapping)

@@ -119,8 +119,8 @@ def _selection_directions(report, y):
     return dirs, True
 
 
-def stationarity_residual(problem: CompositeProblem, triple: StationarityTriple,
-                          slack: float = KINK_TOL) -> ResidualTriple:
+def stationarity_residual(problem: CompositeProblem,
+                          triple: StationarityTriple) -> ResidualTriple:
     """Blockwise residual of 0 in S(x, y, z) at the given triple.
 
     u: ||F(x) - z||_2 exactly. v: dist(y, dh(z)), exact for separable and small
@@ -128,13 +128,14 @@ def stationarity_residual(problem: CompositeProblem, triple: StationarityTriple,
     d = dF(x)'y; for nonsmooth F the minimum over vertex selections of the
     active-gradient hull is reported and flagged as an upper bound.
 
-    ``slack`` widens subdifferential intervals around kinks (see outer module).
+    The v block widens subdifferential intervals by ``KINK_TOL`` around kinks
+    (see outer module).
     """
     x, y, z = triple.x, triple.y, triple.z
     if x.shape != (problem.n,) or y.shape != (problem.m,) or z.shape != (problem.m,):
         raise ValueError("triple dimensions do not match the problem")
     u_norm = float(np.linalg.norm(problem.F.eval(x) - z))
-    v_dist, v_exact = problem.h.subdiff_distance(y, z, slack)
+    v_dist, v_exact = problem.h.subdiff_distance(y, z, KINK_TOL)
     report = problem.F.jacobian(x)
     dirs, exhaustive = _selection_directions(report, y)
     w_dist = min(normal_cone_residual(problem.X, x, -d) for d in dirs)

@@ -42,6 +42,9 @@ from .geometry import (as_count, dist_to_hull, finite_array, finite_theta,
 
 KINK_TOL = 1e-9
 
+#: standard deviation of the normal draws in ``sample_domain_point``
+_DOMAIN_SCALE = 2.0
+
 _INF = math.inf
 # softplus_grad's clamp into the open interval (0, 1)
 _TINY = np.finfo(float).tiny
@@ -292,9 +295,9 @@ class OuterFunction:
             rows.append((k, _INF, v_right, far_right, b_right, a_right))
         return np.array(rows)
 
-    def sample_domain_point(self, rng, scale: float = 2.0) -> np.ndarray:
+    def sample_domain_point(self, rng) -> np.ndarray:
         """A random point with finite value (used by convexity spot checks)."""
-        return rng.normal(0.0, scale, size=self.m)
+        return rng.normal(0.0, _DOMAIN_SCALE, size=self.m)
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +433,10 @@ class EqualityIndicatorOuter(OuterFunction):
             return _INF
         return float(z[0]) if self.first_linear else 0.0
 
-    def sample_domain_point(self, rng, scale=2.0):
+    def sample_domain_point(self, rng):
         z = np.zeros(self.m)
         if self.first_linear:
-            z[0] = rng.normal(0.0, scale)
+            z[0] = rng.normal(0.0, _DOMAIN_SCALE)
         return z
 
 
@@ -458,8 +461,8 @@ class InequalityIndicatorOuter(OuterFunction):
         return np.where((Z[:, start:] > 0.0).any(axis=1), _INF,
                         Z[:, 0] if self.first_linear else 0.0)
 
-    def sample_domain_point(self, rng, scale=2.0):
-        z = rng.normal(0.0, scale, size=self.m)
+    def sample_domain_point(self, rng):
+        z = rng.normal(0.0, _DOMAIN_SCALE, size=self.m)
         start = 1 if self.first_linear else 0
         z[start:] = -np.abs(z[start:])
         return z
@@ -470,14 +473,12 @@ class AugLagrangianOuter(OuterFunction):
 
     smooth = True
 
-    def __init__(self, y_est, theta, m=None):
+    def __init__(self, y_est, theta):
         self.y_est = finite_array(y_est, "y_est")
         if self.y_est.ndim != 1:
             raise ValueError("y_est must be a vector over coordinates 2..m")
         self.theta = finite_theta(theta)
         self.m = self.y_est.size + 1
-        if m is not None and m != self.m:
-            raise ValueError("m inconsistent with y_est length")
         y = np.append(1.0, self.y_est)
         self._set_table(0.0, y, self.theta, y, self.theta, linear_head=True)
 
@@ -574,8 +575,8 @@ class LogBarrierOuter(OuterFunction):
         lo[0] = hi[0] = math.nan if math.isnan(z[0]) else 1.0
         return lo, hi
 
-    def sample_domain_point(self, rng, scale=2.0):
-        z = rng.normal(0.0, scale, size=self.m)
+    def sample_domain_point(self, rng):
+        z = rng.normal(0.0, _DOMAIN_SCALE, size=self.m)
         z[1:] = -np.abs(z[1:]) - 0.05
         return z
 
@@ -607,10 +608,10 @@ class HomotopyOuter(OuterFunction):
         g[-1] = self.lam
         return g
 
-    def sample_domain_point(self, rng, scale=2.0):
+    def sample_domain_point(self, rng):
         z = np.empty(self.m)
-        z[:-1] = self.base.sample_domain_point(rng, scale)
-        z[-1] = rng.normal(0.0, scale)
+        z[:-1] = self.base.sample_domain_point(rng)
+        z[-1] = rng.normal(0.0, _DOMAIN_SCALE)
         return z
 
 
@@ -710,6 +711,6 @@ class BlockSeparableOuter(OuterFunction):
         z = self._check(z)
         return np.concatenate([b.grad(zb) for b, zb in zip(self.blocks, self._split(z))])
 
-    def sample_domain_point(self, rng, scale=2.0):
-        return np.concatenate([b.sample_domain_point(rng, scale) for b in self.blocks])
+    def sample_domain_point(self, rng):
+        return np.concatenate([b.sample_domain_point(rng) for b in self.blocks])
 

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from compapprox.geometry import (Ball, Box, HalfspaceIntersection, WholeSpace,
-                                 dist_to_hull, normal_cone_residual, project,
-                                 project_onto_hull)
+                                 dist_to_hull, normal_cone_residual, project_onto_hull)
 
 
 def test_box_projection_clamps():
-    assert np.allclose(project(Box([0, 0], [1, 1]), [2, -1]), [1, 0])
+    assert np.allclose(Box([0, 0], [1, 1]).project([2, -1]), [1, 0])
 
 
 def test_box_projection_bit_identical_to_clip():
@@ -18,7 +17,9 @@ def test_box_projection_bit_identical_to_clip():
     values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 0.5, -0.5,
               1.0, -1.0, 3.0, -3.0, math.inf, -math.inf, math.nan]
     ends = [-math.inf, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0, math.inf]
-    pairs = [(lo, hi) for lo in ends for hi in ends if not lo > hi]
+    # every box with a finite point; the others are rejected at construction
+    pairs = [(lo, hi) for lo in ends for hi in ends
+             if not lo > hi and lo != math.inf and hi != -math.inf]
     x = np.tile(values, len(pairs))
     lower = np.repeat([lo for lo, _ in pairs], len(values))
     upper = np.repeat([hi for _, hi in pairs], len(values))
@@ -28,17 +29,20 @@ def test_box_projection_bit_identical_to_clip():
 
 
 def test_ball_projection_radial():
-    assert np.allclose(project(Ball([0, 0], 1.0), [3, 4]), [0.6, 0.8])
+    assert np.allclose(Ball([0, 0], 1.0).project([3, 4]), [0.6, 0.8])
 
 
 def test_whole_space_projection_identity():
     x = np.array([1.7, -2.3, 0.0])
-    assert np.allclose(project(WholeSpace(3), x), x)
+    assert np.allclose(WholeSpace(3).project(x), x)
 
 
 def test_empty_box_rejected():
-    with pytest.raises(ValueError):
-        Box([1.0], [0.0])
+    # no finite point: lower > upper, or a lower bound +inf, or an upper bound -inf
+    for lower, upper in (([1.0], [0.0]), ([math.inf], [math.inf]),
+                         ([-math.inf], [-math.inf]), ([0.0, math.inf], [1.0, math.inf])):
+        with pytest.raises(ValueError):
+            Box(lower, upper)
 
 
 def test_empty_halfspace_intersection_rejected():

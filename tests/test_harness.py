@@ -448,6 +448,10 @@ _BAD_INPUTS = {
     "box-lower-nan": ("goal_softplus", [math.nan], "problem", "set", "lower"),
     "ball-radius-nan": ("goal_softplus", {"kind": "ball", "center": [0.0],
                                           "radius": math.nan}, "problem", "set"),
+    "box-infinite": ("exact_penalty", {"kind": "box", "lower": [math.inf],
+                                       "upper": [math.inf]}, "problem", "set"),
+    "sample_average-dist-short": ("sample_average", ["uniform", 0], "problem", "inner", "dist"),
+    "sample_average-dist-string": ("sample_average", "uniform", "problem", "inner", "dist"),
     "rho-nan": ("exact_penalty", math.nan, "diagnostics", "rho"),
     "rho-inf": ("exact_penalty", math.inf, "diagnostics", "rho"),
     "rho-bool": ("exact_penalty", True, "diagnostics", "rho"),
@@ -512,6 +516,17 @@ def test_cli_rejects_bad_input(tmp_path, capsys, fixture, value, path):
     assert _cli_run_doc(tmp_path, _edit(fixture, value, *path)) == 3
     assert "config error:" in capsys.readouterr().err
     assert not list(tmp_path.glob("*_summary.json"))
+
+
+@pytest.mark.parametrize("case, message", [
+    ("box-infinite", "problem.set: empty box"),
+    ("sample_average-dist-short", 'problem.inner: dist must be ["two_point"] or ["uniform", lo, hi]'),
+    ("sample_average-dist-string", 'problem.inner: dist must be ["two_point"] or ["uniform", lo, hi]'),
+])
+def test_cli_bad_input_names_the_problem(tmp_path, capsys, case, message):
+    fixture, value, *path = _BAD_INPUTS[case]
+    assert _cli_run_doc(tmp_path, _edit(fixture, value, *path)) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_nested_output_prefix_creates_its_directory(tmp_path, capsys):

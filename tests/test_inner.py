@@ -211,7 +211,6 @@ def test_softplus_lift_example():
     lift = build_network_lift([[[1.0]]], [[0.0]], act, SquaredErrorOuter([0.0]))
     x = lift.lift_point(np.array([0.0]))
     assert x[1] == pytest.approx(math.log(2.0) / 10.0, abs=1e-15)
-    assert act.gap_bound() == pytest.approx(math.log(2.0) / 10.0)
 
 
 def test_lift_consistency_with_forward_pass():
