@@ -11,10 +11,11 @@ form the convex hull.
 
 ``eval_batch`` and ``jacobian_batch`` evaluate at the rows of a point array;
 ``linearize_batch`` returns both, by default by calling the two. Each primitive
-has one implementation: the affine, sample-average, network (whose Jacobian
-kernel is ``linearize_batch``, one forward pass) and min-smooth mappings define
-the batch calls, and their one-point ``eval``/``jacobian`` are the one-row case
-(the exact min-smooth report also lists every active piece's gradient). The
+has one implementation: the affine, sample-average, network (one forward pass,
+whose Jacobian kernel serves both batch calls; only ``linearize_batch`` applies
+the last layer's activation) and min-smooth mappings define the batch calls,
+and their one-point ``eval``/``jacobian`` are the one-row case (the exact
+min-smooth report also lists every active piece's gradient). The
 quadratic-array and lifted-network mappings define the one-point calls, and the
 batch calls loop over them. Batch code keeps one matrix-vector product per point
 (a stacked ``A @ P[:, :, None]``), so a row does not depend on the other rows of
@@ -398,10 +399,36 @@ def _validate_layers(weights, biases):
     return out, dims
 
 
-def _flush(a):
-    """Set the nonzero entries of a below _FLUSH in magnitude to 0.0, in place."""
-    a[(np.abs(a) < _FLUSH) & (a != 0.0)] = 0.0
+def _flush(a, scratch=None, mask=None):
+    """Set the nonzero entries of a below _FLUSH in magnitude to 0.0, in place.
+
+    Given ``scratch`` (float) and ``mask`` (bool) shaped like a, it allocates
+    nothing; without them it takes the form that is faster on small arrays.
+    """
+    if scratch is None:
+        a[(np.abs(a) < _FLUSH) & (a != 0.0)] = 0.0
+        return a
+    np.less(np.abs(a, out=scratch), _FLUSH, out=mask)
+    # a as a truth value: nonzero
+    np.copyto(a, 0.0, where=np.logical_and(mask, a, out=mask))
     return a
+
+
+#: the network Jacobian kernel's scratch, one float buffer, empty at import: two
+#: ping-pong Jacobian buffers, a flush scratch and a bool mask of N * width * n
+#: entries each, grown to the largest batch asked for and never shrunk. Callers
+#: get copies only, so no result shares memory with it or with another result.
+#: One pool per process: the kernel must not run in two threads at once.
+_POOL = []
+
+
+def _pool(size):
+    """The pool's four parts, ``size`` entries each (a bool view for the mask)."""
+    if not _POOL or _POOL[0].size < size:
+        buf = np.empty(3 * size + size // 8 + 1)
+        _POOL[:] = [buf[k * size:(k + 1) * size] for k in range(3)] + [
+            buf[3 * size:].view(bool)[:size]]
+    return _POOL
 
 
 class NetworkForwardMapping(InnerMapping):
@@ -423,6 +450,7 @@ class NetworkForwardMapping(InnerMapping):
         self.n = n0
         self.m = len(self.networks) * nq
         self.nq = nq
+        self._width = max(len(A) for layers in self.networks for A, _ in layers)
         self.smooth = activation.smooth
 
     def eval_batch(self, P):
@@ -435,69 +463,71 @@ class NetworkForwardMapping(InnerMapping):
             outs.append(H[:, :, 0])
         return np.concatenate(outs, axis=1)
 
-    def linearize_batch(self, P):
-        P = self._check_batch(P)
-        parts = []
-        for layers in self.networks:
-            H = P[:, :, None]
-            J = np.eye(self.n)
-            for A, b in layers:
+    def _kernel(self, P):
+        """Per network the last layer's pre-activations (N, nq, 1); J (N, m, n).
+
+        The Jacobian products run in the pooled scratch; J is a copy out of it.
+        """
+        N, n = len(P), self.n
+        J = np.empty((N, self.m, n))
+        *buffers, scratch, mask = _pool(N * self._width * n)
+        pres = []
+        for i, layers in enumerate(self.networks):
+            H, G = P[:, :, None], np.eye(n)
+            for k, (A, b) in enumerate(layers):
                 pre = A @ H + b[:, None]
-                # a stacked A @ J: one matrix product per point
-                J = _flush(self.activation.deriv(pre) * (A @ J))
-                H = _flush(self.activation.value(pre))
-            parts.append((H[:, :, 0], J))
-        values, J = (np.concatenate(a, axis=1) for a in zip(*parts))
+                flat = buffers[k % 2][:N * len(A) * n]
+                out = flat.reshape(N, len(A), n)
+                # a stacked A @ G: one matrix product per point (layer 1: A @ eye(n))
+                np.multiply(self.activation.deriv(pre),
+                            np.matmul(A, G, out=out) if k else A @ G, out=out)
+                G = out
+                _flush(flat, scratch[:flat.size], mask[:flat.size])
+                if k + 1 < len(layers):
+                    H = _flush(self.activation.value(pre))
+            J[:, i * self.nq:(i + 1) * self.nq] = G
+            pres.append(pre)
+        return pres, J
+
+    def linearize_batch(self, P):
+        pres, J = self._kernel(self._check_batch(P))
+        values = np.concatenate([_flush(self.activation.value(pre))[:, :, 0] for pre in pres],
+                                axis=1)
         return values, J, np.zeros(J.shape[:2], dtype=bool)
 
     def jacobian_batch(self, P):
-        return self.linearize_batch(P)[1:]
+        J = self._kernel(self._check_batch(P))[1]
+        return J, np.zeros(J.shape[:2], dtype=bool)
 
 
 class NetworkLiftMapping(InnerMapping):
-    """The lifted mapping F(x) = (x_{1,1,q}, ..., x_{1,s,q}, H_1(x), ..., H_s(x)).
+    """The lifted mapping F(x) = (x_{1,q}, H(x)) of one network.
 
-    x = (x0, x1) where x1 collects per-network, per-layer outputs; each H row is
-    activation(affine of the previous layer's variables) minus the variable for
-    that neuron. Rows are affine except through the scalar activation, so relu
-    activity stays per-row.
+    x = (x0, x_{1,1}, ..., x_{1,q}) collects the input and the per-layer outputs;
+    each H row is activation(affine of the previous layer's variables) minus the
+    variable for that neuron. Rows are affine except through the scalar
+    activation, so relu activity stays per-row.
     """
 
     def __init__(self, networks, activation: Activation):
-        self.networks = []
+        [(weights, biases)] = networks       # a list holding one network
+        self.layers, self.dims = _validate_layers(weights, biases)   # dims [n0, ..., nq]
         self.activation = activation
-        dims0 = None
-        for weights, biases in networks:
-            layers, dims = _validate_layers(weights, biases)
-            if dims0 is None:
-                dims0 = dims
-            elif dims != dims0:
-                raise ValueError("lifted form requires identical architectures")
-            self.networks.append(layers)
-        self.dims = dims0           # [n0, n1, ..., nq]
-        self.s = len(self.networks)
         self.q = len(self.dims) - 1
         self.r = int(sum(self.dims[1:]))
         self.n0 = self.dims[0]
         self.nq = self.dims[-1]
-        self.n = self.n0 + self.s * self.r
-        self.m = self.s * self.nq + self.s * self.r
+        self.n = self.n0 + self.r
+        self.m = self.nq + self.r
         self.smooth = activation.smooth
-        # offsets of x_{1,i,k} inside x1, layout (network, layer)
-        self._offs = {}
-        off = self.n0
-        for i in range(self.s):
-            for k in range(1, self.q + 1):
-                self._offs[(i, k)] = off
-                off += self.dims[k]
+        # x_{1,k} is x[_offs[k]:_offs[k + 1]], x0 the block k = 0
+        self._offs = np.cumsum([0] + self.dims).tolist()
 
     def block(self, x, i, k):
-        """x_{1,i,k} for layer k >= 1, or x0 for k = 0."""
-        x = np.asarray(x, dtype=float)
-        if k == 0:
-            return x[:self.n0]
-        off = self._offs[(i, k)]
-        return x[off:off + self.dims[k]]
+        """x_{1,i,k} of network i = 0 for layer k >= 1, or x0 for k = 0."""
+        if i != 0:
+            raise IndexError(f"network {i}: the lift holds network 0 only")
+        return np.asarray(x, dtype=float)[self._offs[k]:self._offs[k + 1]]
 
     def lift_point(self, x0) -> np.ndarray:
         """Forward pass: the lifted point at which every H row vanishes exactly."""
@@ -505,51 +535,36 @@ class NetworkLiftMapping(InnerMapping):
         if x0.shape != (self.n0,):
             raise ValueError(f"x0 has shape {x0.shape}, expected ({self.n0},)")
         parts = [x0]
-        for layers in self.networks:
-            h = x0
-            for A, b in layers:
-                h = self.activation.value(A @ h + b)
-                parts.append(h)
+        for A, b in self.layers:
+            parts.append(self.activation.value(A @ parts[-1] + b))
         return np.concatenate(parts)
 
     def eval(self, x):
         x = self._check(x)
-        head = [self.block(x, i, self.q) for i in range(self.s)]
-        rows = []
-        for i, layers in enumerate(self.networks):
-            for k, (A, b) in enumerate(layers, start=1):
-                prev = self.block(x, i, k - 1)
-                rows.append(self.activation.value(A @ prev + b) - self.block(x, i, k))
-        return np.concatenate(head + rows)
+        blocks = [self.block(x, 0, k) for k in range(self.q + 1)]
+        rows = [self.activation.value(A @ prev + b) - own
+                for (A, b), prev, own in zip(self.layers, blocks, blocks[1:])]
+        return np.concatenate([blocks[-1]] + rows)
 
     def jacobian(self, x):
         x = self._check(x)
         J = np.zeros((self.m, self.n))
-        active = []
-        row = 0
-        for i in range(self.s):
-            off = self._offs[(i, self.q)]
-            for j in range(self.nq):
-                J[row, off + j] = 1.0
-                active.append([J[row].copy()])
+        J[np.arange(self.nq), self._offs[self.q] + np.arange(self.nq)] = 1.0
+        active = [[row.copy()] for row in J[:self.nq]]
+        row = self.nq
+        for k, (A, b) in enumerate(self.layers, start=1):
+            prev_off, own_off = self._offs[k - 1], self._offs[k]
+            pre = A @ x[prev_off:own_off] + b
+            for j in range(self.dims[k]):
+                variants = []
+                for d in self.activation.deriv_options(float(pre[j])):
+                    g = np.zeros(self.n)
+                    g[prev_off:own_off] = d * A[j]
+                    g[own_off + j] = -1.0
+                    variants.append(g)
+                J[row] = variants[0]
+                active.append(variants)
                 row += 1
-        for i, layers in enumerate(self.networks):
-            for k, (A, b) in enumerate(layers, start=1):
-                prev = self.block(x, i, k - 1)
-                pre = A @ prev + b
-                prev_off = 0 if k == 1 else self._offs[(i, k - 1)]
-                own_off = self._offs[(i, k)]
-                for j in range(self.dims[k]):
-                    opts = self.activation.deriv_options(float(pre[j]))
-                    variants = []
-                    for d in opts:
-                        g = np.zeros(self.n)
-                        g[prev_off:prev_off + self.dims[k - 1]] = d * A[j]
-                        g[own_off + j] = -1.0
-                        variants.append(g)
-                    J[row] = variants[0]
-                    active.append(variants)
-                    row += 1
         smooth = self.activation.smooth or all(len(a) == 1 for a in active)
         return JacobianReport(J, smooth, active)
 
@@ -577,11 +592,11 @@ def build_network_lift(weights, biases, activation: Activation,
     from .model import CompositeProblem  # local import: model depends on inner
 
     mapping = NetworkLiftMapping([(weights, biases)], activation)
-    if target_outer.m != mapping.s * mapping.nq:
-        raise ValueError("target outer dimension must be s * n_q")
+    if target_outer.m != mapping.nq:
+        raise ValueError("target outer dimension must be n_q")
     h = BlockSeparableOuter([
         target_outer,
-        EqualityIndicatorOuter(mapping.s * mapping.r, first_linear=False),
+        EqualityIndicatorOuter(mapping.r, first_linear=False),
     ])
     problem = CompositeProblem(WholeSpace(mapping.n), h, mapping)
     return NetworkLift(problem, mapping)

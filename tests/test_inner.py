@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from compapprox.consistency import _halton_unit
+from compapprox import inner
 from compapprox.errors import CapabilityError
 from compapprox.geometry import dist_to_hull
 from compapprox.inner import (_FLUSH, ACTIVITY_TOL, Activation, AffineMapping,
@@ -445,3 +446,32 @@ def test_network_kernels_flush_subnormals():
             assert F.jacobian(p).matrix.tobytes() == J[k].tobytes()
     # the unflushed reference does reach below the floor on these points
     assert flushed > 0
+
+
+def test_network_kernel_pool_keeps_no_state(monkeypatch):
+    # batch sizes, widths and activations interleaved: 500 points, then 1, then
+    # another net; theta 2048 makes the pooled flush zero entries
+    rng = stream(13, "pool-nets")
+    wide = _net(rng, (3, 64, 32, 2))
+    nets = [NetworkForwardMapping([wide], Activation("softplus", 2048.0)),
+            NetworkForwardMapping([_net(rng, (3, 8, 2)), _net(rng, (3, 8, 2))],
+                                  Activation("relu")),
+            NetworkForwardMapping([wide], Activation("softplus", 3.0))]
+    calls = [(nets[0], 500), (nets[0], 1), (nets[1], 37), (nets[2], 500), (nets[0], 2),
+             (nets[1], 1), (nets[2], 7)]
+    points = [2.0 * _halton_unit(3, N + k)[k:] - 1.0 for k, (_, N) in enumerate(calls)]
+    results, recorded = [], []
+    for (F, _), P in zip(calls, points):
+        arrays = [*F.linearize_batch(P), *F.jacobian_batch(P)]
+        recorded.append([a.tobytes() for a in arrays])
+        for a in arrays:
+            a[...] = True if a.dtype == bool else math.nan   # a caller writes into its results
+        results.extend(arrays)
+    for k, a in enumerate(results):
+        assert not any(np.shares_memory(a, b) for b in results[k + 1:])
+        assert not any(np.shares_memory(a, part) for part in inner._POOL)
+    # each call again in reverse order, every one from an empty pool
+    for (F, _), P, expected in reversed(list(zip(calls, points, recorded))):
+        monkeypatch.setattr(inner, "_POOL", [])
+        arrays = [*F.linearize_batch(P), *F.jacobian_batch(P)]
+        assert [a.tobytes() for a in arrays] == expected
