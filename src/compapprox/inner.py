@@ -403,14 +403,10 @@ def _flush(a, scratch=None, mask=None):
     """Set the nonzero entries of a below _FLUSH in magnitude to 0.0, in place.
 
     Given ``scratch`` (float) and ``mask`` (bool) shaped like a, it allocates
-    nothing; without them it takes the form that is faster on small arrays.
+    nothing; without them numpy allocates both.
     """
-    if scratch is None:
-        a[(np.abs(a) < _FLUSH) & (a != 0.0)] = 0.0
-        return a
-    np.less(np.abs(a, out=scratch), _FLUSH, out=mask)
-    # a as a truth value: nonzero
-    np.copyto(a, 0.0, where=np.logical_and(mask, a, out=mask))
+    mask = np.less(np.abs(a, out=scratch), _FLUSH, out=mask)
+    a[np.logical_and(mask, a, out=mask)] = 0.0    # a as a truth value: nonzero
     return a
 
 
@@ -490,12 +486,15 @@ class NetworkForwardMapping(InnerMapping):
         return pres, J
 
     def linearize_batch(self, P):
+        """One kernel pass. Not thread-safe: the kernel's scratch pool is one per
+        process and keeps the largest batch's size until the process exits."""
         pres, J = self._kernel(self._check_batch(P))
         values = np.concatenate([_flush(self.activation.value(pre))[:, :, 0] for pre in pres],
                                 axis=1)
         return values, J, np.zeros(J.shape[:2], dtype=bool)
 
     def jacobian_batch(self, P):
+        """(J, multi) from one kernel pass, skipping the last activation; not thread-safe."""
         J = self._kernel(self._check_batch(P))[1]
         return J, np.zeros(J.shape[:2], dtype=bool)
 
