@@ -291,7 +291,7 @@ def graph_excess_measured(h_from: OuterFunction, h_to: OuterFunction, rho: float
     """Sampled lower bound on exs_{2 rho}(gph dh_from ; gph dh_to).
 
     The largest exact distance to gph dh_to over the samples of gph dh_from
-    in the 2 rho window.
+    in the 2 rho window, NaN (not measured) when no sample lies in it.
     """
     _require_separable(h_from, "source")
     _require_separable(h_to, "target")
@@ -299,7 +299,7 @@ def graph_excess_measured(h_from: OuterFunction, h_to: OuterFunction, rho: float
     graphs_to = [h_to.graph_1d(i) for i in range(h_to.m)]
     Z, V = _sample_product_arrays(graphs_from, 2.0 * rho, samples)
     if len(Z) == 0:
-        return 0.0
+        return math.nan
     return float(max(0.0, np.max(_graph_distances(Z, V, graphs_to))))
 
 

@@ -588,7 +588,7 @@ def test_family_needs_its_problem_variants():
 
 
 @pytest.mark.parametrize("name, fixture", [
-    ("sample_average", "quad_penalty"), ("network_inverse", "goal_softplus"),
+    ("exact_penalty", "quad_penalty"), ("network_inverse", "goal_softplus"),
     ("convex_sanity", "goal_softplus"), ("goal_softplus", "homotopy")])
 def test_fixture_assertions_only_for_the_bundled_document(tmp_path, name, fixture):
     doc = fixture_document(fixture)
@@ -618,9 +618,37 @@ def test_summary_assertions_map_to_criteria(fixture_runs):
             assert key.startswith("criterion_"), key
 
 
+#: the assertions each bundled fixture's summary records: only checks that read
+#: the run (its trace, stages or rate rows); library properties are gated by
+#: tests/test_acceptance.py, so moving a criterion in or out is an edit here
+FIXTURE_ASSERTION_KEYS = {
+    "goal_softplus": {"criterion_08_epca_softplus_goal"},
+    "aug_lagrangian": set(),
+    "quad_penalty": {"criterion_10_quad_penalty_epi"},
+    "exact_penalty": {"criterion_04_exact_penalty_exactness.zero_for_theta_ge_2rho",
+                      "criterion_04_exact_penalty_exactness.positive_at_theta_1"},
+    "log_barrier": set(),
+    "homotopy": set(),
+    "distributionally_robust": {"criterion_06_distributionally_robust_rate.gap_bound",
+                                "criterion_06_distributionally_robust_rate.sqrt_slope"},
+    "min_smoothing": set(),
+    "sample_average": set(),
+    "network_inverse": {"criterion_11_network_lift.neuron_gap",
+                        "criterion_11_network_lift.monotone_objective"},
+    "convex_sanity": {"criterion_09_convex_sanity_oracle"},
+}
+
+
+@pytest.mark.parametrize("name", FIXTURE_ORDER)
+def test_fixture_assertion_keys_are_pinned(fixture_runs, name):
+    with open(fixture_runs.summary_path(name)) as fh:
+        summary = json.load(fh)
+    assert set(summary["assertions"]) == FIXTURE_ASSERTION_KEYS[name]
+
+
 #: sha256 over every fixture's trace, rates and summary artifacts, in
 #: FIXTURE_ORDER; a change to the algorithm made on purpose updates it and says so
-FIXTURE_ARTIFACTS_SHA256 = "5a893a56f22c40b8393683f87e985a67cc58411bcac80b4ff6d3770eb119b54c"
+FIXTURE_ARTIFACTS_SHA256 = "4e0e4d46951391009a20e5cfacf0798524ffdd976b68d9263ddbe2a07f734568"
 
 
 def test_fixture_artifacts_byte_identical(fixture_runs):
