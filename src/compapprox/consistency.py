@@ -291,12 +291,16 @@ def graph_excess_measured(h_from: OuterFunction, h_to: OuterFunction, rho: float
     """Sampled lower bound on exs_{2 rho}(gph dh_from ; gph dh_to).
 
     The largest exact distance to gph dh_to over the samples of gph dh_from
-    in the 2 rho window, NaN (not measured) when no sample lies in it.
+    in the 2 rho window. It is exactly 0.0 when some coordinate's graph
+    misses the window, for then the product graph misses it too; otherwise
+    NaN (not measured) when no sample lies in it.
     """
     _require_separable(h_from, "source")
     _require_separable(h_to, "target")
     graphs_from = [h_from.graph_1d(i) for i in range(h_from.m)]
     graphs_to = [h_to.graph_1d(i) for i in range(h_to.m)]
+    if any(len(clip_graph(g, 2.0 * rho)) == 0 for g in graphs_from):
+        return 0.0
     Z, V = _sample_product_arrays(graphs_from, 2.0 * rho, samples)
     if len(Z) == 0:
         return math.nan

@@ -31,14 +31,18 @@ factor * delta^nu: a looser solve that returns x* = x_bar is repeated at that
 tolerance, warm, within the same inner iteration, before the usual tests.
 
 Subproblems minimize h(F(x_bar) + dF(x_bar)(x - x_bar)) + ||x - x_bar||^2 /
-(2 lambda) over X, with lambda in (0, lambda_bar]. Two branches cover the
-catalogue. When h is differentiable, an accelerated projected gradient method
+(2 lambda) over X, with lambda in (0, lambda_bar]. Three branches cover the
+catalogue. When h is differentiable with an elementwise curvature and X is a
+box or the whole space, Bertsekas's projected Newton method: Newton steps on
+the free coordinates, gradient steps on the active ones, an Armijo search
+along the projection arc. For every other differentiable h, and as Newton's
+fallback when its line search fails, an accelerated projected gradient method
 (FISTA, Beck and Teboulle) with adaptive restart (O'Donoghue and Candes),
 whose backtracking adds a curvature test wherever objective differences fall
 below floating-point resolution. Otherwise, where the subproblem is strongly
 convex and its dual smooth, FISTA with gradient restart on the dual, driven by
 h's prox through the Moreau identity (Beck and Teboulle's fast dual proximal
-gradient). Both branches certify at the point they return.
+gradient). Every branch certifies at the point it returns.
 """
 
 from __future__ import annotations
@@ -136,8 +140,19 @@ def _model_point(c, J, x, x_bar):
     return c + J @ (x - x_bar)
 
 
-def _solve_smooth(X, h, c, J, x_bar, lam, tol, max_iter):
-    """Accelerated projected gradient (FISTA) with adaptive restart.
+def _phi(h, x_bar, lam, x, z):
+    """The subproblem objective at x, given its model point z."""
+    d = x - x_bar
+    return h.value(z) + 0.5 * (d @ d) / lam
+
+
+def _phi_grad(J, x_bar, lam, x, y):
+    """grad phi at x, given y = grad h at its model point."""
+    return J.T @ y + (x - x_bar) / lam
+
+
+def _solve_smooth(X, h, c, J, x_bar, lam, tol, max_iter, x0=None):
+    """Accelerated projected gradient (FISTA) with adaptive restart, from P_X(x0 or x_bar).
 
     Each step x+ = P_X(v - t grad phi(v)) starts at the extrapolated point
     v = x + beta (x - x_prev), whose model point is z + beta (z - z_prev)
@@ -154,21 +169,13 @@ def _solve_smooth(X, h, c, J, x_bar, lam, tol, max_iter):
     exact at the point returned; x is always a projection output, so it lies
     in X and one projection suffices.
     """
-    def value(xx, zz):
-        # phi at xx, given its model point zz
-        d = xx - x_bar
-        return h.value(zz) + 0.5 * (d @ d) / lam
-
-    def gradient(xx, yy):
-        return J.T @ yy + (xx - x_bar) / lam
-
-    x = X.project(x_bar)
+    x = X.project(x_bar if x0 is None else x0)
     z = _model_point(c, J, x, x_bar)
-    val = value(x, z)
+    val = _phi(h, x_bar, lam, x, z)
     if math.isinf(val):
         raise EvaluationError("subproblem start lies outside dom h")
     y = h.grad(z)
-    g = gradient(x, y)
+    g = _phi_grad(J, x_bar, lam, x, y)
     x_prev, z_prev, theta, t = x, z, 1.0, 1.0   # theta is FISTA's t_k; 1 means no momentum
     best = (math.inf, x, None)
     for it in range(1, max_iter + 1):
@@ -184,10 +191,10 @@ def _solve_smooth(X, h, c, J, x_bar, lam, tol, max_iter):
             v = x + beta * (x - x_prev)
             # the model point is affine in x: no product with J
             v_z = z + beta * (z - z_prev)
-            v_val = value(v, v_z)
+            v_val = _phi(h, x_bar, lam, v, v_z)
             if math.isfinite(v_val):
                 v_y = h.grad(v_z)
-                v_g = gradient(v, v_y)
+                v_g = _phi_grad(J, x_bar, lam, v, v_y)
             else:
                 v, v_val, v_z, theta_next = x, val, z, 1.0
         t0 = t
@@ -202,7 +209,7 @@ def _solve_smooth(X, h, c, J, x_bar, lam, tol, max_iter):
             step = x_new - v
             ss = step @ step
             z_new = _model_point(c, J, x_new, x_bar)
-            val_new = value(x_new, z_new)
+            val_new = _phi(h, x_bar, lam, x_new, z_new)
             if val_new <= v_val + v_g @ step + ss / (2.0 * t) + 1e-15 * (1.0 + abs(v_val)):
                 y_new = h.grad(z_new)
                 flat = abs(v_val - val_new) < 1e-13 * (1.0 + abs(v_val))
@@ -212,10 +219,65 @@ def _solve_smooth(X, h, c, J, x_bar, lam, tol, max_iter):
         restart = (val_new > val and not flat) or (v - x_new) @ (x_new - x) > 0.0
         t = min(t * 2.0, 1e8)
         x_prev, z_prev, x, val, z, y = x, z, x_new, val_new, z_new, y_new
-        g = gradient(x, y)
+        g = _phi_grad(J, x_bar, lam, x, y)
         theta = 1.0 if restart else theta_next
     raise NonconvergenceError("accelerated-gradient subproblem hit its iteration cap",
                               best=best[1], residual=best[0])
+
+
+def _solve_newton(X, h, c, J, x_bar, lam, tol, max_iter, lower, upper):
+    """Projected Newton (Bertsekas) on the box [lower, upper], FISTA as its fallback.
+
+    With g = grad phi(x), a coordinate within min(1e-3, certificate) of a
+    bound that g points out of is active and takes the gradient step -g_i;
+    the free ones F take the Newton step -H^{-1} g_F, with
+    H = J_F' diag(h''(z)) J_F + I/lam. The Armijo search halves alpha along
+    the projection arc x(alpha) = P_X(x + alpha d) until phi falls by
+    1e-4 (alpha g_F.H^{-1}g_F + g_A.(x - x(alpha))_A), or, where that fall is
+    below floating-point resolution, until the certificate falls. After 50
+    halvings the solve hands x to FISTA. Certificate and returned (x, y) are
+    _solve_smooth's.
+    """
+    x = X.project(x_bar)
+    z = _model_point(c, J, x, x_bar)
+    val = _phi(h, x_bar, lam, x, z)
+    if math.isinf(val):
+        raise EvaluationError("subproblem start lies outside dom h")
+    y = h.grad(z)
+    for it in range(1, max_iter + 1):
+        g = _phi_grad(J, x_bar, lam, x, y)
+        cert = float(np.linalg.norm(x - X.project(x - g)))
+        if cert <= tol:
+            return SubproblemResult(x, y, cert, it)
+        if it == max_iter:
+            raise NonconvergenceError("projected-Newton subproblem hit its iteration cap",
+                                      best=x, residual=cert)
+        eps = min(1e-3, cert)
+        active = ((x <= lower + eps) & (g > 0.0)) | ((x >= upper - eps) & (g < 0.0))
+        free = ~active
+        JF = J[:, free]
+        H = JF.T @ (h.curvature(z)[:, None] * JF)
+        H[np.diag_indices_from(H)] += 1.0 / lam
+        step = -g
+        step[free] = -np.linalg.solve(H, g[free])
+        decrease = -(g[free] @ step[free])
+        alpha = 1.0
+        for _ in range(50):
+            x_new = X.project(x + alpha * step)
+            z_new = _model_point(c, J, x_new, x_bar)
+            val_new = _phi(h, x_bar, lam, x_new, z_new)
+            if abs(val - val_new) < 1e-13 * (1.0 + abs(val)):
+                # phi cannot rank the step: the certificate must fall instead
+                g_new = _phi_grad(J, x_bar, lam, x_new, h.grad(z_new))
+                if np.linalg.norm(x_new - X.project(x_new - g_new)) < cert:
+                    break
+            elif val_new <= val - 1e-4 * (alpha * decrease + g[active] @ (x - x_new)[active]):
+                break
+            alpha *= 0.5
+        else:
+            r = _solve_smooth(X, h, c, J, x_bar, lam, tol, max_iter - it, x)
+            return SubproblemResult(r.x, r.y, r.residual, it + r.iterations)
+        x, z, val, y = x_new, z_new, val_new, h.grad(z_new)
 
 
 @functools.lru_cache(maxsize=1)
@@ -274,10 +336,12 @@ def solve_subproblem(X: ClosedSet, h: OuterFunction, c, J, x_bar, lam: float,
                      tol: float, max_iter: int = 400_000, y0=None) -> SubproblemResult:
     """Solve min_{x in X} h(c + J(x - x_bar)) + ||x - x_bar||^2/(2 lam).
 
-    Two branches, for lam in (0, inf): smooth h goes to accelerated projected
-    gradient on the primal; nonsmooth h with a prox goes to accelerated
-    proximal gradient on the dual, which is smooth because the subproblem is
-    strongly convex. y0 warm-starts the dual branch's multiplier.
+    Three branches, for lam in (0, inf): smooth h with a curvature over a box
+    or the whole space goes to projected Newton, other smooth h to
+    accelerated projected gradient on the primal, which is also Newton's
+    fallback; nonsmooth h with a prox goes to accelerated proximal gradient
+    on the dual, which is smooth because the subproblem is strongly convex.
+    y0 warm-starts the dual branch's multiplier.
 
     Returns the primal point, a multiplier y with y in dh(model point), and the
     certified fixed-point residual: the max of the normal-cone projection
@@ -290,7 +354,10 @@ def solve_subproblem(X: ClosedSet, h: OuterFunction, c, J, x_bar, lam: float,
     if not 0.0 < lam < math.inf:
         raise ValueError("lam must be positive and finite")
     if h.smooth:
-        return _solve_smooth(X, h, c, J, x_bar, lam, tol, max_iter)
+        bounds = X.bounds()
+        if bounds is None or type(h).curvature is OuterFunction.curvature:
+            return _solve_smooth(X, h, c, J, x_bar, lam, tol, max_iter)
+        return _solve_newton(X, h, c, J, x_bar, lam, tol, max_iter, *bounds)
     if not h.prox_available:
         raise EvaluationError(f"{type(h).__name__} supports neither gradient nor prox")
     return _solve_dual(X, h, c, J, x_bar, lam, tol, max_iter, y0)

@@ -95,6 +95,10 @@ class ClosedSet:
     def is_bounded(self) -> bool:
         raise NotImplementedError
 
+    def bounds(self):
+        """(lower, upper) if the set is a box, possibly with infinite ends; else None."""
+        return None
+
 
 class WholeSpace(ClosedSet):
     def __init__(self, n: int):
@@ -105,6 +109,9 @@ class WholeSpace(ClosedSet):
 
     def is_bounded(self):
         return False
+
+    def bounds(self):
+        return np.full(self.n, -math.inf), np.full(self.n, math.inf)
 
     def __repr__(self):
         return f"WholeSpace({self.n})"
@@ -134,6 +141,9 @@ class Box(ClosedSet):
 
     def is_bounded(self):
         return bool(np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper)))
+
+    def bounds(self):
+        return self.lower, self.upper
 
     def __repr__(self):
         return f"Box({self.lower.tolist()}, {self.upper.tolist()})"

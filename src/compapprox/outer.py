@@ -137,7 +137,13 @@ def _line(a, b, t):
 
 
 class OuterFunction:
-    """Base class for the convex outer functions of composite problems."""
+    """Base class for the convex outer functions of composite problems.
+
+    A smooth separable h may give ``curvature(z)``, the diagonal of h''(z),
+    from the same formulas as ``grad``: at a point where h_i is only C^1 it
+    is the one-sided value of the branch ``grad`` takes there. The base class
+    raises CapabilityError, as ``grad`` does.
+    """
 
     m: int
     separable: bool = False
@@ -197,6 +203,9 @@ class OuterFunction:
 
     def grad(self, z) -> np.ndarray:
         raise CapabilityError(f"{type(self).__name__} has no gradient query")
+
+    def curvature(self, z) -> np.ndarray:
+        raise CapabilityError(f"{type(self).__name__} has no curvature query")
 
     # -- subdifferentials ---------------------------------------------------
     def subdiff_intervals(self, z, slack: float = 0.0):
@@ -355,6 +364,10 @@ class SoftplusGoalOuter(OuterFunction):
         z = self._check(z)
         return self.alpha * _softplus_grad(self.theta, z - self.tau)
 
+    def curvature(self, z):
+        s = _softplus_grad(self.theta, self._check(z) - self.tau)
+        return self.alpha * self.theta * s * (1.0 - s)
+
     def subdiff_intervals(self, z, slack=0.0):
         z = self._check(z)
         return (self.alpha * _softplus_grad(self.theta, z - slack - self.tau),
@@ -416,6 +429,9 @@ class LinearOuter(OuterFunction):
     def grad(self, z):
         self._check(z)
         return self.p.copy()
+
+    def curvature(self, z):
+        return np.zeros(self._check(z).size)
 
 
 class EqualityIndicatorOuter(OuterFunction):
@@ -494,6 +510,10 @@ class AugLagrangianOuter(OuterFunction):
         g[1:] = self.y_est + self.theta * z[1:]
         return g
 
+    def curvature(self, z):
+        self._check(z)
+        return np.append(0.0, np.full(self.m - 1, self.theta))
+
 
 class QuadPenaltyOuter(OuterFunction):
     """h(z) = z_1 + theta * sum_{i>=2} max{0, z_i}^2."""
@@ -522,6 +542,10 @@ class QuadPenaltyOuter(OuterFunction):
         g[0] = 1.0
         g[1:] = 2.0 * self.theta * np.maximum(0.0, z[1:])
         return g
+
+    def curvature(self, z):
+        # the one-sided value 2 theta [z_i > 0] at the C^1 point z_i = 0
+        return np.append(0.0, 2.0 * self.theta * (self._check(z)[1:] > 0.0))
 
 
 class ExactPenaltyOuter(OuterFunction):
@@ -565,6 +589,10 @@ class LogBarrierOuter(OuterFunction):
         g[1:] = -1.0 / (self.theta * z[1:])
         return g
 
+    def curvature(self, z):
+        tail = self._check(z)[1:]
+        return np.append(0.0, 1.0 / (self.theta * tail * tail))
+
     def subdiff_intervals(self, z, slack=0.0):
         # -1/(theta*t) on t < -DOM_MARGIN, the derivative of -ln(-t)/theta;
         # a window end at or right of -DOM_MARGIN is +inf (empty at the lower end)
@@ -607,6 +635,10 @@ class HomotopyOuter(OuterFunction):
         g[:-1] = (1.0 - self.lam) * self.base.grad(z[:-1])
         g[-1] = self.lam
         return g
+
+    def curvature(self, z):
+        z = self._check(z)
+        return np.append((1.0 - self.lam) * self.base.curvature(z[:-1]), 0.0)
 
     def sample_domain_point(self, rng):
         z = np.empty(self.m)
@@ -680,6 +712,9 @@ class SquaredErrorOuter(OuterFunction):
     def grad(self, z):
         return 2.0 * self.weight * (self._check(z) - self.target)
 
+    def curvature(self, z):
+        return np.full(self._check(z).size, 2.0 * self.weight)
+
 
 class BlockSeparableOuter(OuterFunction):
     """Direct sum h(z) = sum_b h_b(z_b) over consecutive coordinate blocks."""
@@ -710,6 +745,10 @@ class BlockSeparableOuter(OuterFunction):
     def grad(self, z):
         z = self._check(z)
         return np.concatenate([b.grad(zb) for b, zb in zip(self.blocks, self._split(z))])
+
+    def curvature(self, z):
+        z = self._check(z)
+        return np.concatenate([b.curvature(zb) for b, zb in zip(self.blocks, self._split(z))])
 
     def sample_domain_point(self, rng):
         return np.concatenate([b.sample_domain_point(rng) for b in self.blocks])

@@ -85,11 +85,12 @@ def test_unsupported_pair_raises():
 
 def test_excess_monotone_in_rho():
     # v_1 = 1 on the linear coordinate: at rho = 0.25 the graph misses the
-    # 2 rho window, at rho = 0.5 no sample lands in it, so nothing is measured
+    # 2 rho window, so the excess is 0; at rho = 0.5 no sample lands in it,
+    # so nothing is measured
     measured = [graph_excess_separable(AugLagrangianOuter([0.0], 10.0),
                                        EqualityIndicatorOuter(2), rho).measured_lower
                 for rho in (0.25, 0.5, 1.0, 2.0)]
-    assert math.isnan(measured[0]) and math.isnan(measured[1])
+    assert measured[0] == 0.0 and math.isnan(measured[1])
     assert 0.0 < measured[2] <= measured[3]
 
 
@@ -435,6 +436,10 @@ _EXCESS_GOLDEN = [
      "1.47648230602334"),
     # no sample lies in the 2 rho window at m = 26: not measured, not 0.0
     (lambda: (ExactPenaltyOuter(1.0, 26), EqualityIndicatorOuter(26), 1.0, 2000), "nan"),
+    # v_1 = 1 on the linear coordinate misses the window 0.5: the product
+    # graph misses it too, so the excess is exactly 0.0
+    pytest.param(lambda: (AugLagrangianOuter([0.0], 10.0), EqualityIndicatorOuter(2), 0.25, 2000),
+                 "0.0", id="graph-misses-window"),
 ]
 
 
@@ -462,8 +467,9 @@ def sampler_digest(m):
     bytes of Z and V from ``_sample_product_arrays`` in the 2 rho window
     (from m = 26 on no row lies in it), then the repr of
     ``graph_excess_measured`` to the equality indicator and to a sloped
-    squared error, both one piece per coordinate (``nan`` for an empty
-    window).
+    squared error, both one piece per coordinate (``0.0`` where a
+    coordinate's graph misses the window, ``nan`` where no sample lands in
+    it otherwise).
     """
     from test_outer import separable_members
     rng = stream(m, "sampler-golden")
@@ -485,12 +491,12 @@ def sampler_digest(m):
 
 @pytest.mark.parametrize("m, expected", [
     (1, "2cdc6790f8365a9d"),
-    (2, "d8c52942c973eb48"),
+    (2, "896d7032629dbac5"),
     (3, "6590f5388a3c72dd"),
-    (6, "d4f5e53b6901d939"),
-    (11, "9bfaddb689c48eab"),
-    (26, "06f7ba4d3b9c1eb1"),
-    (101, "df92c6024ee6bc7f"),
+    (6, "a773808c1bed8788"),
+    (11, "bace12b2d4666c39"),
+    (26, "2c2d275cd35d2b8d"),
+    (101, "b2f6b308552a801f"),
 ])
 def test_product_graph_samples_and_excesses_are_pinned(m, expected):
     assert sampler_digest(m) == expected

@@ -94,32 +94,71 @@ def _smooth_cases():
 
 
 #: iterations and sha256 over the bytes of x, y and the residual, recorded
-#: at the accelerated solver; each case ends in steps whose objective
-#: decrease is below resolution, which the curvature test sizes
+#: at the projected Newton solver, which a box and the whole space both take
 SMOOTH_DIGESTS = {
     "softplus_box_lam10":
-        (146, "5f6811848d8e63ee93775e434efe4a2adfcd69a407fe2e8cfe9692d61d181dde"),
+        (18, "2f08c17b473b2c0c6626f54540b8459910a37333158ec0be8bfa04f5a19b1645"),
     "quad_penalty_whole":
-        (30, "7365e10fa8c54bf6f34c9c4c3bc12d48fbd2cf1c30e5d853b5e4138396900ecd"),
+        (2, "0219b5837af2dd2798d20d67a3ef63429feb3bf302c66efe038a3a1e8379a3cc"),
 }
 
 #: iterations the projected-gradient solver took on the same cases
 PROJECTED_GRADIENT_ITERATIONS = {"softplus_box_lam10": 972, "quad_penalty_whole": 39}
 
+#: iterations and digest of the accelerated solver (FISTA) on the same cases
+ACCELERATED_ITERATIONS = {"softplus_box_lam10": 146, "quad_penalty_whole": 30}
+ACCELERATED_SOFTPLUS_DIGEST = "5f6811848d8e63ee93775e434efe4a2adfcd69a407fe2e8cfe9692d61d181dde"
+
+
+def _result_digest(r):
+    digest = hashlib.sha256()
+    for part in (r.x, r.y, np.float64(r.residual)):
+        digest.update(part.tobytes())
+    return digest.hexdigest()
+
 
 @pytest.mark.parametrize("name", sorted(SMOOTH_DIGESTS))
 def test_smooth_subproblem_matches_recorded_digests(name):
     r = solve_subproblem(*_smooth_cases()[name])
-    digest = hashlib.sha256()
-    for part in (r.x, r.y, np.float64(r.residual)):
-        digest.update(part.tobytes())
-    assert (r.iterations, digest.hexdigest()) == SMOOTH_DIGESTS[name]
+    assert (r.iterations, _result_digest(r)) == SMOOTH_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(SMOOTH_DIGESTS))
 def test_accelerated_solver_takes_fewer_iterations_than_projected_gradient(name):
     assert solve_subproblem(*_smooth_cases()[name]).iterations \
         < PROJECTED_GRADIENT_ITERATIONS[name]
+
+
+@pytest.mark.parametrize("name", sorted(ACCELERATED_ITERATIONS))
+def test_newton_takes_fewer_iterations_than_accelerated_gradient(name):
+    assert solve_subproblem(*_smooth_cases()[name]).iterations < ACCELERATED_ITERATIONS[name]
+
+
+def test_smooth_case_on_a_ball_keeps_the_accelerated_solver():
+    # a Ball is not a box: the solve is FISTA's, bit for bit as recorded
+    # before the Newton branch existed; the constraint is active at the end
+    X, h, c, J, x_bar, lam, tol = _smooth_cases()["softplus_box_lam10"]
+    r = solve_subproblem(Ball(np.zeros(X.n), 1.0), h, c, J, x_bar, lam, tol)
+    assert (r.iterations, _result_digest(r)) == (
+        87, "93e1b994c25caa9338bcb14fcfb8d01c7ffd2eedfe0e72efd4c041d4c2f9018a")
+
+
+class _NanCurvatureSoftplus(SoftplusGoalOuter):
+    """A curvature no Newton step survives: every trial point is NaN."""
+
+    def curvature(self, z):
+        return np.full(self.m, math.nan)
+
+
+def test_failed_newton_line_search_falls_back_to_the_accelerated_solver():
+    # the line search fails at the start P_X(x_bar), so FISTA runs from
+    # there: its recorded result, one Newton iteration later
+    X, h, c, J, x_bar, lam, tol = _smooth_cases()["softplus_box_lam10"]
+    case = (X, _NanCurvatureSoftplus(h.alpha, h.tau, h.theta), c, J, x_bar, lam, tol)
+    r = solve_subproblem(*case)
+    assert (r.iterations, _result_digest(r)) == (
+        1 + ACCELERATED_ITERATIONS["softplus_box_lam10"], ACCELERATED_SOFTPLUS_DIGEST)
+    assert _recomputed_residual(*case[:-1], r) == r.residual <= tol
 
 
 def _recomputed_residual(X, h, c, J, x_bar, lam, r):
@@ -189,12 +228,33 @@ def test_model_points_outside_dom_h_are_not_errors():
     assert outside > 0
 
 
+def test_newton_cap_reports_the_certificate_of_its_best_point():
+    X, h, c, J, x_bar, lam, tol = _smooth_cases()["softplus_box_lam10"]
+    with pytest.raises(NonconvergenceError, match="projected-Newton subproblem hit its "
+                                                  "iteration cap") as info:
+        solve_subproblem(X, h, c, J, x_bar, lam, tol, max_iter=3)
+    x, y = info.value.best, h.grad(c + J @ (info.value.best - x_bar))
+    r = epca.SubproblemResult(x, y, info.value.residual, 3)
+    assert _recomputed_residual(X, h, c, J, x_bar, lam, r) == r.residual > tol
+
+
 def test_no_step_from_the_extrapolated_point_restarts_from_x():
-    # the extrapolated point lies outside the box, its projection outside
-    # dom h, so every step from it fails; the solve restarts from x
+    # the accelerated solver (the box would take Newton): the extrapolated
+    # point lies outside the box, its projection outside dom h, so every
+    # step from it fails; the solve restarts from x
     case = _random_smooth_case("log_barrier_near_edge", 215)[:-1] + (1e-10,)
-    r = solve_subproblem(*case)
+    r = epca._solve_smooth(*case, max_iter=400_000)
     assert _recomputed_residual(*case[:-1], r) == r.residual <= 1e-10
+
+
+def _offset_case(seed, lam, offset):
+    """The quadratic-penalty case of the test below, c_1 shifted by offset."""
+    rng = stream(seed, "smooth-subproblem-offset")
+    m, n = 8, 20
+    c = rng.normal(size=m)
+    c[0] += offset
+    return (WholeSpace(n), QuadPenaltyOuter(100.0, m), c,
+            rng.normal(size=(m, n)) / n ** 0.5, rng.normal(size=n), lam, 1e-9)
 
 
 def test_smooth_solver_sizes_steps_when_values_are_unresolvable():
@@ -215,6 +275,26 @@ def test_smooth_solver_sizes_steps_when_values_are_unresolvable():
             assert _recomputed_residual(*case[:-1], r) == r.residual <= 1e-9
             total += r.iterations
     assert total <= 16_000
+
+
+@pytest.mark.parametrize("solve, offset, most", [
+    # the same 16 solves through FISTA, which the Newton branch now spares
+    # them: its curvature test sizes the steps
+    pytest.param(epca._solve_smooth, 1e9, 16_000, id="accelerated"),
+    # at 1e12 phi's differences are below resolution for most of each solve;
+    # steps the certificate ranks keep Newton going, where a line search on
+    # phi alone fails and hands thousands of iterations to FISTA
+    pytest.param(solve_subproblem, 1e12, 200, id="newton"),
+])
+def test_unresolvable_values_leave_each_solver_a_step_rule(solve, offset, most):
+    total = 0
+    for lam in (1.0, 100.0):
+        for seed in range(8):
+            case = _offset_case(seed, lam, offset)
+            r = solve(*case, max_iter=20_000)
+            assert _recomputed_residual(*case[:-1], r) == r.residual <= 1e-9
+            total += r.iterations
+    assert total <= most
 
 
 def _random_dual_case(outer, set_kind, lam, warm):

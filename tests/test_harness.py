@@ -648,7 +648,7 @@ def test_fixture_assertion_keys_are_pinned(fixture_runs, name):
 
 #: sha256 over every fixture's trace, rates and summary artifacts, in
 #: FIXTURE_ORDER; a change to the algorithm made on purpose updates it and says so
-FIXTURE_ARTIFACTS_SHA256 = "4e0e4d46951391009a20e5cfacf0798524ffdd976b68d9263ddbe2a07f734568"
+FIXTURE_ARTIFACTS_SHA256 = "6feb696a5f66e76d4a7ccaeb8e0aa8030754b7cd38de413bc7aa35789b003a84"
 
 
 def test_fixture_artifacts_byte_identical(fixture_runs):

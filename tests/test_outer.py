@@ -846,3 +846,29 @@ def test_wrappers_over_a_curved_part_are_not_separable():
         assert not h.separable
         with pytest.raises(CapabilityError):
             h.subdiff_1d(0, 0.0)
+
+
+def test_curvature_is_the_derivative_of_grad():
+    # every smooth member, and each wrapper over smooth parts, gives h''(z)
+    # elementwise: the central difference of grad, coordinate by coordinate
+    rng = stream(11, "outer-curvature")
+    smooth = [h for h in catalogue() if h.smooth] + [
+        HomotopyOuter(SoftplusGoalOuter([1.0, 0.5], [0.0, 0.3], 3.0), 0.25),
+        BlockSeparableOuter([LinearOuter([2.0]), QuadPenaltyOuter(1.0, 2)])]
+    assert len(smooth) == 8
+    step = 1e-6
+    for h in smooth:
+        for _ in range(10):
+            z = h.sample_domain_point(rng)
+            curv = h.curvature(z)
+            assert curv.shape == (h.m,) and (curv >= 0.0).all()
+            for i in range(h.m):
+                e = np.zeros(h.m)
+                e[i] = step
+                diff = (h.grad(z + e) - h.grad(z - e)) / (2.0 * step)
+                assert diff == pytest.approx(curv[i] * (np.arange(h.m) == i),
+                                             rel=1e-5, abs=1e-6), type(h).__name__
+    for h in catalogue():
+        if not h.smooth:
+            with pytest.raises(CapabilityError):
+                h.curvature(np.zeros(h.m))
