@@ -257,7 +257,7 @@ def _solve_newton(X, h, c, J, x_bar, lam, tol, max_iter, lower, upper):
         free = ~active
         JF = J[:, free]
         H = JF.T @ (h.curvature(z)[:, None] * JF)
-        H[np.diag_indices_from(H)] += 1.0 / lam
+        H.reshape(-1)[::len(H) + 1] += 1.0 / lam     # the diagonal: H is a fresh C-order product
         step = -g
         step[free] = -np.linalg.solve(H, g[free])
         decrease = -(g[free] @ step[free])

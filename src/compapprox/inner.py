@@ -32,6 +32,25 @@ the slow path of x86 floating point (tens of times slower). Entries just above
 flushed entry changes no sum with a term above about 1e-276, and no weight,
 bias, output or Jacobian row of these networks is that small. The flush is
 elementwise, so a row still does not depend on its batch.
+
+Each layer of a network pass takes its activation from one routine,
+``Activation.apply``, which computes e = exp(-theta |gamma|) once and derives
+the value, the derivative or both from it. numpy's SIMD exp leaves its fast
+path below about -708 (tens of times slower there), and at large theta most
+saturated neurons' exponents a = -theta |gamma| lie there. So entries with
+a < ``_CUT`` = -709 get e = 0.0 without calling exp (``exp(a * keep) * keep``
+with keep = a >= _CUT). This is exact: below ln(tiny) (about -708.396) e is
+subnormal or 0, so the derivative is ``tiny`` (gamma < 0) or ``1 - epsneg``
+either way, the value is gamma for gamma >= 0, and for gamma < 0 it is a
+subnormal or 0 that the flush turns into +0.0. Entries in [_CUT, ln(tiny))
+still go through exp. So the derivatives equal ``Activation.deriv`` bit for
+bit, and the flushed values equal the flushed ``Activation.value``.
+
+The passes work in one module-level scratch pool, ``_POOL``: the Jacobian
+buffers and their flush scratch, and the activation's pre-activations (which
+its values overwrite), e, derivatives and masks. It grows to the largest batch and is never
+shrunk, so a warm pass allocates nothing the size of a layer; only copies of
+the results reach callers.
 """
 
 from __future__ import annotations
@@ -44,7 +63,7 @@ import numpy as np
 from .errors import CapabilityError
 from .geometry import WholeSpace, _as_rows, as_count, finite_array, finite_theta
 from .outer import (BlockSeparableOuter, EqualityIndicatorOuter, OuterFunction,
-                    softplus, softplus_grad)
+                    _BELOW_ONE, _TINY, softplus, softplus_grad)
 from .rng import stream
 
 #: a piece k counts as active when g_k(x) <= min_j g_j(x) + ACTIVITY_TOL
@@ -345,6 +364,11 @@ def resample(F: SampleAverageMapping, new_count: int, seed: int) -> SampleAverag
 # feed-forward networks
 
 
+#: a softplus entry whose exponent -theta |gamma| lies below this never reaches
+#: exp: its exponential is below tiny, and e = 0.0 stands in for it
+_CUT = -709.0
+
+
 class Activation:
     """Scalar activation applied componentwise; relu or softplus(theta)."""
 
@@ -357,6 +381,10 @@ class Activation:
             theta = float(theta)
         self.kind = kind
         self.theta = theta
+        # apply's operands as 0-d arrays: numpy converts a Python float operand
+        # on every call, which a one-point pass pays per layer
+        self._operands = [np.array(c) for c in (
+            (0.0, 1.0, _CUT, _TINY, _BELOW_ONE, -theta, theta) if kind == "softplus" else (0.0,))]
 
     @property
     def smooth(self):
@@ -372,6 +400,38 @@ class Activation:
         if self.kind == "relu":
             return np.where(np.asarray(gamma, dtype=float) > 0.0, 1.0, 0.0)
         return softplus_grad(self.theta, gamma)
+
+    def apply(self, g, e, keep, d=None, scratch=None, value=True):
+        """The network passes' activation, in place: derivatives into d when d is
+        given, then values over g when ``value``.
+
+        g, e, d and scratch are float arrays of one shape, keep a bool array of
+        it; e, keep and scratch are overwritten. Softplus takes e =
+        exp(-theta |g|) once and derives both from it. Entries whose exponent
+        lies below ``_CUT`` never reach exp, whose slow path starts near -708:
+        e = 0.0 stands in for their exponential, which is below tiny. So d is
+        ``deriv(g)`` bit for bit, and g becomes ``value(g)`` bit for bit after
+        ``_flush``. NaN propagates; an infinite g gives NaN.
+        """
+        if self.kind == "relu":
+            if d is not None:
+                np.greater(g, self._operands[0], out=d)
+            if value:
+                np.maximum(self._operands[0], g, out=g)
+            return
+        zero, one, cut, tiny, below_one, neg_theta, theta = self._operands
+        np.multiply(np.abs(g, out=e), neg_theta, out=e)
+        np.greater_equal(e, cut, out=keep)
+        np.multiply(np.exp(np.multiply(e, keep, out=e), out=e), keep, out=e)
+        if d is not None:
+            # np.where(g >= 0, 1.0, e) / (1.0 + e), clamped into (0, 1)
+            np.maximum(e, np.greater_equal(g, zero, out=keep), out=d)
+            np.divide(d, np.add(e, one, out=scratch), out=d)
+            np.minimum(np.maximum(d, tiny, out=d), below_one, out=d)
+        if value:
+            # np.maximum(0.0, g) + np.log1p(e) / theta
+            np.divide(np.log1p(e, out=e), theta, out=e)
+            np.add(np.maximum(zero, g, out=g), e, out=g)
 
     def deriv_options(self, gamma: float):
         """All cluster-point derivative values at a scalar pre-activation."""
@@ -410,20 +470,28 @@ def _flush(a, scratch=None, mask=None):
     return a
 
 
-#: the network Jacobian kernel's scratch, one float buffer, empty at import: two
-#: ping-pong Jacobian buffers, a flush scratch and a bool mask of N * width * n
-#: entries each, grown to the largest batch asked for and never shrunk. Callers
-#: get copies only, so no result shares memory with it or with another result.
-#: One pool per process: the kernel must not run in two threads at once.
+#: the network passes' scratch, one float buffer, empty at import. Jacobian
+#: part: two ping-pong Jacobian buffers, a flush scratch and a bool mask of
+#: N * width * n entries each. Activation part: two ping-pong pre-activation
+#: buffers (a layer's values overwrite its pre-activations and feed the next
+#: layer), e, the derivatives and a bool mask, of N * width entries each. Each
+#: part grows to the largest batch asked for and is never shrunk. Callers get
+#: copies only, so no result shares memory with it or with another result. One
+#: pool per process: the passes must not run in two threads at once.
 _POOL = []
 
 
-def _pool(size):
-    """The pool's four parts, ``size`` entries each (a bool view for the mask)."""
-    if not _POOL or _POOL[0].size < size:
-        buf = np.empty(3 * size + size // 8 + 1)
-        _POOL[:] = [buf[k * size:(k + 1) * size] for k in range(3)] + [
-            buf[3 * size:].view(bool)[:size]]
+def _pool(jac, act):
+    """The pool's nine parts: the Jacobian part's four of ``jac`` entries, then
+    the activation part's five of ``act`` (bool views for the two masks)."""
+    have = (_POOL[0].size, _POOL[4].size) if _POOL else (0, 0)
+    if jac > have[0] or act > have[1]:
+        jac, act = max(jac, have[0]), max(act, have[1])
+        buf = np.empty(3 * jac + 4 * act + (jac + act) // 8 + 2)
+        ends = np.cumsum([0] + [jac] * 3 + [act] * 4).tolist()
+        floats = [buf[lo:hi] for lo, hi in zip(ends, ends[1:])]
+        mask = buf[ends[-1]:].view(bool)
+        _POOL[:] = floats[:3] + [mask[:jac]] + floats[3:] + [mask[jac:jac + act]]
     return _POOL
 
 
@@ -449,53 +517,62 @@ class NetworkForwardMapping(InnerMapping):
         self._width = max(len(A) for layers in self.networks for A, _ in layers)
         self.smooth = activation.smooth
 
-    def eval_batch(self, P):
-        P = self._check_batch(P)
-        outs = []
-        for layers in self.networks:
-            H = P[:, :, None]                    # (N, width, 1): one column per point
-            for A, b in layers:
-                H = _flush(self.activation.value(A @ H + b[:, None]))
-            outs.append(H[:, :, 0])
-        return np.concatenate(outs, axis=1)
+    def _pass(self, P, values, jacobian):
+        """One forward pass: values (N, m) if asked for, else None, and J
+        (N, m, n) if asked for, else None.
 
-    def _kernel(self, P):
-        """Per network the last layer's pre-activations (N, nq, 1); J (N, m, n).
-
-        The Jacobian products run in the pooled scratch; J is a copy out of it.
+        Each layer runs in the pooled scratch, and the results are copies out
+        of it. A pass without values skips the last layer's activation value.
         """
         N, n = len(P), self.n
-        J = np.empty((N, self.m, n))
-        *buffers, scratch, mask = _pool(N * self._width * n)
-        pres = []
+        J0, J1, scratch, mask, pre0, pre1, e_all, d_all, keep_all = _pool(
+            N * self._width * n if jacobian else 0, N * self._width)
+        out_values = np.empty((N, self.m)) if values else None
+        out_J = np.empty((N, self.m, n)) if jacobian else None
         for i, layers in enumerate(self.networks):
-            H, G = P[:, :, None], np.eye(n)
+            H = P[:, :, None]                    # (N, width, 1): one column per point
             for k, (A, b) in enumerate(layers):
-                pre = A @ H + b[:, None]
-                flat = buffers[k % 2][:N * len(A) * n]
-                out = flat.reshape(N, len(A), n)
-                # a stacked A @ G: one matrix product per point (layer 1: A @ eye(n))
-                np.multiply(self.activation.deriv(pre),
-                            np.matmul(A, G, out=out) if k else A @ G, out=out)
-                G = out
-                _flush(flat, scratch[:flat.size], mask[:flat.size])
-                if k + 1 < len(layers):
-                    H = _flush(self.activation.value(pre))
-            J[:, i * self.nq:(i + 1) * self.nq] = G
-            pres.append(pre)
-        return pres, J
+                size = N * len(A)
+                g, e, keep = (pre1 if k % 2 else pre0)[:size], e_all[:size], keep_all[:size]
+                pre = np.matmul(A, H, out=g.reshape(N, len(A), 1))
+                np.add(pre, b[:, None], out=pre)
+                value = values or k + 1 < len(layers)
+                if jacobian:
+                    # scratch: the other pre-activation buffer, whose H the product consumed
+                    d = d_all[:size]
+                    self.activation.apply(g, e, keep, d, (pre0 if k % 2 else pre1)[:size], value)
+                    flat = (J1 if k % 2 else J0)[:size * n]
+                    out = flat.reshape(N, len(A), n)
+                    # a stacked A @ G: one matrix product per point (layer 1: A @ eye(n))
+                    np.multiply(d.reshape(N, len(A), 1),
+                                np.matmul(A, G, out=out) if k else A @ np.eye(n), out=out)
+                    G = out
+                    _flush(flat, scratch[:flat.size], mask[:flat.size])
+                else:
+                    self.activation.apply(g, e, keep)
+                if value:
+                    _flush(g, e, keep)
+                    H = pre
+            cols = slice(i * self.nq, (i + 1) * self.nq)
+            if values:
+                out_values[:, cols] = H[:, :, 0]
+            if jacobian:
+                out_J[:, cols] = G
+        return out_values, out_J
+
+    def eval_batch(self, P):
+        """Values from one pass that forms no Jacobian; not thread-safe."""
+        return self._pass(self._check_batch(P), True, False)[0]
 
     def linearize_batch(self, P):
-        """One kernel pass. Not thread-safe: the kernel's scratch pool is one per
+        """Values and J from one pass. Not thread-safe: the scratch pool is one per
         process and keeps the largest batch's size until the process exits."""
-        pres, J = self._kernel(self._check_batch(P))
-        values = np.concatenate([_flush(self.activation.value(pre))[:, :, 0] for pre in pres],
-                                axis=1)
+        values, J = self._pass(self._check_batch(P), True, True)
         return values, J, np.zeros(J.shape[:2], dtype=bool)
 
     def jacobian_batch(self, P):
-        """(J, multi) from one kernel pass, skipping the last activation; not thread-safe."""
-        J = self._kernel(self._check_batch(P))[1]
+        """(J, multi) from one pass, skipping the last activation value; not thread-safe."""
+        J = self._pass(self._check_batch(P), False, True)[1]
         return J, np.zeros(J.shape[:2], dtype=bool)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -475,3 +476,59 @@ def test_network_kernel_pool_keeps_no_state(monkeypatch):
         monkeypatch.setattr(inner, "_POOL", [])
         arrays = [*F.linearize_batch(P), *F.jacobian_batch(P)]
         assert [a.tobytes() for a in arrays] == expected
+
+
+# exponents -theta |gamma| around exp's slow path (near -708), ln(tiny) (about
+# -708.396), the cut at -709, the last subnormal (about -745.13) and 0.0 (-746)
+_UNDERFLOW_EXPONENTS = [700.0, 708.0, -math.log(np.finfo(float).tiny), 709.0, 745.13, 746.0]
+
+
+def _underflow_arguments(theta):
+    """Pre-activations gamma with theta |gamma| at and one ulp around each boundary,
+    both signs, +-0.0, NaN, and a dense sweep of theta |gamma| over [0, 800]."""
+    ts = np.array(_UNDERFLOW_EXPONENTS)
+    ts = np.concatenate([ts, np.nextafter(ts, 0.0), np.nextafter(ts, np.inf),
+                         np.linspace(0.0, 800.0, 100_001)])
+    g = ts / theta
+    return np.concatenate([g, -g, [0.0, -0.0, math.nan]])
+
+
+@pytest.mark.parametrize("kind, theta", [("softplus", 4.0), ("softplus", 512.0),
+                                         ("softplus", 2048.0), ("relu", None)])
+def test_activation_apply_matches_the_reference_bits_at_underflow(kind, theta):
+    act = Activation(kind, theta)
+    g = _underflow_arguments(theta or 4.0)
+    ref_deriv = act.deriv(g).tobytes()
+    ref_value = _flush(act.value(g)).tobytes()
+    e, d, scratch, keep = np.empty_like(g), np.empty_like(g), np.empty_like(g), g > 0
+    both, deriv_only, value_only = g.copy(), g.copy(), g.copy()
+    act.apply(both, e, keep, d, scratch)
+    assert d.tobytes() == ref_deriv
+    assert _flush(both).tobytes() == ref_value
+    d[:] = math.nan
+    act.apply(deriv_only, e, keep, d, scratch, value=False)
+    assert d.tobytes() == ref_deriv and deriv_only.tobytes() == g.tobytes()
+    act.apply(value_only, e, keep)
+    assert _flush(value_only).tobytes() == ref_value
+
+
+def test_warm_network_passes_allocate_no_activation_sized_temporaries():
+    # network_scaled's middle net at its last theta: every temporary of a
+    # layer's activation, (N, width) floats, lives in the pool once it is warm.
+    # What numpy still allocates does not grow with N: its casting buffers
+    # (8,192 entries each, for the bool mask's operands) and the first layer's
+    # A @ eye(n).
+    F = NetworkForwardMapping([_net(stream(17, "alloc-net"), (3, 128, 128, 3))],
+                              Activation("softplus", 2048.0))
+    P = 2.0 * _halton_unit(3, 261) - 1.0
+    one_layer = P.shape[0] * 128 * 8
+    for call in (F.linearize_batch, F.eval_batch, F.jacobian_batch):
+        call(P)
+        tracemalloc.start()
+        try:
+            out = call(P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for a in (out if isinstance(out, tuple) else (out,)))
+        assert peak - returned < one_layer, call.__name__
