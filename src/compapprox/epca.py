@@ -43,6 +43,18 @@ below floating-point resolution. Otherwise, where the subproblem is strongly
 convex and its dual smooth, FISTA with gradient restart on the dual, driven by
 h's prox through the Moreau identity (Beck and Teboulle's fast dual proximal
 gradient). Every branch certifies at the point it returns.
+
+The dual iterates approach the kinks of a piecewise-linear h without landing
+on them; the certificate's KINK_TOL slack accepts such points, but their model
+values carry the offset, and Step 3 would compare it. So, for a kink-table h
+over a box or the whole space, a certificate check of the dual that fails, or
+passes only through that slack, also solves the subproblem exactly on the
+face its point identifies: rows at a kink stay there, coordinates on a bound
+stay there, and one linear system gives the rest (the solution polishing of
+OSQP, Stellato et al., Math. Program. Comput. 2020, which rests on the
+identification property of prox-linear methods, Hare and Lewis, J. Convex
+Anal. 2004). The polished point is returned when the dual's own certificate
+certifies it, so what is certified is unchanged.
 """
 
 from __future__ import annotations
@@ -252,7 +264,7 @@ def _solve_newton(X, h, c, J, x_bar, lam, tol, max_iter, lower, upper):
         if it == max_iter:
             raise NonconvergenceError("projected-Newton subproblem hit its iteration cap",
                                       best=x, residual=cert)
-        eps = min(1e-3, cert)
+        eps = _identification_window(cert)
         active = ((x <= lower + eps) & (g > 0.0)) | ((x >= upper - eps) & (g < 0.0))
         free = ~active
         JF = J[:, free]
@@ -286,8 +298,31 @@ def _spectral_norm(shape, data: bytes) -> float:
     return float(np.linalg.norm(np.frombuffer(data).reshape(shape), 2))
 
 
+def _identification_window(cert):
+    """How near a bound or kink a point with this certificate counts as on it."""
+    return min(1e-3, cert)
+
+
+def _dual_certificate(X, h, c, J, x_bar, lam, x, y):
+    """The dual loop's certificate at (x, y), and the model point z of x it read.
+
+    The certificate is the max of the normal-cone residual of
+    -(J'y + (x - x_bar)/lam) at x and the distance of y to dh(z).
+    """
+    z = _model_point(c, J, x, x_bar)
+    r_cone = normal_cone_residual(X, x, -(J.T @ y + (x - x_bar) / lam))
+    r_sub, _ = h.subdiff_distance(y, z, KINK_TOL)
+    return max(r_cone, r_sub), z
+
+
+def _leans_on_slack(h, z):
+    """Some z_i lies within KINK_TOL of a kink with left(k) < right(k), but not on it."""
+    gap = np.abs(z - h._table[0])
+    return bool(((gap > 0.0) & (gap <= KINK_TOL) & (h._at_kink[0] < h._at_kink[1])).any())
+
+
 def _solve_dual(X, h, c, J, x_bar, lam, tol, max_iter, y0=None):
-    """Accelerated proximal gradient (FISTA) on the dual, with gradient restart.
+    """Accelerated proximal gradient (FISTA) on the dual, with gradient restart and a face polish.
 
     At finite lam the subproblem is strongly convex, so its dual
     min_y h*(y) + D(y) has a smooth part D: the primal point of y is
@@ -301,9 +336,16 @@ def _solve_dual(X, h, c, J, x_bar, lam, tol, max_iter, y0=None):
     certificate is computed at (x(y), y): the max of the normal-cone residual
     of -(J'y + (x - x_bar)/lam) at x and the distance of y to dh at the model
     point.
+
+    On a kink-table h over a box or the whole space, a check whose
+    certificate fails, or holds only because some z_i within KINK_TOL of a
+    kink is not on it, also solves the subproblem exactly on the face x(y)
+    identifies (``_face_polish``). That point is returned, ahead of (x(y), y),
+    when the same certificate certifies it: the guarantee is the loop's own.
     """
     L = _spectral_norm(J.shape, J.tobytes())
     t = 1.0 / (lam * L * L) if L > 0 else 1.0
+    bounds = X.bounds() if h._table is not None else None
 
     def primal(yy):
         return X.project(x_bar - lam * (J.T @ yy))
@@ -321,15 +363,65 @@ def _solve_dual(X, h, c, J, x_bar, lam, tol, max_iter, y0=None):
         theta = 1.0 if restart else theta_next
         if it % 10 == 0 or it == max_iter:
             x = primal(y)
-            r_cone = normal_cone_residual(X, x, -(J.T @ y + (x - x_bar) / lam))
-            r_sub, _ = h.subdiff_distance(y, _model_point(c, J, x, x_bar), KINK_TOL)
-            cert = max(r_cone, r_sub)
+            cert, z = _dual_certificate(X, h, c, J, x_bar, lam, x, y)
             if cert < best[0]:
                 best = (cert, x, y)
+            if bounds is not None and (cert > tol or _leans_on_slack(h, z)):
+                polished = _face_polish(h, c, J, x_bar, lam, x, z, cert, *bounds)
+                if polished is not None:
+                    cert_polished, _ = _dual_certificate(X, h, c, J, x_bar, lam, *polished)
+                    if cert_polished <= tol:
+                        return SubproblemResult(*polished, cert_polished, it)
             if cert <= tol:
                 return SubproblemResult(x, y, cert, it)
     raise NonconvergenceError("dual accelerated subproblem hit its iteration cap",
                               best=best[1], residual=best[0])
+
+
+def _face_polish(h, c, J, x_bar, lam, x, z, cert, lower, upper):
+    """(x, y) solving the subproblem exactly on the face x identifies, or None.
+
+    With z the model point of x, a row K with z_K within
+    max(KINK_TOL, min(1e-3, cert)) of a kink with left(k) < right(k) is
+    pinned there; every other row N keeps its branch, whose slope must be 0,
+    with gradient g_N = a. Coordinates on a bound (A) stay there; the free
+    ones F minimize the now quadratic subproblem under
+    J_K(x - x_bar) = k_K - c_K: with q = J_NF' g_N and
+    r = k_K - c_K - J_KA (x - x_bar)_A, the multipliers solve
+    (J_KF J_KF') mu = -(r/lam + J_KF q), x_F = x_bar_F - lam (q + J_KF' mu),
+    y_N = g_N and y_K = mu. Free coordinates that leave the box are clamped
+    onto their bounds and join A, for up to 4 solves. None when a branch is
+    sloped or outside dom h, J_KF J_KF' is singular, or x_F still leaves.
+    """
+    k, a_left, b_left, a_right, b_right = h._table
+    left_k, right_k = h._at_kink
+    kink = (np.abs(z - k) <= max(KINK_TOL, _identification_window(cert))) & (left_k < right_k)
+    right = z > k
+    g = np.where(right, a_right, a_left)[~kink]
+    if np.where(right, b_right, b_left)[~kink].any() or not np.isfinite(g).all():
+        return None
+    JK, JN = J[kink], J[~kink]
+    active = (x <= lower) | (x >= upper)    # x = x(y) is a projection: exactly on its bounds
+    x = x.copy()
+    for _ in range(4):
+        free = ~active
+        JKF = JK[:, free]
+        q = JN[:, free].T @ g
+        r = k[kink] - c[kink] - JK[:, active] @ (x - x_bar)[active]
+        try:
+            mu = np.linalg.solve(JKF @ JKF.T, -(r / lam + JKF @ q))
+        except np.linalg.LinAlgError:
+            return None
+        x_free = x_bar[free] - lam * (q + JKF.T @ mu)
+        lo, hi = lower[free], upper[free]
+        out = (x_free < lo) | (x_free > hi)
+        x[free] = np.clip(x_free, lo, hi)
+        if not out.any():
+            y = np.empty(len(z))
+            y[kink], y[~kink] = mu, g
+            return x, y
+        active[np.flatnonzero(free)[out]] = True
+    return None
 
 
 def solve_subproblem(X: ClosedSet, h: OuterFunction, c, J, x_bar, lam: float,
@@ -474,7 +566,7 @@ def run_epca(stages, config: EpcaConfig) -> EpcaTrace:
             # F, its Jacobian selection and h(F(.)) at x_bar, carried over from
             # x_star or the extrapolated point, whichever becomes the next x_bar
             c = stage.F.eval(x_bar)
-            J = stage.F.jacobian(x_bar).matrix
+            J = _jacobian(stage.F, x_bar)
             v = stage.h.value(c)
             obj_path = [v]
             inner = 0
@@ -508,7 +600,7 @@ def run_epca(stages, config: EpcaConfig) -> EpcaTrace:
                 v_star = stage.h.value(c_star)
                 if sufficient_decrease_test(v, v_star, stage.h.value(z_bar), config.sigma):
                     lam_next = min(config.tau * lam, config.lam_bar)
-                    J_star = stage.F.jacobian(x_star).matrix
+                    J_star = _jacobian(stage.F, x_star)
                     u, w = step5_residuals(c_star, J, J_star, x_bar, x_star, z_bar, y_star, lam)
                     u_norm, w_norm = float(np.linalg.norm(u)), float(np.linalg.norm(w))
                     obj_path.append(v_star)
@@ -530,7 +622,7 @@ def run_epca(stages, config: EpcaConfig) -> EpcaTrace:
                         # safeguard: no worse than x_star, which also keeps a
                         # point outside dom h (value inf) or a NaN out
                         if v_ext <= v_star:
-                            x_bar, c, J, v = x_ext, c_ext, stage.F.jacobian(x_ext).matrix, v_ext
+                            x_bar, c, J, v = x_ext, c_ext, _jacobian(stage.F, x_ext), v_ext
                         else:
                             k = 0
                     x_acc = x_star
@@ -551,6 +643,11 @@ def run_epca(stages, config: EpcaConfig) -> EpcaTrace:
                 f"{type(err).__name__} at outer index {nu}: {err}",
                 best=x_bar, partial_trace=trace) from err
     return trace
+
+
+def _jacobian(F, x):
+    """``F.jacobian(x).matrix`` without the report: the batch's read-only row, bit for bit."""
+    return F.jacobian_batch(x[None])[0][0]
 
 
 def _solve_stage_subproblem(nu, stage, c, J, x_bar, lam, tol, y0):
