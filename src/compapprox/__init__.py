@@ -11,8 +11,7 @@ from .epca import (EpcaConfig, EpcaTrace, Stage, run_epca, solve_affine_composit
                    solve_subproblem)
 from .errors import (CapabilityError, CertificationError, ConfigError,
                      EvaluationError, NonconvergenceError)
-from .geometry import (Ball, Box, ClosedSet, HalfspaceIntersection, WholeSpace,
-                       normal_cone_residual)
+from .geometry import Ball, Box, ClosedSet, WholeSpace, normal_cone_residual
 from .inner import (Activation, AffineMapping, InnerMapping, MinSmoothMapping,
                     NetworkForwardMapping, NetworkLiftMapping,
                     QuadraticArrayMapping, SampleAverageMapping,

@@ -1,9 +1,9 @@
 """Closed convex sets with exact projections, and small convex-hull primitives.
 
 Every set here is nonempty, closed and convex; projections are Euclidean.
-The module-wide geometric tolerance is ``GEOM_TOL`` (1e-10): membership tests,
-the halfspace projection stopping rule and normal-cone preconditions all use it
-so that downstream error accounting has a single constant to track.
+The module-wide geometric tolerance is ``GEOM_TOL`` (1e-10): membership tests
+and normal-cone preconditions both use it so that downstream error accounting
+has a single constant to track.
 """
 
 from __future__ import annotations
@@ -14,9 +14,6 @@ import math
 import numpy as np
 
 GEOM_TOL = 1e-10
-
-#: Dykstra sweeps before the halfspace projection gives up
-_MAX_SWEEPS = 100_000
 
 _MAX_HULL_POINTS_EXACT = 10
 
@@ -73,9 +70,6 @@ class ClosedSet:
     """Base class: a nonempty closed convex subset of R^n."""
 
     n: int
-    #: True when the projection is closed form (box/ball/whole space); the
-    #: halfspace intersection projects iteratively to GEOM_TOL instead
-    exact_projection: bool = True
 
     def project(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -172,85 +166,6 @@ class Ball(ClosedSet):
 
     def __repr__(self):
         return f"Ball({self.center.tolist()}, {self.radius})"
-
-
-class HalfspaceIntersection(ClosedSet):
-    """Intersection of halfspaces a_j . x <= b_j.
-
-    Nonemptiness is verified at construction by a Chebyshev-center LP.
-    Projection runs Dykstra's cyclic scheme to tolerance GEOM_TOL; each
-    halfspace projection is closed form, and for convex sets Dykstra
-    converges to the exact Euclidean projection.
-    """
-
-    exact_projection = False
-
-    def __init__(self, normals, offsets):
-        self.normals = np.atleast_2d(np.asarray(normals, dtype=float))
-        self.offsets = np.asarray(offsets, dtype=float)
-        if self.normals.shape[0] != self.offsets.size:
-            raise ValueError("number of normals and offsets differ")
-        norms = np.linalg.norm(self.normals, axis=1)
-        if np.any(norms == 0.0):
-            raise ValueError("zero normal vector")
-        self.n = self.normals.shape[1]
-        self._sqnorms = norms**2
-        if not self._feasible():
-            raise ValueError("empty halfspace intersection")
-
-    def _feasible(self) -> bool:
-        # Chebyshev center: max r s.t. a_j.x + r ||a_j|| <= b_j, r >= 0.
-        from scipy.optimize import linprog  # local: keeps scipy off the import path
-        k, n = self.normals.shape
-        c = np.zeros(n + 1)
-        c[-1] = -1.0
-        A = np.hstack([self.normals, np.sqrt(self._sqnorms)[:, None]])
-        bounds = [(None, None)] * n + [(0.0, 1.0)]
-        res = linprog(c, A_ub=A, b_ub=self.offsets, bounds=bounds, method="highs")
-        return bool(res.status == 0)
-
-    def _violation(self, x):
-        return float(np.max(self.normals @ x - self.offsets, initial=0.0))
-
-    def project(self, x):
-        x = _as_vector(x, self.n)
-        if self._violation(x) <= GEOM_TOL:
-            return x
-        k = self.normals.shape[0]
-        y = x.copy()
-        corr = np.zeros((k, self.n))
-        for _ in range(_MAX_SWEEPS):
-            sweep_change = 0.0
-            for j in range(k):
-                v = y + corr[j]
-                gap = float(self.normals[j] @ v - self.offsets[j])
-                if gap > 0.0:
-                    y_new = v - (gap / self._sqnorms[j]) * self.normals[j]
-                else:
-                    y_new = v
-                corr[j] = v - y_new
-                sweep_change = max(sweep_change, float(np.linalg.norm(y_new - y)))
-                y = y_new
-            if sweep_change <= 0.1 * GEOM_TOL and self._violation(y) <= GEOM_TOL:
-                return y
-        raise RuntimeError("Dykstra projection did not reach tolerance")
-
-    def is_bounded(self):
-        # Bounded iff every direction is cut off: max d.x over the set is finite
-        # for d = +-e_i. One LP per direction; fine at the sizes used here.
-        from scipy.optimize import linprog
-        for i in range(self.n):
-            for sign in (1.0, -1.0):
-                c = np.zeros(self.n)
-                c[i] = -sign
-                res = linprog(c, A_ub=self.normals, b_ub=self.offsets,
-                              bounds=[(None, None)] * self.n, method="highs")
-                if res.status == 3:  # unbounded
-                    return False
-        return True
-
-    def __repr__(self):
-        return f"HalfspaceIntersection({self.normals.shape[0]} halfspaces, n={self.n})"
 
 
 def normal_cone_residual(closed_set: ClosedSet, x, w) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..epca import EpcaConfig
 from ..errors import ConfigError
-from ..geometry import Ball, Box, ClosedSet, HalfspaceIntersection, WholeSpace
+from ..geometry import Ball, Box, ClosedSet, WholeSpace
 from ..inner import (Activation, AffineMapping, InnerMapping, MinSmoothMapping,
                      NetworkForwardMapping, QuadraticArrayMapping,
                      SampleAverageMapping)
@@ -93,7 +93,6 @@ SETS = {
     "whole": lambda s: WholeSpace(s["n"]),
     "box": lambda s: Box(s["lower"], s["upper"]),
     "ball": lambda s: Ball(s["center"], s["radius"]),
-    "halfspaces": lambda s: HalfspaceIntersection(s["normals"], s["offsets"]),
 }
 OUTERS = {
     "goal": lambda s: GoalOuter(s["alpha"], s["tau"]),

@@ -11,15 +11,17 @@ form the convex hull.
 
 ``eval_batch`` and ``jacobian_batch`` evaluate at the rows of a point array;
 ``linearize_batch`` returns both, by default by calling the two. Each primitive
-has one implementation: the affine, sample-average, network (one forward pass,
-whose Jacobian kernel serves both batch calls; only ``linearize_batch`` applies
-the last layer's activation) and min-smooth mappings define the batch calls,
-and their one-point ``eval``/``jacobian`` are the one-row case (the exact
-min-smooth report also lists every active piece's gradient). The
-quadratic-array and lifted-network mappings define the one-point calls, and the
-batch calls loop over them. Batch code keeps one matrix-vector product per point
-(a stacked ``A @ P[:, :, None]``), so a row does not depend on the other rows of
-its batch: a single matrix product ``P @ A.T`` rounds differently.
+has one implementation: the affine, quadratic-array, sample-average, network
+(one forward pass, whose Jacobian kernel serves both batch calls; only
+``linearize_batch`` applies the last layer's activation) and min-smooth
+mappings define the batch calls, and their one-point ``eval``/``jacobian`` are
+the one-row case (the exact min-smooth report also lists every active piece's
+gradient). The lifted-network mapping defines the one-point calls, and its
+batch calls loop over them. The quadratic kernels take a component's pieces
+stacked, in one product per row and piece.
+Batch code keeps one matrix-vector product per point (a stacked
+``A @ P[:, :, None]``), so a row does not depend on the other rows of its
+batch: a single matrix product ``P @ A.T`` rounds differently.
 
 The network kernels flush tiny values to zero. After each layer, every
 nonzero entry of the layer output and of the Jacobian below ``_FLUSH`` =
@@ -178,26 +180,18 @@ class QuadraticArrayMapping(InnerMapping):
     """Component functions f_i(x) = x'Q_i x / 2 + q_i'x + c_i."""
 
     def __init__(self, components):
-        self.components = []
-        n = None
-        for piece in components:
-            Q, q, c = _quadratic(*piece)
-            if n is None:
-                n = q.size
-            elif n != q.size:
-                raise ValueError("components have inconsistent dimension")
-            self.components.append((Q, q, c))
-        self.n = n
-        self.m = len(self.components)
+        pieces = [_quadratic(*piece) for piece in components]
+        if len({q.size for _, q, _ in pieces}) != 1:
+            raise ValueError("components must be nonempty and of one dimension")
+        self.quadratics = _stacked(pieces)
+        self.m, self.n = self.quadratics[1].shape
 
-    def eval(self, x):
-        x = self._check(x)
-        return np.array([0.5 * x @ Q @ x + q @ x + c for Q, q, c in self.components])
+    def eval_batch(self, P):
+        return _quad_values(self.quadratics, self._check_batch(P))
 
-    def jacobian(self, x):
-        x = self._check(x)
-        J = np.vstack([Q @ x + q for Q, q, _ in self.components])
-        return JacobianReport(J, True, [[row] for row in J])
+    def jacobian_batch(self, P):
+        P = self._check_batch(P)
+        return _quad_grads(self.quadratics, P), np.zeros((len(P), self.m), dtype=bool)
 
 
 def _quadratic(Q, q, c):
@@ -210,19 +204,33 @@ def _quadratic(Q, q, c):
     c = float(c)
     if not math.isfinite(c):
         raise ValueError("c must be finite")
-    if Q.shape[0] != Q.shape[1] or Q.shape[0] != q.size:
+    if q.ndim != 1 or Q.shape != (q.size, q.size):
         raise ValueError("component dimensions disagree")
     if not np.allclose(Q, Q.T, atol=1e-12):
         raise ValueError("Q must be symmetric")
     return Q, q, c
 
 
-def _quad_values_grads(piece, P):
-    """x'Qx/2 + q'x + c and its gradient Qx + q at every row of P: (N,), (N, n)."""
-    Q, q, c = piece
-    X = P[:, :, None]
-    values = (((0.5 * P)[:, None, :] @ Q) @ X + q[None, None, :] @ X)[:, 0, 0] + c
-    return values, _matvec(Q, P) + q
+def _stacked(pieces):
+    """Validated pieces (Q_k, q_k, c_k), at least one, as arrays (K, n, n), (K, n), (K,)."""
+    Q, q, c = zip(*pieces)
+    return np.stack(Q), np.stack(q), np.array(c)
+
+
+def _quad_values(quadratics, P):
+    """x'Q_k x/2 + q_k'x + c_k of the stacked pieces k at every row of P: (N, K).
+
+    Per row and piece the products of the one-point form, so the same rounding.
+    """
+    Q, q, c = quadratics
+    X = P[:, None, :, None]
+    return (((0.5 * P)[:, None, None, :] @ Q) @ X + q[:, None, :] @ X)[:, :, 0, 0] + c
+
+
+def _quad_grads(quadratics, P):
+    """Gradients Q_k x + q_k of the stacked pieces k at every row of P: (N, K, n)."""
+    Q, q, _ = quadratics
+    return (Q @ P[:, None, :, None])[..., 0] + q
 
 
 class MinSmoothMapping(InnerMapping):
@@ -236,23 +244,14 @@ class MinSmoothMapping(InnerMapping):
 
     def __init__(self, components, theta=None):
         # components: per output, a list of quadratic pieces (Q, q, c)
-        self.pieces = []
-        n = None
-        for plist in components:
-            rows = []
-            for piece in plist:
-                Q, q, c = _quadratic(*piece)
-                if n is None:
-                    n = q.size
-                if q.shape != (n,):
-                    raise ValueError("piece dimensions disagree")
-                rows.append((Q, q, c))
-            if not rows:
-                raise ValueError("each component needs at least one piece")
-            self.pieces.append(rows)
+        self.pieces = [[_quadratic(*piece) for piece in plist] for plist in components]
+        if not self.pieces or not all(self.pieces):
+            raise ValueError("min_smooth needs components, each with at least one piece")
+        if len({q.size for plist in self.pieces for _, q, _ in plist}) != 1:
+            raise ValueError("piece dimensions disagree")
+        self.quadratics = [_stacked(plist) for plist in self.pieces]
         self.theta = None if theta is None else finite_theta(theta, positive=True)
-        self.n = n
-        self.m = len(self.pieces)
+        self.m, self.n = len(self.pieces), self.pieces[0][0][1].size
         self.smooth = self.theta is not None
 
     def with_theta(self, theta):
@@ -263,10 +262,9 @@ class MinSmoothMapping(InnerMapping):
 
     def _pieces_batch(self, P):
         """Per component: piece values (N, K), gradients (N, K, n), row minima (N,)."""
-        for plist in self.pieces:
-            vg = [_quad_values_grads(p, P) for p in plist]
-            vals = np.stack([v for v, _ in vg], axis=1)
-            yield vals, np.stack([g for _, g in vg], axis=1), np.min(vals, axis=1)
+        for quadratics in self.quadratics:
+            vals = _quad_values(quadratics, P)
+            yield vals, _quad_grads(quadratics, P), np.min(vals, axis=1)
 
     def eval_batch(self, P):
         P = self._check_batch(P)

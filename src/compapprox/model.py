@@ -71,8 +71,10 @@ class ResidualTriple:
     """Blockwise distance of a triple from 0 in S(x,y,z).
 
     ``w_dist`` is the projection surrogate ||x - proj_X(x - dF(x)'y)||; it
-    vanishes exactly when the normal-cone inclusion holds. Flags mark which
-    blocks are exact rather than certified upper bounds.
+    vanishes exactly when the normal-cone inclusion holds. Every set projects
+    in closed form, so a flag is False only where its block is an upper bound:
+    ``v_exact`` for a dh(z) of more generators than the exact hull scan takes,
+    ``w_exact`` for a nonsmooth F (the best vertex selection stands for the hull).
     """
 
     u_norm: float
@@ -139,6 +141,5 @@ def stationarity_residual(problem: CompositeProblem,
     report = problem.F.jacobian(x)
     dirs, exhaustive = _selection_directions(report, y)
     w_dist = min(normal_cone_residual(problem.X, x, -d) for d in dirs)
-    w_exact = (report.smooth and exhaustive and len(dirs) == 1
-               and problem.X.exact_projection)
+    w_exact = report.smooth and exhaustive and len(dirs) == 1
     return ResidualTriple(u_norm, v_dist, w_dist, v_exact, w_exact)

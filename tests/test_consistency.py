@@ -630,19 +630,49 @@ def test_halton_points_equal_scipy_bit_for_bit(d):
         assert _halton_unit(d, count).tobytes() == expected.tobytes()
 
 
-def _scipy_modules_after(code):
-    """The scipy modules a fresh interpreter has loaded after running code."""
+def _last_line_after(code):
+    """The last line a fresh interpreter, with the package on its path, prints."""
     src = os.path.dirname(os.path.dirname(compapprox.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = code + "; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         env=env, check=True)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env)
+    assert out.returncode == 0, out.stderr
     return out.stdout.strip().splitlines()[-1]
+
+
+def _scipy_modules_after(code):
+    """The scipy modules a fresh interpreter has loaded after running code."""
+    return _last_line_after(
+        code + "; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
 
 
 def test_package_import_does_not_load_scipy():
     assert _scipy_modules_after("import sys, compapprox.harness.runner") == "[]"
+
+
+#: one small spec per set kind of the configuration schema, in dimension 2
+_SET_SPECS = {"whole": {"n": 2}, "box": {"lower": [-1.0, 0.0], "upper": [1.0, 2.0]},
+              "ball": {"center": [0.5, 0.5], "radius": 1.0}}
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    # scipy is a test dependency only: with every scipy import raising, each set
+    # kind builds and answers, and a fixture runs and verifies
+    code = f"""import sys
+sys.modules["scipy"] = None
+from compapprox.harness.config import SETS
+from compapprox.harness.fixtures import fixture_config
+from compapprox.harness.runner import run_experiment, verify_summary
+for kind, build in SETS.items():
+    X = build({_SET_SPECS!r}[kind])
+    assert X.contains(X.project([3.0, -4.0])), kind
+    assert X.contains([3.0, -4.0]) == (kind == "whole"), kind
+    assert X.is_bounded() == (kind != "whole"), kind
+assert run_experiment(fixture_config("exact_penalty"), {str(tmp_path)!r}) == 0
+assert verify_summary({str(tmp_path / "exact_penalty_summary.json")!r}) == 0
+print(sorted(SETS))"""
+    assert _last_line_after(code) == str(sorted(_SET_SPECS))
 
 
 def test_convex_sanity_run_does_not_load_scipy(tmp_path):

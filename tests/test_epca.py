@@ -724,27 +724,6 @@ def test_epca_over_ball_set():
     assert fin.residual.combined <= 1.1 * fin.delta + 1e-10
 
 
-def test_epca_over_halfspace_set_matches_box():
-    # same feasible set written two ways; the iterative projection branch
-    # must land on the same certified point, with the w-block flagged inexact
-    from compapprox.geometry import HalfspaceIntersection
-
-    h = LinearOuter([1.0])
-    F = quad_mapping()
-    box = Box([-1.0], [3.0])
-    hs = HalfspaceIntersection([[1.0], [-1.0]], [3.0, 1.0])
-    results = []
-    for X in (box, hs):
-        stages = [Stage(X, h, F, parameter=float(k + 1)) for k in range(8)]
-        cfg = EpcaConfig(x0=np.array([-1.0]), tau=2.0, sigma=0.5, lam_bar=1.0,
-                         lam0=1.0,
-                         delta_schedule=tuple(2.0**-k for k in range(1, 9)))
-        results.append(run_epca(stages, cfg).final())
-    assert abs(results[0].triple.x[0] - results[1].triple.x[0]) <= 1e-6
-    assert results[0].residual.w_exact
-    assert not results[1].residual.w_exact
-
-
 def test_subproblem_on_lifted_network_problem():
     # block direct sum (squared error + equality indicator) through the
     # splitting branch, at a linearization point produced by the lift

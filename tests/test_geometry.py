@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from compapprox.geometry import (Ball, Box, HalfspaceIntersection, WholeSpace,
-                                 dist_to_hull, normal_cone_residual, project_onto_hull)
+from compapprox.geometry import (Ball, Box, WholeSpace, dist_to_hull, normal_cone_residual,
+                                 project_onto_hull)
 
 
 def test_box_projection_clamps():
@@ -45,44 +45,8 @@ def test_empty_box_rejected():
             Box(lower, upper)
 
 
-def test_empty_halfspace_intersection_rejected():
-    # x <= -1 and x >= 1 simultaneously
-    with pytest.raises(ValueError):
-        HalfspaceIntersection([[1.0], [-1.0]], [-1.0, -1.0])
-
-
-def test_halfspace_projection_matches_box():
-    # the unit square written as four halfspaces
-    normals = [[1, 0], [-1, 0], [0, 1], [0, -1]]
-    offsets = [1, 0, 1, 0]
-    hs = HalfspaceIntersection(normals, offsets)
-    box = Box([0, 0], [1, 1])
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        x = rng.normal(scale=2.0, size=2)
-        assert np.linalg.norm(hs.project(x) - box.project(x)) <= 1e-9
-
-
-def test_halfspace_projection_simplex_oracle():
-    # projection onto {x >= 0, sum x <= 1}; oracle: dense candidate scan
-    hs = HalfspaceIntersection([[-1, 0], [0, -1], [1, 1]], [0, 0, 1])
-    x = np.array([1.2, 0.9])
-    p = hs.project(x)
-    grid = np.linspace(0, 1, 401)
-    best = None
-    for a in grid:
-        for b in grid:
-            if a + b <= 1.0:
-                d = (a - x[0]) ** 2 + (b - x[1]) ** 2
-                if best is None or d < best[0]:
-                    best = (d, a, b)
-    assert np.linalg.norm(p - [best[1], best[2]]) <= 5e-3
-    assert np.linalg.norm(x - p) <= np.sqrt(best[0]) + 1e-9
-
-
 def test_projection_idempotent():
-    sets = [Box([-1, 0], [2, 3]), Ball([1, 1], 0.5),
-            HalfspaceIntersection([[1, 1]], [1.0]), WholeSpace(2)]
+    sets = [Box([-1, 0], [2, 3]), Ball([1, 1], 0.5), WholeSpace(2)]
     rng = np.random.default_rng(11)
     for S in sets:
         for _ in range(10):
@@ -92,8 +56,7 @@ def test_projection_idempotent():
 
 
 def test_projection_is_1_lipschitz():
-    sets = [Box([-1, 0], [2, 3]), Ball([1, 1], 0.5),
-            HalfspaceIntersection([[1, 1], [1, -2]], [1.0, 0.5])]
+    sets = [Box([-1, 0], [2, 3]), Ball([1, 1], 0.5)]
     rng = np.random.default_rng(3)
     for S in sets:
         for _ in range(50):

@@ -435,10 +435,11 @@ _BAD_INPUTS = {
     "set-not-object": ("exact_penalty", [], "problem", "set"),
     "outer-not-object": ("exact_penalty", [], "problem", "outer"),
     "inner-not-object": ("exact_penalty", "affine", "problem", "inner"),
-    "halfspace-normals-string": ("exact_penalty", {"kind": "halfspaces", "normals": "ab",
-                                                   "offsets": [1.0]}, "problem", "set"),
-    "halfspaces-empty": ("exact_penalty", {"kind": "halfspaces", "normals": [],
-                                           "offsets": []}, "problem", "set"),
+    "box-lower-string": ("exact_penalty", {"kind": "box", "lower": "ab", "upper": [1.0]},
+                         "problem", "set"),
+    # every set kind projects in closed form; a halfspace intersection is not one
+    "set-kind-halfspaces": ("exact_penalty", {"kind": "halfspaces", "normals": [],
+                                              "offsets": []}, "problem", "set"),
     "inner_iteration_cap-string": ("exact_penalty", "x", "epca", "inner_iteration_cap"),
     "output-number": ("exact_penalty", 5, "output"),
     "aug_lagrangian-first_linear": ("aug_lagrangian", False, "problem", "outer",
@@ -523,6 +524,7 @@ def test_cli_rejects_bad_input(tmp_path, capsys, fixture, value, path):
 
 @pytest.mark.parametrize("case, message", [
     ("box-infinite", "problem.set: empty box"),
+    ("set-kind-halfspaces", "problem.set: unknown kind 'halfspaces'"),
     ("sample_average-dist-short", 'problem.inner: dist must be ["two_point"] or ["uniform", lo, hi]'),
     ("sample_average-dist-string", 'problem.inner: dist must be ["two_point"] or ["uniform", lo, hi]'),
 ])
