@@ -10,14 +10,13 @@ variants list, per component, every active generalized gradient so callers can
 form the convex hull.
 
 ``eval_batch`` and ``jacobian_batch`` evaluate at the rows of a point array;
-``linearize_batch`` returns both, by default by calling the two. Each primitive
-has one implementation: the affine, quadratic-array, sample-average, network
-(one forward pass, whose Jacobian kernel serves both batch calls; only
-``linearize_batch`` applies the last layer's activation) and min-smooth
-mappings define the batch calls, and their one-point ``eval``/``jacobian`` are
-the one-row case (the exact min-smooth report also lists every active piece's
-gradient). The lifted-network mapping defines the one-point calls, and its
-batch calls loop over them. The quadratic kernels take a component's pieces
+``linearize_batch`` returns both, by default by calling the two. Every mapping
+defines the two batch calls (the network runs one forward pass, whose Jacobian
+kernel serves both; only ``linearize_batch`` applies the last layer's
+activation), and ``eval``/``jacobian`` are the base class's one-row case. So
+``InnerMapping.jacobian`` alone builds a ``JacobianReport``; a component the
+batch's ``multi`` flags (a tie of the exact min, a relu kink of the lift) lists
+the mapping's ``_alternatives``. The quadratic kernels take a component's pieces
 stacked, in one product per row and piece.
 Batch code keeps one matrix-vector product per point (a stacked
 ``A @ P[:, :, None]``), so a row does not depend on the other rows of its
@@ -84,6 +83,7 @@ class JacobianReport:
     """One generalized-gradient selection plus the active alternatives."""
 
     matrix: np.ndarray                     # (m, n)
+    #: True iff every component has one active generalized gradient
     smooth: bool
     #: per component, the list of active generalized gradients (hull generators);
     #: singleton lists for smooth components
@@ -93,46 +93,38 @@ class JacobianReport:
 class InnerMapping:
     n: int
     m: int
-    smooth: bool = True
 
-    # A subclass defines one side of each pair (eval or eval_batch, jacobian or
-    # jacobian_batch); the other side defaults to it, and linearize_batch to both.
+    # A subclass defines eval_batch, jacobian_batch and, if the latter can flag
+    # a component, _alternatives(x, i): every active generalized gradient of
+    # component i at x, the batch's selection first. The rest derives from them.
 
     def eval(self, x) -> np.ndarray:
         """F(x), the one-row case of ``eval_batch``."""
         return self.eval_batch(self._check(x)[None])[0]
 
     def jacobian(self, x) -> JacobianReport:
-        """The one-row case of ``jacobian_batch``, one generator per component.
-
-        Mappings whose components can have several active generalized
-        gradients define their own ``jacobian``.
-        """
-        J = self.jacobian_batch(self._check(x)[None])[0][0]
-        return JacobianReport(J.copy(), self.smooth, [[row] for row in J])
+        """The one-row case of ``jacobian_batch``, with every active generalized
+        gradient of the components it flags (``_alternatives``)."""
+        x = self._check(x)
+        J, multi = self.jacobian_batch(x[None])
+        active = [[row] for row in J[0]]
+        for i in np.flatnonzero(multi[0]).tolist():
+            active[i] = self._alternatives(x, i)
+        return JacobianReport(J[0].copy(), not multi.any(), active)
 
     def eval_batch(self, P) -> np.ndarray:
-        """Values at the rows of P, shape (N, m), for P of shape (N, n).
-
-        The default loops over ``eval``.
-        """
-        P = self._check_batch(P)
-        return np.array([self.eval(p) for p in P], dtype=float).reshape(len(P), self.m)
+        """Values at the rows of P, shape (N, m), for P of shape (N, n)."""
+        raise NotImplementedError(f"{type(self).__name__} defines no eval_batch")
 
     def jacobian_batch(self, P):
         """(J, multi) at the rows of P, for P of shape (N, n).
 
-        J, shape (N, m, n), stacks the selection matrices ``jacobian(p).matrix``
-        bit for bit; multi, shape (N, m), flags the components with more than
-        one active generalized gradient (the points where a caller needs the
-        full ``jacobian`` report). The default loops over ``jacobian``.
+        J, shape (N, m, n), stacks one generalized-gradient selection per point;
+        multi, shape (N, m), flags the components with more than one active
+        generalized gradient (the points where a caller needs the full
+        ``jacobian`` report).
         """
-        P = self._check_batch(P)
-        reps = [self.jacobian(p) for p in P]
-        J = np.array([r.matrix for r in reps], dtype=float).reshape(len(P), self.m, self.n)
-        multi = np.array([[len(a) > 1 for a in r.active_grads] for r in reps],
-                         dtype=bool).reshape(len(P), self.m)
-        return J, multi
+        raise NotImplementedError(f"{type(self).__name__} defines no jacobian_batch")
 
     def linearize_batch(self, P):
         """(values, J, multi) at the rows of P: ``eval_batch``, then ``jacobian_batch``."""
@@ -252,7 +244,6 @@ class MinSmoothMapping(InnerMapping):
         self.quadratics = [_stacked(plist) for plist in self.pieces]
         self.theta = None if theta is None else finite_theta(theta, positive=True)
         self.m, self.n = len(self.pieces), self.pieces[0][0][1].size
-        self.smooth = self.theta is not None
 
     def with_theta(self, theta):
         return MinSmoothMapping(self.pieces, theta)
@@ -260,16 +251,12 @@ class MinSmoothMapping(InnerMapping):
     def piece_counts(self):
         return [len(p) for p in self.pieces]
 
-    def _pieces_batch(self, P):
-        """Per component: piece values (N, K), gradients (N, K, n), row minima (N,)."""
-        for quadratics in self.quadratics:
-            vals = _quad_values(quadratics, P)
-            yield vals, _quad_grads(quadratics, P), np.min(vals, axis=1)
-
     def eval_batch(self, P):
         P = self._check_batch(P)
         out = np.empty((len(P), self.m))
-        for i, (vals, _, vmin) in enumerate(self._pieces_batch(P)):
+        for i, quadratics in enumerate(self.quadratics):
+            vals = _quad_values(quadratics, P)
+            vmin = np.min(vals, axis=1)
             if self.theta is None:
                 out[:, i] = vmin
             else:
@@ -279,21 +266,14 @@ class MinSmoothMapping(InnerMapping):
                 out[:, i] = vmin - logs / self.theta
         return out
 
-    def jacobian(self, x):
-        """The one-row batch; the exact min lists every active piece's gradient."""
-        rep = super().jacobian(x)
-        if self.theta is None:
-            P = self._check(x)[None]
-            rep.active_grads = [list(grads[0, vals[0] <= vmin[0] + ACTIVITY_TOL])
-                                for vals, grads, vmin in self._pieces_batch(P)]
-        return rep
-
     def jacobian_batch(self, P):
         P = self._check_batch(P)
         N = len(P)
         J = np.empty((N, self.m, self.n))
         multi = np.zeros((N, self.m), dtype=bool)
-        for i, (vals, grads, vmin) in enumerate(self._pieces_batch(P)):
+        for i, quadratics in enumerate(self.quadratics):
+            vals, grads = _quad_values(quadratics, P), _quad_grads(quadratics, P)
+            vmin = np.min(vals, axis=1)
             if self.theta is None:
                 active = vals <= (vmin + ACTIVITY_TOL)[:, None]
                 J[:, i] = grads[np.arange(N), np.argmax(active, axis=1)]
@@ -303,6 +283,12 @@ class MinSmoothMapping(InnerMapping):
                 w /= w.sum(axis=1, keepdims=True)
                 J[:, i] = sum(w[:, k, None] * grads[:, k] for k in range(vals.shape[1]))
         return J, multi
+
+    def _alternatives(self, x, i):
+        """The gradients of the exact min's active pieces, in piece order."""
+        P = x[None]
+        vals = _quad_values(self.quadratics[i], P)[0]
+        return list(_quad_grads(self.quadratics[i], P)[0, vals <= np.min(vals) + ACTIVITY_TOL])
 
 
 class SampleAverageMapping(InnerMapping):
@@ -513,7 +499,6 @@ class NetworkForwardMapping(InnerMapping):
         self.m = len(self.networks) * nq
         self.nq = nq
         self._width = max(len(A) for layers in self.networks for A, _ in layers)
-        self.smooth = activation.smooth
 
     def _pass(self, P, values, jacobian):
         """One forward pass: values (N, m) if asked for, else None, and J
@@ -593,7 +578,6 @@ class NetworkLiftMapping(InnerMapping):
         self.nq = self.dims[-1]
         self.n = self.n0 + self.r
         self.m = self.nq + self.r
-        self.smooth = activation.smooth
         # x_{1,k} is x[_offs[k]:_offs[k + 1]], x0 the block k = 0
         self._offs = np.cumsum([0] + self.dims).tolist()
 
@@ -613,34 +597,46 @@ class NetworkLiftMapping(InnerMapping):
             parts.append(self.activation.value(A @ parts[-1] + b))
         return np.concatenate(parts)
 
-    def eval(self, x):
-        x = self._check(x)
-        blocks = [self.block(x, 0, k) for k in range(self.q + 1)]
-        rows = [self.activation.value(A @ prev + b) - own
-                for (A, b), prev, own in zip(self.layers, blocks, blocks[1:])]
-        return np.concatenate([blocks[-1]] + rows)
+    def _pre(self, P, k):
+        """Layer k's pre-activations at the rows of P, (N, d_k)."""
+        A, b = self.layers[k - 1]
+        return _matvec(A, P[:, self._offs[k - 1]:self._offs[k]]) + b
 
-    def jacobian(self, x):
-        x = self._check(x)
-        J = np.zeros((self.m, self.n))
-        J[np.arange(self.nq), self._offs[self.q] + np.arange(self.nq)] = 1.0
-        active = [[row.copy()] for row in J[:self.nq]]
-        row = self.nq
-        for k, (A, b) in enumerate(self.layers, start=1):
-            prev_off, own_off = self._offs[k - 1], self._offs[k]
-            pre = A @ x[prev_off:own_off] + b
-            for j in range(self.dims[k]):
-                variants = []
-                for d in self.activation.deriv_options(float(pre[j])):
-                    g = np.zeros(self.n)
-                    g[prev_off:own_off] = d * A[j]
-                    g[own_off + j] = -1.0
-                    variants.append(g)
-                J[row] = variants[0]
-                active.append(variants)
-                row += 1
-        smooth = self.activation.smooth or all(len(a) == 1 for a in active)
-        return JacobianReport(J, smooth, active)
+    def eval_batch(self, P):
+        P = self._check_batch(P)
+        rows = [self.activation.value(self._pre(P, k)) - P[:, lo:hi]
+                for k, (lo, hi) in enumerate(zip(self._offs[1:], self._offs[2:]), start=1)]
+        return np.concatenate([P[:, self._offs[self.q]:]] + rows, axis=1)
+
+    def jacobian_batch(self, P):
+        """Relu rows within RELU_KINK_TOL of the kink select derivative 0 and are flagged."""
+        P = self._check_batch(P)
+        J = np.zeros((len(P), self.m, self.n))
+        multi = np.zeros((len(P), self.m), dtype=bool)
+        J[:, np.arange(self.nq), self._offs[self.q] + np.arange(self.nq)] = 1.0
+        J[:, np.arange(self.nq, self.m), np.arange(self.n0, self.n)] = -1.0
+        for k, (A, _) in enumerate(self.layers, start=1):
+            # H row r belongs to the neuron with own coordinate r - nq + n0
+            rows = slice(self._offs[k] + self.nq - self.n0, self._offs[k + 1] + self.nq - self.n0)
+            pre = self._pre(P, k)
+            if self.activation.smooth:
+                d = self.activation.deriv(pre)
+            else:
+                multi[:, rows] = np.abs(pre) <= RELU_KINK_TOL
+                d = np.where(pre > RELU_KINK_TOL, 1.0, 0.0)
+            J[:, rows, self._offs[k - 1]:self._offs[k]] = d[:, :, None] * A
+        return J, multi
+
+    def _alternatives(self, x, i):
+        """H row i's gradient for each derivative option of its neuron, in their order."""
+        c = i - self.nq + self.n0                 # the neuron's own coordinate
+        k = int(np.searchsorted(self._offs, c, side="right")) - 1
+        A, j = self.layers[k - 1][0], c - self._offs[k]
+        options = self.activation.deriv_options(float(self._pre(x[None], k)[0, j]))
+        grads = np.zeros((len(options), self.n))
+        grads[:, self._offs[k - 1]:self._offs[k]] = np.multiply.outer(options, A[j])
+        grads[:, c] = -1.0
+        return list(grads)
 
 
 @dataclass

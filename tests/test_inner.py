@@ -348,6 +348,95 @@ def test_one_point_calls_match_recorded_digests(name):
     assert digest.hexdigest() == ONE_POINT_DIGESTS[name]
 
 
+def _lift_cases():
+    """Lifts with the points to evaluate them at, by name.
+
+    The relu lift has weights and biases in {-1, 0, 1}, so at the lifted points of
+    x0 in {-1, 0, 1}^3 many pre-activations are exactly 0: those rows list two
+    alternatives, and their order enters the digest. The softplus lifts take
+    random points and their own lifted points.
+    """
+    rng = stream(7, "lift-cases")
+    widths = (3, 6, 5, 2)
+    weights = [rng.integers(-1, 2, size=(b, a)).astype(float)
+               for a, b in zip(widths, widths[1:])]
+    biases = [rng.integers(-1, 2, size=b).astype(float) for b in widths[1:]]
+    relu = NetworkLiftMapping([(weights, biases)], Activation("relu"))
+    grid = np.stack(np.meshgrid(*[[-1.0, 0.0, 1.0]] * 3, indexing="ij"), -1).reshape(-1, 3)
+    cases = {"relu-lift-kinks": (relu, np.array([relu.lift_point(x0) for x0 in grid]))}
+    net = _net(rng, (3, 16, 8, 2))
+    for theta in (5.0, 300.0):
+        lift = NetworkLiftMapping([net], Activation("softplus", theta))
+        lifted = [lift.lift_point(x0) for x0 in rng.uniform(-1.5, 1.5, size=(20, 3))]
+        cases[f"softplus-lift-{theta:g}"] = (lift, np.vstack([_batch_points(lift), lifted]))
+    return cases
+
+
+def _one_point_digest(F, P):
+    """sha256 over eval(p), jacobian(p).matrix and every active_grads entry, row by row."""
+    digest = hashlib.sha256()
+    for p in P:
+        rep = F.jacobian(p)
+        digest.update(F.eval(p).tobytes())
+        digest.update(rep.matrix.tobytes())
+        for grads in rep.active_grads:
+            for g in grads:
+                digest.update(np.asarray(g).tobytes())
+    return digest.hexdigest()
+
+
+#: _one_point_digest of each _lift_cases entry, recorded from the lift's
+#: former one-point eval and jacobian
+LIFT_DIGESTS = {
+    "relu-lift-kinks":
+        "a759c7f3b6cb848f1fb17b573fac63b24e86247830509f26c1525b18f250dde1",
+    "softplus-lift-5":
+        "dddd24e6fcac8bbfb54215d2e851d39cacea6d897dc0e4c2661cb9290d1fa348",
+    "softplus-lift-300":
+        "21197bd2715b9b08550f57df729800b3a536576089d89b9096a2ed503eff9149",
+}
+
+
+@pytest.mark.parametrize("name", list(LIFT_DIGESTS))
+def test_lift_one_point_calls_match_recorded_digests(name):
+    F, P = _lift_cases()[name]
+    assert _one_point_digest(F, P) == LIFT_DIGESTS[name]
+
+
+def test_relu_lift_kink_cases_list_alternatives():
+    F, P = _lift_cases()["relu-lift-kinks"]
+    _, multi = F.jacobian_batch(P)
+    reps = [F.jacobian(p) for p in P]
+    assert np.array_equal(np.array([[len(a) > 1 for a in r.active_grads] for r in reps]), multi)
+    assert 0 < np.count_nonzero(multi) < multi.size
+    # smooth is never True where a component has more than one active gradient
+    assert [r.smooth for r in reps] == (~multi.any(axis=1)).tolist()
+
+
+def test_every_mapping_defines_the_batch_calls_only():
+    mappings = [cls for cls in vars(inner).values()
+                if isinstance(cls, type) and issubclass(cls, inner.InnerMapping)]
+    assert len(mappings) == 7
+    for cls in mappings:
+        if cls is not inner.InnerMapping:
+            assert not {"eval", "jacobian"} & set(vars(cls)), cls.__name__
+            assert {"eval_batch", "jacobian_batch"} <= set(vars(cls)), cls.__name__
+
+
+def test_mapping_without_batch_calls_names_the_missing_call():
+    class Bare(inner.InnerMapping):
+        n, m = 2, 1
+
+    F = Bare()
+    for call, name in ((lambda: F.eval(np.zeros(2)), "eval_batch"),
+                       (lambda: F.jacobian(np.zeros(2)), "jacobian_batch"),
+                       (lambda: F.eval_batch(np.zeros((3, 2))), "eval_batch"),
+                       (lambda: F.jacobian_batch(np.zeros((3, 2))), "jacobian_batch"),
+                       (lambda: F.linearize_batch(np.zeros((3, 2))), "eval_batch")):
+        with pytest.raises(NotImplementedError, match=name):
+            call()
+
+
 def test_batch_mask_flags_kinks_and_ties():
     act = Activation("relu")
     lifted = NetworkLiftMapping([([np.array([[1.0]])], [np.array([0.0])])], act)
